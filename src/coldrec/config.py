@@ -31,10 +31,17 @@ def write_kv_file(path, values: dict) -> None:
 
 
 class _Reader:
+    """Typed reads from a parsed key-value file; `reject_unknown` fails on keys never read."""
+
     def __init__(self, values: dict[str, str], path):
         self.values = dict(values)
         self.path = path
         self.used: set[str] = set()
+
+    def reject_unknown(self) -> None:
+        unknown = sorted(set(self.values) - self.used)
+        if unknown:
+            raise DataError(f"{self.path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
     def get(self, key, default=None, cast=str):
         if key not in self.values:
@@ -64,7 +71,6 @@ class PipelineConfig:
     seed: int = 0
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     eval_k: int = 500
-    fusion_variant: str = "lin"
     channel_scale: float = 0.125
     vocab_cap: int = 10000
     property_map_path: str = ""
@@ -94,14 +100,13 @@ def _wmf_from(r: _Reader, prefix: str, seed: int) -> WmfConfig:
     )
 
 
-def _train_from(r: _Reader, prefix: str, seed: int, scale: float) -> TrainConfig:
+def _train_from(r: _Reader, prefix: str, seed: int) -> TrainConfig:
     return TrainConfig(
         batch_size=r.get(f"{prefix}.batch", 32, int),
         max_epochs=r.get(f"{prefix}.epochs", 100, int),
         patience=r.get(f"{prefix}.patience", 10, int),
         lr=r.get(f"{prefix}.lr", 0.001, float),
         seed=seed,
-        scale=scale,
     )
 
 
@@ -113,26 +118,27 @@ def load_pipeline_config(path, out_override=None, seed_override=None) -> Pipelin
         value = r.get(key, default)
         return os.path.join(base, value) if value and not os.path.isabs(value) else value
 
-    seed = seed_override if seed_override is not None else r.get("seed", 0, int)
-    scale = r.get("scale", 0.125, float)
+    seed = r.get("seed", 0, int)
+    if seed_override is not None:
+        seed = seed_override
+    out_dir = p("paths.out", "out")
     ratios = (
         r.get("split.train", 0.8, float),
         r.get("split.val", 0.1, float),
         r.get("split.test", 0.1, float),
     )
-    return PipelineConfig(
+    cfg = PipelineConfig(
         triples=p("paths.triples"),
         artist_map=p("paths.artist_map"),
         documents=p("paths.documents"),
         annotations=p("paths.annotations"),
         kb=p("paths.kb"),
         spectrogram_dir=p("paths.spectrograms"),
-        out_dir=out_override or p("paths.out", "out"),
+        out_dir=out_override or out_dir,
         seed=seed,
         split_ratios=ratios,
         eval_k=r.get("eval.k", 500, int),
-        fusion_variant=r.get("fusion.variant", "lin"),
-        channel_scale=scale,
+        channel_scale=r.get("scale", 0.125, float),
         vocab_cap=r.get("text.vocab_cap", 10000, int),
         property_map_path=p("text.property_map", "") or "",
         patch_seconds=r.get("audio.patch_seconds", 15.0, float),
@@ -140,10 +146,12 @@ def load_pipeline_config(path, out_override=None, seed_override=None) -> Pipelin
         val_fraction=r.get("train.val_fraction", 0.1, float),
         wmf_songs=_wmf_from(r, "wmf.songs", seed),
         wmf_artists=_wmf_from(r, "wmf.artists", seed),
-        train_artist=_train_from(r, "train.artist", seed, scale),
-        train_track=_train_from(r, "train.track", seed, scale),
-        train_fusion=_train_from(r, "train.fusion", seed, scale),
+        train_artist=_train_from(r, "train.artist", seed),
+        train_track=_train_from(r, "train.track", seed),
+        train_fusion=_train_from(r, "train.fusion", seed),
     )
+    r.reject_unknown()
+    return cfg
 
 
 def load_synthetic_spec(path):
@@ -166,5 +174,6 @@ def load_synthetic_spec(path):
         n_templates=r.get("templates", 8, int),
         seed=r.get("seed", 0, int),
     )
+    r.reject_unknown()
     spec.validate()
     return spec

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -15,37 +17,42 @@ from .config import PipelineConfig
 from .data import (ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
                    load_artist_map, load_assignment, load_triples, save_split,
                    split_by_artist)
+from .nn import NetworkSpec
 from .wmf import FactorModel, factorize_wmf
 
-STAGES = (
-    "split", "factorize-songs", "factorize-artists", "enrich", "vectorize",
-    "train-artist", "train-track", "extract", "train-fusion", "evaluate", "report",
-)
-
+# approaches in report order
 APPROACHES = ("audio", "sem-emb", "mm-lf-lin", "mm-lf-h1", "random", "upper-bound")
 
-# artifact file -> stage that produces it, for dependency error messages
-_PRODUCERS = {
-    "splits/train.tsv": "split",
-    "splits/test.tsv": "split",
-    "splits/artist_assignment.tsv": "split",
-    "factors_songs.csmx": "factorize-songs",
-    "factors_artists.csmx": "factorize-artists",
-    "enriched_docs.jsonl": "enrich",
-    "vocab.json": "vectorize",
-    "features_text.csmx": "vectorize",
-    "params_artist.csmx": "train-artist",
-    "params_track.csmx": "train-track",
-    "embeddings_artist.csmx": "extract",
-    "embeddings_track.csmx": "extract",
-    "params_fusion_lin.csmx": "train-fusion",
-    "params_fusion_h1.csmx": "train-fusion",
-    "params_sememb.csmx": "train-fusion",
-    "track_net.json": "train-track",
-    "predictions_audio.csmx": "extract",
-    **{f"eval_{a}.json": "evaluate" for a in
-       ("audio", "sem-emb", "mm-lf-lin", "mm-lf-h1", "random", "upper-bound")},
+
+class Head(NamedTuple):
+    """A trained head: its artifact name and its net builder (dim_a, dim_t, k) -> net."""
+    artifact: str
+    build: Callable[[int, int, int], NetworkSpec]
+
+    @property
+    def params(self) -> str:
+        return f"{self.artifact}.csmx"
+
+    @property
+    def log(self) -> str:
+        return f"log_{self.artifact.removeprefix('params_')}.tsv"
+
+
+# trained heads by approach, in training order; a head's seed is the
+# train-fusion stage seed plus its position here
+HEADS = {
+    "mm-lf-lin": Head("params_fusion_lin",
+                      lambda dim_a, dim_t, k: zoo.build_fusion_net("lin", dim_a, dim_t, k)),
+    "mm-lf-h1": Head("params_fusion_h1",
+                     lambda dim_a, dim_t, k: zoo.build_fusion_net("h1", dim_a, dim_t, k)),
+    "sem-emb": Head("params_sememb",
+                    lambda dim_a, dim_t, k: zoo.build_single_branch_net(dim_a, k)),
 }
+
+
+class Stage(NamedTuple):
+    run: Callable[[PipelineConfig], None]
+    writes: tuple[str, ...]  # artifacts under the output directory
 
 
 class StageError(RuntimeError):
@@ -61,13 +68,13 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
     if stage not in STAGES:
         raise StageError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _STAGE_FNS[stage](cfg)
+    STAGE_TABLE[stage].run(cfg)
 
 
 def _require(cfg: PipelineConfig, rel: str) -> str:
     path = cfg.out(rel)
     if not os.path.exists(path):
-        producer = _PRODUCERS.get(rel, "?")
+        producer = next(name for name, s in STAGE_TABLE.items() if rel in s.writes)
         raise StageError(f"missing artifact {rel!r}; run stage {producer!r} first")
     return path
 
@@ -101,17 +108,19 @@ def _save_factors(cfg: PipelineConfig, name: str, model: FactorModel,
     matrixio.save_ids(cfg.out(f"{name}.items.ids"), item_ids)
 
 
+def _load_ids(cfg: PipelineConfig, rel: str) -> list[str]:
+    return matrixio.load_ids(_require(cfg, rel))
+
+
 def _load_factors(cfg: PipelineConfig, name: str):
     sections = matrixio.load_matrix(_require(cfg, f"{name}.csmx"))
-    users = matrixio.load_ids(cfg.out(f"{name}.users.ids"))
-    items = matrixio.load_ids(cfg.out(f"{name}.items.ids"))
-    return sections["user_factors"], sections["item_factors"], users, items
+    return (sections["user_factors"], sections["item_factors"],
+            _load_ids(cfg, f"{name}.users.ids"), _load_ids(cfg, f"{name}.items.ids"))
 
 
 def _stage_factorize_songs(cfg: PipelineConfig) -> None:
     train = _load_split(cfg, "train")
-    wmf_cfg = cfg.wmf_songs
-    wmf_cfg.seed = stage_seed(cfg.seed, "factorize-songs")
+    wmf_cfg = dataclasses.replace(cfg.wmf_songs, seed=stage_seed(cfg.seed, "factorize-songs"))
     model = factorize_wmf(train, wmf_cfg)
     _save_factors(cfg, "factors_songs", model, train.user_ids, train.item_ids)
 
@@ -120,8 +129,7 @@ def _stage_factorize_artists(cfg: PipelineConfig) -> None:
     train = _load_split(cfg, "train")
     am = load_artist_map(cfg.artist_map)
     r = aggregate_to_artist(train, am)
-    wmf_cfg = cfg.wmf_artists
-    wmf_cfg.seed = stage_seed(cfg.seed, "factorize-artists")
+    wmf_cfg = dataclasses.replace(cfg.wmf_artists, seed=stage_seed(cfg.seed, "factorize-artists"))
     model = factorize_wmf(r, wmf_cfg)
     _save_factors(cfg, "factors_artists", model, r.user_ids, r.item_ids)
 
@@ -155,17 +163,6 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
     matrixio.save_ids(cfg.out("features_text.ids"), [d.artist_id for d in docs])
 
 
-def _load_vocab(cfg: PipelineConfig):
-    with open(_require(cfg, "vocab.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    return textfeat.Vocabulary(
-        terms=data["terms"],
-        index={t: i for i, t in enumerate(data["terms"])},
-        doc_freq=np.array(data["df"], dtype=np.int64),
-        n_docs=data["n_docs"],
-    )
-
-
 def _fit_val_split(n: int, fraction: float, seed: int):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -175,7 +172,7 @@ def _fit_val_split(n: int, fraction: float, seed: int):
 
 def _stage_train_artist(cfg: PipelineConfig) -> None:
     feats = matrixio.load_matrix(_require(cfg, "features_text.csmx"))["tfidf"]
-    feat_ids = matrixio.load_ids(cfg.out("features_text.ids"))
+    feat_ids = _load_ids(cfg, "features_text.ids")
     _, artist_factors, _, artist_ids = _load_factors(cfg, "factors_artists")
     rows = _align_rows(feat_ids, artist_ids)
     x = feats[[r[0] for r in rows]]
@@ -183,8 +180,7 @@ def _stage_train_artist(cfg: PipelineConfig) -> None:
     seed = stage_seed(cfg.seed, "train-artist")
     fit, val = _fit_val_split(len(rows), cfg.val_fraction, seed)
     net = zoo.build_artist_net(x.shape[1], y.shape[1])
-    tc = cfg.train_artist
-    tc.seed = seed
+    tc = dataclasses.replace(cfg.train_artist, seed=seed)
     params, log = zoo.train_mapping(net, x[fit], y[fit], x[val], y[val], tc)
     matrixio.save_params(cfg.out("params_artist.csmx"), params)
     log.write_tsv(cfg.out("log_artist.tsv"))
@@ -231,8 +227,7 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
     val_x = val_provider(0)
     net = zoo.build_track_net(probe.bins, patch_len, song_factors.shape[1],
                               scale=cfg.channel_scale)
-    tc = cfg.train_track
-    tc.seed = seed
+    tc = dataclasses.replace(cfg.train_track, seed=seed)
     params, log = zoo.train_mapping(net, fit_provider, song_factors[fit],
                                     val_x, song_factors[val], tc)
     matrixio.save_params(cfg.out("params_track.csmx"), params)
@@ -261,7 +256,7 @@ def _all_song_ids(cfg: PipelineConfig) -> list[str]:
 def _stage_extract(cfg: PipelineConfig) -> None:
     # artist embeddings for every artist with a document
     feats = matrixio.load_matrix(_require(cfg, "features_text.csmx"))["tfidf"]
-    feat_ids = matrixio.load_ids(cfg.out("features_text.ids"))
+    feat_ids = _load_ids(cfg, "features_text.ids")
     _, artist_factors, _, _ = _load_factors(cfg, "factors_artists")
     artist_net = zoo.build_artist_net(feats.shape[1], artist_factors.shape[1])
     artist_params = matrixio.load_params(_require(cfg, "params_artist.csmx"))
@@ -287,7 +282,7 @@ def _stage_extract(cfg: PipelineConfig) -> None:
 
 def _load_embeddings(cfg: PipelineConfig, name: str):
     vectors = matrixio.load_matrix(_require(cfg, f"{name}.csmx"))["embeddings"]
-    ids = matrixio.load_ids(cfg.out(f"{name}.ids"))
+    ids = _load_ids(cfg, f"{name}.ids")
     return vectors, {i: j for j, i in enumerate(ids)}
 
 
@@ -299,37 +294,29 @@ def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], am: ArtistMap):
     return {"artist": emb_a[a_rows], "track": emb_t[t_rows]}
 
 
+def _head_net(head: Head, inputs: dict[str, np.ndarray], k: int) -> NetworkSpec:
+    return head.build(inputs["artist"].shape[1], inputs["track"].shape[1], k)
+
+
+def _head_inputs(net: NetworkSpec, inputs: dict[str, np.ndarray]):
+    """Both embeddings for a fusion head; a head without branches takes the artist's."""
+    return inputs if net.branches else inputs["artist"]
+
+
 def _stage_train_fusion(cfg: PipelineConfig) -> None:
     _, song_factors, _, song_ids = _load_factors(cfg, "factors_songs")
-    am = load_artist_map(cfg.artist_map)
-    inputs = _fusion_inputs(cfg, song_ids, am)
-    dim_a = inputs["artist"].shape[1]
-    dim_t = inputs["track"].shape[1]
-    k = song_factors.shape[1]
+    inputs = _fusion_inputs(cfg, song_ids, load_artist_map(cfg.artist_map))
     seed = stage_seed(cfg.seed, "train-fusion")
     fit, val = _fit_val_split(len(song_ids), cfg.val_fraction, seed)
-    jobs = {
-        "params_fusion_lin": zoo.build_fusion_net("lin", dim_a, dim_t, k),
-        "params_fusion_h1": zoo.build_fusion_net("h1", dim_a, dim_t, k),
-        "params_sememb": zoo.build_single_branch_net(dim_a, k),
-    }
-    for idx, (name, net) in enumerate(jobs.items()):
-        if name == "params_sememb":
-            x_fit, x_val = inputs["artist"][fit], inputs["artist"][val]
-        else:
-            x_fit = {b: v[fit] for b, v in inputs.items()}
-            x_val = {b: v[val] for b, v in inputs.items()}
-        tc = zoo.TrainConfig(
-            batch_size=cfg.train_fusion.batch_size,
-            max_epochs=cfg.train_fusion.max_epochs,
-            patience=cfg.train_fusion.patience,
-            lr=cfg.train_fusion.lr,
-            seed=seed + idx,
-        )
-        params, log = zoo.train_mapping(net, x_fit, song_factors[fit],
-                                        x_val, song_factors[val], tc)
-        matrixio.save_params(cfg.out(f"{name}.csmx"), params)
-        log.write_tsv(cfg.out(f"log_{name.removeprefix('params_')}.tsv"))
+    fit_x = {b: v[fit] for b, v in inputs.items()}
+    val_x = {b: v[val] for b, v in inputs.items()}
+    for pos, head in enumerate(HEADS.values()):
+        net = _head_net(head, inputs, song_factors.shape[1])
+        tc = dataclasses.replace(cfg.train_fusion, seed=seed + pos)
+        params, log = zoo.train_mapping(net, _head_inputs(net, fit_x), song_factors[fit],
+                                        _head_inputs(net, val_x), song_factors[val], tc)
+        matrixio.save_params(cfg.out(head.params), params)
+        log.write_tsv(cfg.out(head.log))
 
 
 def _stage_evaluate(cfg: PipelineConfig) -> None:
@@ -338,47 +325,34 @@ def _stage_evaluate(cfg: PipelineConfig) -> None:
     if train_users != test.user_ids:
         user_index = {u: i for i, u in enumerate(train_users)}
         user_factors = user_factors[[user_index[u] for u in test.user_ids]]
-    am = load_artist_map(cfg.artist_map)
     k = user_factors.shape[1]
 
     predictions: dict[str, np.ndarray] = {}
 
     # audio: the track network's own factor predictions
     preds = matrixio.load_matrix(_require(cfg, "predictions_audio.csmx"))["factors"]
-    pred_ids = matrixio.load_ids(cfg.out("predictions_audio.ids"))
+    pred_ids = _load_ids(cfg, "predictions_audio.ids")
     p_index = {s: i for i, s in enumerate(pred_ids)}
     predictions["audio"] = preds[[p_index[s] for s in test.item_ids]]
 
-    inputs = _fusion_inputs(cfg, test.item_ids, am)
-    dim_a = inputs["artist"].shape[1]
-    dim_t = inputs["track"].shape[1]
-
-    sememb_net = zoo.build_single_branch_net(dim_a, k)
-    sememb_params = matrixio.load_params(_require(cfg, "params_sememb.csmx"))
-    predictions["sem-emb"] = zoo.predict_factors(sememb_net, sememb_params, inputs["artist"])
-
-    for variant in ("lin", "h1"):
-        net = zoo.build_fusion_net(variant, dim_a, dim_t, k)
-        params = matrixio.load_params(_require(cfg, f"params_fusion_{variant}.csmx"))
-        predictions[f"mm-lf-{variant}"] = zoo.predict_factors(net, params, inputs)
+    inputs = _fusion_inputs(cfg, test.item_ids, load_artist_map(cfg.artist_map))
+    for approach, head in HEADS.items():
+        net = _head_net(head, inputs, k)
+        params = matrixio.load_params(_require(cfg, head.params))
+        predictions[approach] = zoo.predict_factors(net, params, _head_inputs(net, inputs))
 
     rand_f, _ = ev.make_baseline_factors("random", test, k,
                                          seed=stage_seed(cfg.seed, "baseline-random"))
     predictions["random"] = rand_f
 
-    ub_cfg = cfg.wmf_songs
-    ub_cfg.seed = stage_seed(cfg.seed, "baseline-upper")
+    ub_cfg = dataclasses.replace(cfg.wmf_songs, seed=stage_seed(cfg.seed, "baseline-upper"))
     ub_items, ub_users = ev.make_baseline_factors("upper_bound", test, k, cfg=ub_cfg)
 
-    for approach, item_factors in predictions.items():
-        report = ev.map_at_k(user_factors, item_factors, test, cfg.eval_k)
-        _write_eval(cfg, approach, report)
-    report = ev.map_at_k(ub_users, ub_items, test, cfg.eval_k)
-    _write_eval(cfg, "upper-bound", report)
-
-
-def _write_eval(cfg: PipelineConfig, approach: str, report: ev.EvalReport) -> None:
-    report.write(cfg.out(f"eval_{approach}.tsv"), cfg.out(f"eval_{approach}.json"))
+    runs = [(a, user_factors, f) for a, f in predictions.items()]
+    runs.append(("upper-bound", ub_users, ub_items))
+    for approach, users, items in runs:
+        report = ev.map_at_k(users, items, test, cfg.eval_k)
+        report.write(cfg.out(f"eval_{approach}.tsv"), cfg.out(f"eval_{approach}.json"))
 
 
 def _stage_report(cfg: PipelineConfig) -> None:
@@ -397,16 +371,28 @@ def _stage_report(cfg: PipelineConfig) -> None:
         fh.write("\n")
 
 
-_STAGE_FNS = {
-    "split": _stage_split,
-    "factorize-songs": _stage_factorize_songs,
-    "factorize-artists": _stage_factorize_artists,
-    "enrich": _stage_enrich,
-    "vectorize": _stage_vectorize,
-    "train-artist": _stage_train_artist,
-    "train-track": _stage_train_track,
-    "extract": _stage_extract,
-    "train-fusion": _stage_train_fusion,
-    "evaluate": _stage_evaluate,
-    "report": _stage_report,
+# every stage in run order, with every artifact it writes under the output directory
+STAGE_TABLE = {
+    "split": Stage(_stage_split, ("splits/train.tsv", "splits/val.tsv", "splits/test.tsv",
+                                  "splits/artist_assignment.tsv")),
+    "factorize-songs": Stage(_stage_factorize_songs, (
+        "factors_songs.csmx", "factors_songs.users.ids", "factors_songs.items.ids")),
+    "factorize-artists": Stage(_stage_factorize_artists, (
+        "factors_artists.csmx", "factors_artists.users.ids", "factors_artists.items.ids")),
+    "enrich": Stage(_stage_enrich, ("enriched_docs.jsonl",)),
+    "vectorize": Stage(_stage_vectorize, ("vocab.json", "features_text.csmx",
+                                          "features_text.ids")),
+    "train-artist": Stage(_stage_train_artist, ("params_artist.csmx", "log_artist.tsv")),
+    "train-track": Stage(_stage_train_track, ("params_track.csmx", "log_track.tsv",
+                                              "track_net.json")),
+    "extract": Stage(_stage_extract, (
+        "embeddings_artist.csmx", "embeddings_artist.ids",
+        "embeddings_track.csmx", "embeddings_track.ids",
+        "predictions_audio.csmx", "predictions_audio.ids")),
+    "train-fusion": Stage(_stage_train_fusion,
+                          tuple(f for h in HEADS.values() for f in (h.params, h.log))),
+    "evaluate": Stage(_stage_evaluate,
+                      tuple(f"eval_{a}.{ext}" for a in APPROACHES for ext in ("tsv", "json"))),
+    "report": Stage(_stage_report, ("report.tsv", "report.json")),
 }
+STAGES = tuple(STAGE_TABLE)

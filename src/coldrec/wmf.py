@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from .data import FeedbackMatrix
 
@@ -56,6 +56,8 @@ def solve_row(other_factors: np.ndarray, indices: np.ndarray, counts: np.ndarray
     Solves (Y^T C Y + lam*I) x = Y^T C p with C = diag(1 + alpha*count) and
     p the nonzero indicator, using the rank-restricted form
     Y^T Y + Y_nz^T diag(alpha*count) Y_nz over the nonzero entries only.
+    Raises ValueError on a non-finite system and np.linalg.LinAlgError on
+    one that is not positive definite.
     """
     if lam <= 0:
         raise ValueError("lambda must be > 0")
@@ -68,7 +70,13 @@ def solve_row(other_factors: np.ndarray, indices: np.ndarray, counts: np.ndarray
     conf = 1.0 + alpha * counts.astype(np.float64)
     a = gram + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + lam * np.eye(k)
     b = y_nz.T @ conf
-    return scipy.linalg.solve(a, b, assume_a="pos")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("non-finite values in an ALS row system")
+    # LAPACK's Cholesky solve directly: scipy.linalg.solve adds ~40 us per call
+    _, x, info = lapack.dposv(a, b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"ALS row system is not positive definite (LAPACK info {info})")
+    return x
 
 
 def als_objective(model: FactorModel, m: FeedbackMatrix, alpha: float, lam: float) -> float:

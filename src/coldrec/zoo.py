@@ -26,7 +26,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     lr: float = 0.001
-    scale: float = 1.0  # channel-width factor for desk-size convolutions
 
     def validate(self):
         if self.batch_size < 1:
@@ -201,8 +200,8 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
         train_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            out, caches, _ = net_forward_cached(net, params, _take(feats, idx),
-                                                mode="train", seed=_batch_seed(cfg.seed, epoch, start))
+            out, caches, _ = nn.net_forward(net, params, _take(feats, idx),
+                                            mode="train", seed=_batch_seed(cfg.seed, epoch, start))
             loss, dpred = nn.cosine_loss(out, targets[idx])
             if not math.isfinite(loss):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, batch offset {start}")
@@ -226,10 +225,6 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
 
 def _batch_seed(seed: int, epoch: int, offset: int) -> int:
     return (seed * 1_000_003 + epoch * 7919 + offset) % 2**31
-
-
-def net_forward_cached(net, params, x, mode, seed):
-    return nn.net_forward(net, params, x, mode=mode, seed=seed)
 
 
 def eval_loss(net: NetworkSpec, params, features, targets: np.ndarray) -> float:

@@ -1,7 +1,12 @@
+import builtins
+import dataclasses
 import filecmp
 import json
 import os
+import re
 import shutil
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
 from coldrec.data import DataError
-from coldrec.pipeline import STAGES, StageError, run_stage, stage_seed
+from coldrec.pipeline import STAGE_TABLE, STAGES, StageError, run_stage, stage_seed
 
 TINY = dict(n_users=40, n_artists=12, songs_per_artist=4, latent_dim=8,
             bins=8, frames=70, n_text_terms=30, doc_tokens=60,
@@ -47,18 +52,45 @@ def write_config(path, data_dir, out_dir, **extra):
     return path
 
 
+def files_under(root) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
+
+
 @pytest.fixture(scope="module")
-def pipeline_run(tmp_path_factory):
-    """One full tiny pipeline run shared by the read-only assertions below."""
+def staged_run(tmp_path_factory):
+    """One full tiny pipeline run shared by the read-only assertions below.
+
+    Records, per stage, the files under out/ that the stage opened for
+    reading and the files it created.
+    """
     root = tmp_path_factory.mktemp("run")
     data_dir = root / "data"
     out_dir = root / "out"
     synth.write_dataset(synth.generate(tiny_spec()), data_dir)
     cfg_path = write_config(root / "pipeline.cfg", str(data_dir), str(out_dir))
     cfg = load_pipeline_config(cfg_path)
-    for stage in STAGES:
-        run_stage(cfg, stage)
-    return cfg
+    reads = {stage: set() for stage in STAGES}
+    created = {}
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and isinstance(file, (str, os.PathLike)):
+            rel = os.path.relpath(file, out_dir)
+            if not rel.startswith(".."):
+                reads[stage].add(rel)
+        return real_open(file, mode, *args, **kwargs)
+
+    with mock.patch("builtins.open", recording_open):
+        for stage in STAGES:
+            before = files_under(out_dir)
+            run_stage(cfg, stage)
+            created[stage] = files_under(out_dir) - before
+    return SimpleNamespace(cfg=cfg, cfg_path=cfg_path, reads=reads, created=created)
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(staged_run):
+    return staged_run.cfg
 
 
 class TestSynth:
@@ -145,6 +177,18 @@ class TestConfig:
         assert cfg.patch_frames_override == 64
         assert cfg.train_artist.max_epochs == 2
 
+    @pytest.mark.parametrize("write, load, key", [
+        (lambda path: write_config(path, "data", "out", **{"train.artist.epoch": 1}),
+         load_pipeline_config, "train.artist.epoch"),
+        (lambda path: write_kv_file(path, {"users": 10, "song_per_artist": 3}),
+         load_synthetic_spec, "song_per_artist"),
+    ], ids=["pipeline", "synthetic"])
+    def test_unknown_key_rejected(self, tmp_path, write, load, key):
+        path = tmp_path / "c.cfg"
+        write(path)
+        with pytest.raises(DataError, match=re.escape(f"{path}: unknown key(s) {key!r}")):
+            load(path)
+
     def test_synthetic_spec_file(self, tmp_path):
         path = tmp_path / "s.cfg"
         write_kv_file(path, {"users": 10, "artists": 4, "latent_dim": 6, "seed": 5})
@@ -162,38 +206,39 @@ class TestStages:
         assert stage_seed(3, "split") != stage_seed(4, "split")
         assert 0 <= stage_seed(3, "split") < 2**31
 
-    def test_missing_dependency_names_producer(self, pipeline_run, tmp_path):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_missing_dependency_names_producer(self, staged_run, stage, tmp_path):
+        """Every artifact a stage reads is declared by an earlier stage, and
+        running the stage without it names that stage."""
+        producer = {rel: s for s in STAGES[:STAGES.index(stage)]
+                    for rel in STAGE_TABLE[s].writes}
+        reads = staged_run.reads[stage]
+        assert bool(reads) == (stage not in ("split", "enrich"))  # those read only the dataset
+        assert reads <= set(producer)
         broken = tmp_path / "broken_out"
-        shutil.copytree(pipeline_run.out_dir, broken)
-        for name in ("params_sememb.csmx", "params_fusion_lin.csmx", "params_fusion_h1.csmx"):
-            os.remove(broken / name)
-        import dataclasses
-        broken_cfg = dataclasses.replace(pipeline_run, out_dir=str(broken))
-        with pytest.raises(StageError, match="train-fusion"):
-            run_stage(broken_cfg, "evaluate")
+        shutil.copytree(staged_run.cfg.out_dir, broken)
+        broken_cfg = dataclasses.replace(staged_run.cfg, out_dir=str(broken))
+        for rel in sorted(reads):
+            os.rename(broken / rel, tmp_path / "hidden")
+            message = f"missing artifact {rel!r}; run stage {producer[rel]!r} first"
+            with pytest.raises(StageError, match=re.escape(message)):
+                run_stage(broken_cfg, stage)
+            os.rename(tmp_path / "hidden", broken / rel)
+
+    def test_stages_leave_config_unchanged(self, staged_run):
+        assert staged_run.cfg == load_pipeline_config(staged_run.cfg_path)
 
     def test_evaluate_on_empty_out_names_split(self, pipeline_run, tmp_path):
-        import dataclasses
         cfg = dataclasses.replace(pipeline_run, out_dir=str(tmp_path / "empty"))
         with pytest.raises(StageError, match="split"):
             run_stage(cfg, "evaluate")
 
 
 class TestArtifacts:
-    def test_all_expected_files_exist(self, pipeline_run):
-        expected = [
-            "splits/train.tsv", "splits/val.tsv", "splits/test.tsv",
-            "splits/artist_assignment.tsv",
-            "factors_songs.csmx", "factors_artists.csmx",
-            "enriched_docs.jsonl", "vocab.json", "features_text.csmx",
-            "params_artist.csmx", "params_track.csmx", "track_net.json",
-            "embeddings_artist.csmx", "embeddings_track.csmx",
-            "predictions_audio.csmx",
-            "params_fusion_lin.csmx", "params_fusion_h1.csmx", "params_sememb.csmx",
-            "report.tsv", "report.json",
-        ]
-        for rel in expected:
-            assert os.path.exists(pipeline_run.out(rel)), rel
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_all_expected_files_exist(self, staged_run, stage):
+        """Each stage creates exactly the artifacts the stage table declares."""
+        assert staged_run.created[stage] == set(STAGE_TABLE[stage].writes)
 
     def test_report_covers_all_approaches(self, pipeline_run):
         with open(pipeline_run.out("report.json"), encoding="utf-8") as fh:

@@ -59,6 +59,17 @@ class TestSolveRow:
         with pytest.raises(ValueError):
             solve_row(y, np.array([0]), np.array([1]), alpha=1.0, lam=0.0)
 
+    @pytest.mark.parametrize("y, alpha, error", [
+        (np.array([[np.nan], [1.0]]), 1.0, ValueError),
+        # an infinite factor outside the row's items: the Cholesky solve alone
+        # would return a finite 0 here
+        (np.array([[np.inf], [1.0]]), 1.0, ValueError),
+        (np.array([[1.0], [1.0]]), -10.0, np.linalg.LinAlgError),
+    ], ids=["nan", "inf-outside-row", "indefinite"])
+    def test_bad_system_rejected(self, y, alpha, error):
+        with pytest.raises(error):
+            solve_row(y, np.array([1]), np.array([1]), alpha=alpha, lam=0.1)
+
 
 class TestObjective:
     def test_all_zero(self):

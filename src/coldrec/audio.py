@@ -72,13 +72,6 @@ def _id_key(item_id: str) -> int:
     return zlib.crc32(item_id.encode("utf-8"))
 
 
-def log_compress(s: Spectrogram) -> Spectrogram:
-    """Elementwise x -> ln(1 + x) for magnitude spectrograms."""
-    if np.any(s.data < 0):
-        raise DataError("log compression requires non-negative magnitudes")
-    return Spectrogram(np.log1p(s.data), s.sample_rate, s.hop)
-
-
 def synth_spectrogram(bins: int, frames: int, template_weights: np.ndarray,
                       seed: int, noise: float = 0.0) -> Spectrogram:
     """Deterministic synthetic spectrogram for desk-scale experiments.

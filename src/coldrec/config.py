@@ -51,8 +51,6 @@ class _Reader:
         self.used.add(key)
         raw = self.values[key]
         try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes")
             return cast(raw)
         except ValueError:
             raise DataError(f"{self.path}: key {key!r} has invalid value {raw!r}") from None

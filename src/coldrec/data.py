@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,24 +43,6 @@ class FeedbackMatrix:
     def n_items(self) -> int:
         return len(self.item_ids)
 
-    def total_plays(self) -> int:
-        return int(self.counts.sum())
-
-    def entry(self, user: str, item: str) -> int:
-        u = self.user_ids.index(user)
-        i = self.item_ids.index(item)
-        return int(self.counts[u, i])
-
-    @staticmethod
-    def from_entries(user_ids, item_ids, entries: dict[tuple[int, int], int]) -> "FeedbackMatrix":
-        """Build from a {(user_index, item_index): count} map."""
-        user_ids = list(user_ids)
-        item_ids = list(item_ids)
-        mat = sp.dok_matrix((len(user_ids), len(item_ids)), dtype=np.int64)
-        for (u, i), c in entries.items():
-            mat[u, i] = c
-        return FeedbackMatrix(user_ids, item_ids, mat.tocsr())
-
 
 @dataclass
 class ArtistMap:
@@ -73,12 +55,6 @@ class ArtistMap:
             return self.item_to_artist[item]
         except KeyError:
             raise DataError(f"item {item!r} has no artist mapping") from None
-
-    def artists(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for a in self.item_to_artist.values():
-            seen.setdefault(a, None)
-        return list(seen)
 
 
 @dataclass
@@ -104,14 +80,14 @@ def load_triples(path) -> FeedbackMatrix:
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    entries: dict[tuple[int, int], int] = {}
-    n_lines = 0
+    rows: list[int] = []
+    cols: list[int] = []
+    counts: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            n_lines += 1
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
@@ -122,16 +98,23 @@ def load_triples(path) -> FeedbackMatrix:
                 raise DataError(f"{path}:{lineno}: count {count_s!r} is not an integer") from None
             if count < 1:
                 raise DataError(f"{path}:{lineno}: count must be >= 1, got {count}")
-            u = user_index.setdefault(user, len(user_index))
-            i = item_index.setdefault(item, len(item_index))
-            entries[(u, i)] = entries.get((u, i), 0) + count
-    if n_lines == 0:
+            rows.append(user_index.setdefault(user, len(user_index)))
+            cols.append(item_index.setdefault(item, len(item_index)))
+            counts.append(count)
+    if not counts:
         raise DataError(f"{path}: empty triples file")
-    return FeedbackMatrix.from_entries(list(user_index), list(item_index), entries)
+    # the COO -> CSR conversion sums duplicate (user, item) pairs
+    mat = sp.csr_matrix((np.array(counts, dtype=np.int64), (rows, cols)),
+                        shape=(len(user_index), len(item_index)))
+    return FeedbackMatrix(list(user_index), list(item_index), mat)
 
 
 def save_triples(m: FeedbackMatrix, path) -> None:
-    """Write a FeedbackMatrix as a TSV that load_triples round-trips exactly."""
+    """Write a FeedbackMatrix as a TSV, one line per nonzero in row-major order.
+
+    load_triples reads back the same counts and user order; items come back
+    in their first appearance in the file, which can differ from ``item_ids``.
+    """
     coo = m.counts.tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="utf-8") as fh:

@@ -257,9 +257,10 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     # artist embeddings for every artist with a document
     feats = matrixio.load_matrix(_require(cfg, "features_text.csmx"))["tfidf"]
     feat_ids = _load_ids(cfg, "features_text.ids")
-    _, artist_factors, _, _ = _load_factors(cfg, "factors_artists")
-    artist_net = zoo.build_artist_net(feats.shape[1], artist_factors.shape[1])
     artist_params = matrixio.load_params(_require(cfg, "params_artist.csmx"))
+    # the net's output width k is the bias length of its last dense layer
+    k = next(t["b"] for t in reversed(artist_params.values()) if "b" in t).shape[0]
+    artist_net = zoo.build_artist_net(feats.shape[1], k)
     emb_a = zoo.extract_embeddings(artist_net, artist_params, feats, ids=feat_ids)
     matrixio.save_matrix(cfg.out("embeddings_artist.csmx"), {"embeddings": emb_a.vectors})
     matrixio.save_ids(cfg.out("embeddings_artist.ids"), emb_a.ids)
@@ -322,8 +323,15 @@ def _stage_train_fusion(cfg: PipelineConfig) -> None:
 def _stage_evaluate(cfg: PipelineConfig) -> None:
     test = _load_split(cfg, "test")
     user_factors, _, train_users, _ = _load_factors(cfg, "factors_songs")
+    # a test user without training plays has no user factor: every approach skips them
+    n_cold_users = 0
     if train_users != test.user_ids:
         user_index = {u: i for i, u in enumerate(train_users)}
+        keep = [r for r, u in enumerate(test.user_ids) if u in user_index]
+        n_cold_users = test.n_users - len(keep)
+        if n_cold_users:
+            test = FeedbackMatrix([test.user_ids[r] for r in keep], test.item_ids,
+                                  test.counts[keep])
         user_factors = user_factors[[user_index[u] for u in test.user_ids]]
     k = user_factors.shape[1]
 
@@ -352,6 +360,7 @@ def _stage_evaluate(cfg: PipelineConfig) -> None:
     runs.append(("upper-bound", ub_users, ub_items))
     for approach, users, items in runs:
         report = ev.map_at_k(users, items, test, cfg.eval_k)
+        report.n_skipped += n_cold_users
         report.write(cfg.out(f"eval_{approach}.tsv"), cfg.out(f"eval_{approach}.json"))
 
 

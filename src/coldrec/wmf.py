@@ -82,18 +82,20 @@ def solve_row(other_factors: np.ndarray, indices: np.ndarray, counts: np.ndarray
 def als_objective(model: FactorModel, m: FeedbackMatrix, alpha: float, lam: float) -> float:
     """Exact weighted regularized squared error over all (user, item) pairs.
 
-    Zero-count pairs contribute with confidence 1 and preference 0.
+    Zero-count pairs contribute with confidence 1 and preference 0. The
+    all-pairs term sum((X Y^T)^2) is <X^T X, Y^T Y>, so no dense prediction
+    matrix is built: O((U + N) k^2 + nnz k) work.
     """
     x, y = model.user_factors, model.item_factors
     if x.shape[0] != m.n_users or y.shape[0] != m.n_items:
         raise ValueError("factor model dimensions do not match the feedback matrix")
-    pred = x @ y.T
     coo = m.counts.tocoo()
+    pred_nz = np.einsum("ij,ij->i", x[coo.row], y[coo.col])
     conf = 1.0 + alpha * coo.data.astype(np.float64)
-    err_nz = 1.0 - pred[coo.row, coo.col]
+    err_nz = 1.0 - pred_nz
     # all pairs at confidence 1 / preference 0, then correct the nonzeros
-    total = float(np.sum(pred * pred))
-    total -= float(np.sum(pred[coo.row, coo.col] ** 2))
+    total = float(np.sum((x.T @ x) * (y.T @ y)))
+    total -= float(np.sum(pred_nz * pred_nz))
     total += float(np.sum(conf * err_nz * err_nz))
     total += lam * (float(np.sum(x * x)) + float(np.sum(y * y)))
     return total
@@ -133,11 +135,3 @@ def _half_sweep(target: np.ndarray, other: np.ndarray, rows: sp.csr_matrix,
     for r in range(target.shape[0]):
         lo, hi = indptr[r], indptr[r + 1]
         target[r] = solve_row(other, indices[lo:hi], data[lo:hi], alpha, lam, gram=gram)
-
-
-def predict_scores(user_factor: np.ndarray, item_factors: np.ndarray) -> np.ndarray:
-    """Dot-product scores of one user against every item."""
-    user_factor = np.asarray(user_factor, dtype=np.float64)
-    if user_factor.shape[0] != item_factors.shape[1]:
-        raise ValueError("factor dimension mismatch")
-    return item_factors @ user_factor

@@ -39,10 +39,6 @@ class EmbeddingSet:
     ids: list[str]
     vectors: np.ndarray  # (len(ids), d)
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass
 class TrainLog:

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate, special
 
 from coldrec import evaluate as ev
@@ -195,14 +196,12 @@ def test_ranking_metric_matches_exhaustive_enumeration():
     for _ in range(25):
         n_items = int(rng.integers(2, 6))
         n_users = int(rng.integers(1, 4))
-        entries = {}
+        dense = np.zeros((n_users, n_items), dtype=np.int64)
         for u in range(n_users):
             n_rel = int(rng.integers(1, min(3, n_items) + 1))
-            for i in rng.choice(n_items, size=n_rel, replace=False):
-                entries[(u, int(i))] = 1
-        test = FeedbackMatrix.from_entries(
-            [f"u{u}" for u in range(n_users)],
-            [f"i{i}" for i in range(n_items)], entries)
+            dense[u, rng.choice(n_items, size=n_rel, replace=False)] = 1
+        test = FeedbackMatrix([f"u{u}" for u in range(n_users)],
+                              [f"i{i}" for i in range(n_items)], sp.csr_matrix(dense))
         uf = rng.normal(size=(n_users, 3))
         itf = rng.normal(size=(n_items, 3))
         k = int(rng.integers(1, n_items + 1))

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldrec.audio import (Spectrogram, load_spectrogram, log_compress,
-                           patch_frames, sample_patch, save_spectrogram,
-                           synth_spectrogram)
+from coldrec.audio import (Spectrogram, load_spectrogram, patch_frames,
+                           sample_patch, save_spectrogram, synth_spectrogram)
 from coldrec.data import DataError
 
 
@@ -61,32 +60,6 @@ class TestSamplePatch:
         s = make_spec(frames=4000)
         starts = {sample_patch(s, 100, seed=7, item_id=f"i{j}").start for j in range(20)}
         assert len(starts) > 1
-
-
-class TestLogCompress:
-    def test_zeros_stay_zero(self):
-        s = Spectrogram(np.zeros((4, 4), dtype=np.float32))
-        assert np.array_equal(log_compress(s).data, np.zeros((4, 4)))
-
-    def test_analytic_point(self):
-        s = Spectrogram(np.full((1, 1), np.e - 1, dtype=np.float32))
-        assert log_compress(s).data[0, 0] == pytest.approx(1.0, rel=1e-6)
-
-    def test_matches_scalar_loop(self):
-        s = make_spec(6, 7, seed=2)
-        out = log_compress(s)
-        for i in range(6):
-            for j in range(7):
-                assert out.data[i, j] == pytest.approx(np.log1p(s.data[i, j]), rel=1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            log_compress(Spectrogram(np.full((2, 2), -1.0, dtype=np.float32)))
-
-    def test_preserves_elementwise_order(self):
-        a = make_spec(5, 5, seed=1)
-        b = Spectrogram(a.data + 0.5)
-        assert np.all(log_compress(a).data <= log_compress(b).data)
 
 
 class TestSynth:

@@ -20,11 +20,11 @@ class TestLoadTriples:
         m = load_triples(write_lines(tmp_path, "t.tsv", ["u1\ts1\t3"]))
         assert m.user_ids == ["u1"]
         assert m.item_ids == ["s1"]
-        assert m.entry("u1", "s1") == 3
+        assert m.counts[0, 0] == 3
 
     def test_duplicates_sum(self, tmp_path):
         m = load_triples(write_lines(tmp_path, "t.tsv", ["u1\ts1\t2", "u1\ts1\t3"]))
-        assert m.entry("u1", "s1") == 5
+        assert m.counts[0, 0] == 5
 
     def test_zero_count_rejected_with_line_number(self, tmp_path):
         path = write_lines(tmp_path, "t.tsv", ["u1\ts1\t0"])
@@ -46,6 +46,31 @@ class TestLoadTriples:
         assert m.user_ids == ["u2", "u1"]
         assert m.item_ids == ["sB", "sA"]
 
+    @settings(max_examples=50, deadline=None)
+    @given(triples=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(1, 9)),
+                            min_size=1, max_size=40))
+    def test_matches_dense_sum_in_any_line_order(self, tmp_path_factory, triples):
+        """Lines in any order, repeated pairs included: counts sum, ids keep
+        first-appearance order, and save_triples writes the same counts back."""
+        users = list(dict.fromkeys(f"u{u}" for u, _, _ in triples))
+        items = list(dict.fromkeys(f"s{i}" for _, i, _ in triples))
+        dense = np.zeros((len(users), len(items)), dtype=np.int64)
+        for u, i, c in triples:
+            dense[users.index(f"u{u}"), items.index(f"s{i}")] += c
+        tmp = tmp_path_factory.mktemp("triples")
+        m = load_triples(write_lines(tmp, "t.tsv", [f"u{u}\ts{i}\t{c}" for u, i, c in triples]))
+        assert m.user_ids == users
+        assert m.item_ids == items
+        assert np.array_equal(m.counts.toarray(), dense)
+
+        save_triples(m, tmp / "out.tsv")
+        m2 = load_triples(tmp / "out.tsv")
+        assert m2.user_ids == m.user_ids
+        assert sorted(m2.item_ids) == sorted(m.item_ids)
+        # columns come back in their first appearance in the saved file
+        cols = [m.item_ids.index(item) for item in m2.item_ids]
+        assert np.array_equal(m2.counts.toarray(), dense[:, cols])
+
     def test_round_trip(self, tmp_path):
         m = load_triples(write_lines(tmp_path, "t.tsv",
                                      ["u1\ts1\t3", "u2\ts2\t7", "u1\ts2\t1"]))
@@ -58,14 +83,13 @@ class TestLoadTriples:
 
 class TestAggregate:
     def test_same_artist_sums(self):
-        m = FeedbackMatrix.from_entries(["u"], ["s1", "s2"], {(0, 0): 2, (0, 1): 3})
+        m = FeedbackMatrix(["u"], ["s1", "s2"], sp.csr_matrix([[2, 3]]))
         r = aggregate_to_artist(m, ArtistMap({"s1": "a", "s2": "a"}))
         assert r.item_ids == ["a"]
-        assert r.entry("u", "a") == 5
+        assert r.counts[0, 0] == 5
 
     def test_one_song_per_artist_is_identity(self):
-        m = FeedbackMatrix.from_entries(["u1", "u2"], ["s1", "s2"],
-                                        {(0, 0): 1, (1, 1): 4})
+        m = FeedbackMatrix(["u1", "u2"], ["s1", "s2"], sp.csr_matrix([[1, 0], [0, 4]]))
         r = aggregate_to_artist(m, ArtistMap({"s1": "a1", "s2": "a2"}))
         assert (r.counts != m.counts).nnz == 0
 
@@ -84,7 +108,7 @@ class TestAggregate:
         assert np.array_equal(r.counts.toarray(), expected)
 
     def test_missing_artist_errors(self):
-        m = FeedbackMatrix.from_entries(["u"], ["s1"], {(0, 0): 1})
+        m = FeedbackMatrix(["u"], ["s1"], sp.csr_matrix([[1]]))
         with pytest.raises(DataError, match="s1"):
             aggregate_to_artist(m, ArtistMap({}))
 
@@ -94,7 +118,7 @@ class TestAggregate:
         m = FeedbackMatrix([f"u{i}" for i in range(4)], [f"s{i}" for i in range(6)],
                            sp.csr_matrix(dense))
         am = ArtistMap({f"s{i}": f"a{i % 2}" for i in range(6)})
-        assert aggregate_to_artist(m, am).total_plays() == m.total_plays()
+        assert aggregate_to_artist(m, am).counts.sum() == m.counts.sum()
 
 
 def _matrix_with_artists(n_artists=10, songs_per=2, n_users=4, seed=0):
@@ -148,9 +172,9 @@ class TestSplit:
         assert not by_part["train"] & by_part["val"]
         assert not by_part["train"] & by_part["test"]
         assert not by_part["val"] & by_part["test"]
-        total = (bundle.train.total_plays() + bundle.validation.total_plays()
-                 + bundle.test.total_plays())
-        assert total == m.total_plays()
+        total = (bundle.train.counts.sum() + bundle.validation.counts.sum()
+                 + bundle.test.counts.sum())
+        assert total == m.counts.sum()
         items = set(bundle.train.item_ids) | set(bundle.validation.item_ids) \
             | set(bundle.test.item_ids)
         assert items == set(m.item_ids)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import integrate
 from scipy import special
 
@@ -60,15 +61,17 @@ class TestAveragePrecision:
 
 
 def matrix_from_triples(triples):
-    users, items, entries = [], [], {}
+    users, items, rows, cols, counts = [], [], [], [], []
     for u, i, c in triples:
         if u not in users:
             users.append(u)
         if i not in items:
             items.append(i)
-        key = (users.index(u), items.index(i))
-        entries[key] = entries.get(key, 0) + int(c)
-    return FeedbackMatrix.from_entries(users, items, entries)
+        rows.append(users.index(u))
+        cols.append(items.index(i))
+        counts.append(int(c))
+    return FeedbackMatrix(users, items, sp.csr_matrix((counts, (rows, cols)),
+                                                      shape=(len(users), len(items))))
 
 
 def ap_oracle(ranked, relevant, k):

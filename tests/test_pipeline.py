@@ -16,7 +16,8 @@ from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
 from coldrec.data import DataError
-from coldrec.pipeline import STAGE_TABLE, STAGES, StageError, run_stage, stage_seed
+from coldrec.pipeline import (APPROACHES, STAGE_TABLE, STAGES, StageError, run_stage,
+                              stage_seed)
 
 TINY = dict(n_users=40, n_artists=12, songs_per_artist=4, latent_dim=8,
             bins=8, frames=70, n_text_terms=30, doc_tokens=60,
@@ -224,6 +225,27 @@ class TestStages:
             with pytest.raises(StageError, match=re.escape(message)):
                 run_stage(broken_cfg, stage)
             os.rename(tmp_path / "hidden", broken / rel)
+
+    def test_test_user_without_training_plays_is_skipped(self, staged_run, tmp_path):
+        """A test user with no training plays has no user factor: every
+        approach leaves them out and counts them as skipped."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        cold = (out / "splits" / "test.tsv").read_text().split("\t", 1)[0]
+        train = out / "splits" / "train.tsv"
+        lines = train.read_text().splitlines(keepends=True)
+        train.write_text("".join(line for line in lines if line.split("\t")[0] != cold))
+        before = {a: json.loads((out / f"eval_{a}.json").read_text()) for a in APPROACHES}
+        run_stage(cfg, "factorize-songs")
+        run_stage(cfg, "evaluate")
+        for a in APPROACHES:
+            summary = json.loads((out / f"eval_{a}.json").read_text())
+            assert summary["skipped"] == before[a]["skipped"] + 1, a
+            assert summary["users"] == before[a]["users"] - 1, a
+            evaluated = {line.split("\t")[0]
+                         for line in (out / f"eval_{a}.tsv").read_text().splitlines()}
+            assert cold not in evaluated, a
 
     def test_stages_leave_config_unchanged(self, staged_run):
         assert staged_run.cfg == load_pipeline_config(staged_run.cfg_path)

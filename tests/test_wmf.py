@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from coldrec.data import FeedbackMatrix
-from coldrec.wmf import (FactorModel, WmfConfig, als_objective, factorize_wmf,
-                         predict_scores, solve_row)
+from coldrec.evaluate import rank_items
+from coldrec.wmf import FactorModel, WmfConfig, als_objective, factorize_wmf, solve_row
 
 
 def random_matrix(n_users, n_items, seed=0, density=0.5):
@@ -79,7 +79,7 @@ class TestObjective:
         assert als_objective(model, m, alpha=40, lam=0.1) == 0.0
 
     def test_single_entry(self):
-        m = FeedbackMatrix.from_entries(["u"], ["s"], {(0, 0): 1})
+        m = FeedbackMatrix(["u"], ["s"], sp.csr_matrix([[1]]))
         model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
         # c = 41, p = 1, prediction 0 -> 41
         assert als_objective(model, m, alpha=40, lam=0.1) == pytest.approx(41.0)
@@ -92,6 +92,28 @@ class TestObjective:
         model = FactorModel(x, y, 2)
         expected = brute_objective(x, y, m.counts.toarray(), 10.0, 0.3)
         assert als_objective(model, m, 10.0, 0.3) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n_users, n_items, density, seed", [
+        (1, 1, 1.0, 0), (7, 5, 0.0, 1), (12, 30, 0.1, 2), (20, 9, 1.0, 3), (40, 60, 0.3, 4),
+    ])
+    @pytest.mark.parametrize("fitted", [False, True], ids=["random", "fitted"])
+    def test_matches_dense_prediction_oracle(self, n_users, n_items, density, seed, fitted):
+        """The Gram-trick objective equals the one from the dense X Y^T matrix."""
+        m = random_matrix(n_users, n_items, seed=seed, density=density)
+        alpha, lam = 40.0, 0.1
+        if fitted:
+            cfg = WmfConfig(k=4, alpha=alpha, lam=lam, iterations=3, seed=seed,
+                            early_stop_tol=None)
+            model = factorize_wmf(m, cfg)
+        else:
+            rng = np.random.default_rng(seed)
+            model = FactorModel(rng.normal(size=(n_users, 4)), rng.normal(size=(n_items, 4)), 4)
+        x, y = model.user_factors, model.item_factors
+        dense = m.counts.toarray()
+        pred = x @ y.T
+        expected = (float(np.sum((1.0 + alpha * dense) * ((dense > 0) - pred) ** 2))
+                    + lam * (float(np.sum(x * x)) + float(np.sum(y * y))))
+        assert als_objective(model, m, alpha, lam) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         m = random_matrix(3, 3)
@@ -159,32 +181,8 @@ class TestFactorize:
         m = random_matrix(5, 7, seed=8)
         model = factorize_wmf(m, WmfConfig(k=3, alpha=10, lam=0.1, iterations=5, seed=2))
         for u in range(5):
-            s1 = predict_scores(model.user_factors[u], model.item_factors)
-            s2 = predict_scores(model.user_factors[u], 3.7 * model.item_factors)
-            assert np.array_equal(np.argsort(-s1, kind="stable"),
-                                  np.argsort(-s2, kind="stable"))
-
-
-class TestPredictScores:
-    def test_orthonormal(self):
-        scores = predict_scores(np.array([1.0, 0.0]),
-                                np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(scores, [1.0, 0.0])
-
-    def test_zero_user(self):
-        scores = predict_scores(np.zeros(3), np.random.default_rng(0).normal(size=(4, 3)))
-        assert np.array_equal(scores, np.zeros(4))
-
-    def test_hand_k2(self):
-        rng = np.random.default_rng(12)
-        u = rng.normal(size=2)
-        items = rng.normal(size=(3, 2))
-        expected = [u[0] * it[0] + u[1] * it[1] for it in items]
-        assert np.allclose(predict_scores(u, items), expected)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict_scores(np.zeros(3), np.zeros((4, 2)))
+            assert np.array_equal(rank_items(model.user_factors[u], model.item_factors, 7),
+                                  rank_items(model.user_factors[u], 3.7 * model.item_factors, 7))
 
 
 def gradient_descent_oracle(x0, y0, dense, alpha, lam,

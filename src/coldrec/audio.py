@@ -46,14 +46,6 @@ class Patch:
     start: int
 
 
-def patch_frames(seconds: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
-                 hop: int = DEFAULT_HOP) -> int:
-    """Frame count of a patch of the given duration: floor(sec*sr/hop) + 1."""
-    if seconds <= 0 or sample_rate <= 0 or hop <= 0:
-        raise ValueError("seconds, sample_rate and hop must all be positive")
-    return int(seconds * sample_rate // hop) + 1
-
-
 def sample_patch(s: Spectrogram, length: int, seed: int, item_id: str = "") -> Patch:
     """Uniformly sample one contiguous length-frame patch.
 

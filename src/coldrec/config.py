@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -31,7 +32,10 @@ def write_kv_file(path, values: dict) -> None:
 
 
 class _Reader:
-    """Typed reads from a parsed key-value file; `reject_unknown` fails on keys never read."""
+    """Typed reads from a parsed key-value file; `reject_unknown` fails on keys never read.
+
+    A value that does not cast, or casts to a non-finite float, is a `DataError`.
+    """
 
     def __init__(self, values: dict[str, str], path):
         self.values = dict(values)
@@ -51,9 +55,12 @@ class _Reader:
         self.used.add(key)
         raw = self.values[key]
         try:
-            return cast(raw)
+            value = cast(raw)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(raw)
         except ValueError:
             raise DataError(f"{self.path}: key {key!r} has invalid value {raw!r}") from None
+        return value
 
 
 @dataclass
@@ -71,10 +78,7 @@ class PipelineConfig:
     eval_k: int = 500
     channel_scale: float = 0.125
     vocab_cap: int = 10000
-    property_map_path: str = ""
-
-    patch_seconds: float = 15.0
-    patch_frames_override: int = 0   # >0 wins over patch_seconds
+    patch_frames: int = 96
     val_fraction: float = 0.1
 
     wmf_songs: WmfConfig = field(default_factory=WmfConfig)
@@ -138,9 +142,7 @@ def load_pipeline_config(path, out_override=None, seed_override=None) -> Pipelin
         eval_k=r.get("eval.k", 500, int),
         channel_scale=r.get("scale", 0.125, float),
         vocab_cap=r.get("text.vocab_cap", 10000, int),
-        property_map_path=p("text.property_map", "") or "",
-        patch_seconds=r.get("audio.patch_seconds", 15.0, float),
-        patch_frames_override=r.get("audio.patch_frames", 0, int),
+        patch_frames=r.get("audio.patch_frames", 96, int),
         val_fraction=r.get("train.val_fraction", 0.1, float),
         wmf_songs=_wmf_from(r, "wmf.songs", seed),
         wmf_artists=_wmf_from(r, "wmf.artists", seed),

@@ -143,9 +143,12 @@ def init_params(net: NetworkSpec, seed: int) -> dict[str, dict[str, np.ndarray]]
     """Glorot-normal weights, zero biases, identity batchnorm."""
     rng = np.random.default_rng(seed)
     params: dict[str, dict[str, np.ndarray]] = {}
-    shapes = _input_shapes_per_layer(net)
+    out_shapes = infer_shapes(net)
     for name, spec in net.layer_items():
-        in_shape = shapes[name]
+        # a layer's input is the previous layer's output, or the net input for a first layer
+        branch, i = name.rsplit("/", 1)
+        in_shape = (out_shapes[f"{branch}/{int(i) - 1}"] if i != "0"
+                    else net.input_shapes.get("" if branch == "trunk" else branch))
         if spec.kind == "dense":
             fan_in, fan_out = in_shape[0], spec.units
             std = math.sqrt(2.0 / (fan_in + fan_out))
@@ -174,27 +177,6 @@ def init_params(net: NetworkSpec, seed: int) -> dict[str, dict[str, np.ndarray]]
 
 
 TRAINABLE = {"W", "b", "gamma", "beta"}
-
-
-def _input_shapes_per_layer(net: NetworkSpec) -> dict[str, tuple]:
-    out_shapes = infer_shapes(net)
-    in_shapes: dict[str, tuple] = {}
-    for branch, layers in net.branches.items():
-        shape = net.input_shapes[branch]
-        for i in range(len(layers)):
-            in_shapes[f"{branch}/{i}"] = shape
-            shape = out_shapes[f"{branch}/{i}"]
-    start = 0
-    if net.branches:
-        in_shapes["trunk/0"] = ()  # concat
-        start = 1
-        shape = out_shapes["trunk/0"]
-    else:
-        shape = net.input_shapes[""]
-    for i in range(start, len(net.trunk)):
-        in_shapes[f"trunk/{i}"] = shape
-        shape = out_shapes[f"trunk/{i}"]
-    return in_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +317,9 @@ def _pool_forward(spec: LayerSpec, x):
 def _pool_backward(cache: dict, dy):
     src = cache["src"]
     dx = np.zeros(cache["in_shape"])
-    b, c, t_out = src.shape
-    bi, ci = np.meshgrid(np.arange(b), np.arange(c), indexing="ij")
-    for j in range(t_out):
-        np.add.at(dx, (bi, ci, src[:, :, j]), dy[:, :, j])
+    b, c, _ = src.shape
+    # one scatter; repeated sources (overlapping adaptive segments) accumulate
+    np.add.at(dx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], src), dy)
     return dx
 
 

@@ -79,12 +79,6 @@ def _require(cfg: PipelineConfig, rel: str) -> str:
     return path
 
 
-def _patch_len(cfg: PipelineConfig, sample_rate: int, hop: int) -> int:
-    if cfg.patch_frames_override > 0:
-        return cfg.patch_frames_override
-    return audio_mod.patch_frames(cfg.patch_seconds, sample_rate, hop)
-
-
 # ---------------------------------------------------------------------------
 # Stages
 
@@ -138,12 +132,10 @@ def _stage_enrich(cfg: PipelineConfig) -> None:
     docs = textfeat.load_documents(cfg.documents)
     ann = textfeat.load_annotations(cfg.annotations)
     kb = textfeat.load_kb_snapshot(cfg.kb)
-    props = (textfeat.load_property_map(cfg.property_map_path)
-             if cfg.property_map_path else None)
     enriched = []
     for doc in docs:
         entities = textfeat.filter_entities(ann.entities_for(doc.artist_id), kb)
-        enriched.append(textfeat.enrich_document(doc, entities, kb, props))
+        enriched.append(textfeat.enrich_document(doc, entities, kb))
     textfeat.save_documents(enriched, cfg.out("enriched_docs.jsonl"))
 
 
@@ -217,15 +209,14 @@ class PatchProvider:
 def _stage_train_track(cfg: PipelineConfig) -> None:
     _, song_factors, _, song_ids = _load_factors(cfg, "factors_songs")
     seed = stage_seed(cfg.seed, "train-track")
-    probe = audio_mod.load_spectrogram(
-        os.path.join(cfg.spectrogram_dir, f"{song_ids[0]}.cqts"))
-    patch_len = _patch_len(cfg, probe.sample_rate, probe.hop)
+    patch_len = cfg.patch_frames
     fit, val = _fit_val_split(len(song_ids), cfg.val_fraction, seed)
     fit_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in fit], patch_len, seed)
     # validation patches stay fixed across epochs for a comparable loss
     val_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
     val_x = val_provider(0)
-    net = zoo.build_track_net(probe.bins, patch_len, song_factors.shape[1],
+    bins = fit_provider.specs[0].bins
+    net = zoo.build_track_net(bins, patch_len, song_factors.shape[1],
                               scale=cfg.channel_scale)
     tc = dataclasses.replace(cfg.train_track, seed=seed)
     params, log = zoo.train_mapping(net, fit_provider, song_factors[fit],
@@ -233,7 +224,7 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
     matrixio.save_params(cfg.out("params_track.csmx"), params)
     log.write_tsv(cfg.out("log_track.tsv"))
     with open(cfg.out("track_net.json"), "w", encoding="utf-8") as fh:
-        json.dump({"bins": probe.bins, "patch_len": patch_len,
+        json.dump({"bins": bins, "patch_len": patch_len,
                    "k": song_factors.shape[1], "scale": cfg.channel_scale}, fh)
         fh.write("\n")
 
@@ -261,9 +252,9 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     # the net's output width k is the bias length of its last dense layer
     k = next(t["b"] for t in reversed(artist_params.values()) if "b" in t).shape[0]
     artist_net = zoo.build_artist_net(feats.shape[1], k)
-    emb_a = zoo.extract_embeddings(artist_net, artist_params, feats, ids=feat_ids)
-    matrixio.save_matrix(cfg.out("embeddings_artist.csmx"), {"embeddings": emb_a.vectors})
-    matrixio.save_ids(cfg.out("embeddings_artist.ids"), emb_a.ids)
+    emb_a, _ = zoo.extract_embeddings(artist_net, artist_params, feats)
+    matrixio.save_matrix(cfg.out("embeddings_artist.csmx"), {"embeddings": emb_a})
+    matrixio.save_ids(cfg.out("embeddings_artist.ids"), feat_ids)
 
     # track embeddings for every song, one fixed eval patch each
     track_net, meta = _track_net(cfg)
@@ -271,12 +262,11 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     song_ids = _all_song_ids(cfg)
     seed = stage_seed(cfg.seed, "extract")
     provider = PatchProvider(cfg.spectrogram_dir, song_ids, meta["patch_len"], seed)
-    patches = provider(0)
-    emb_t = zoo.extract_embeddings(track_net, track_params, patches, ids=song_ids)
-    matrixio.save_matrix(cfg.out("embeddings_track.csmx"), {"embeddings": emb_t.vectors})
-    matrixio.save_ids(cfg.out("embeddings_track.ids"), emb_t.ids)
-    # the track net's own factor predictions, reused by `evaluate`
-    preds = zoo.predict_factors(track_net, track_params, patches)
+    # one pass yields the embeddings and the track net's own factor
+    # predictions, which `evaluate` reuses as the audio approach
+    emb_t, preds = zoo.extract_embeddings(track_net, track_params, provider(0))
+    matrixio.save_matrix(cfg.out("embeddings_track.csmx"), {"embeddings": emb_t})
+    matrixio.save_ids(cfg.out("embeddings_track.ids"), song_ids)
     matrixio.save_matrix(cfg.out("predictions_audio.csmx"), {"factors": preds})
     matrixio.save_ids(cfg.out("predictions_audio.ids"), song_ids)
 
@@ -290,6 +280,11 @@ def _load_embeddings(cfg: PipelineConfig, name: str):
 def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], am: ArtistMap):
     emb_a, a_index = _load_embeddings(cfg, "embeddings_artist")
     emb_t, t_index = _load_embeddings(cfg, "embeddings_track")
+    missing = sorted({am.artist_of(s) for s in song_ids} - a_index.keys())
+    if missing:
+        raise StageError(f"no artist embedding for {len(missing)} artist(s) "
+                         f"({', '.join(missing)}): their biographies are missing "
+                         f"from paths.documents ({cfg.documents})")
     a_rows = np.array([a_index[am.artist_of(s)] for s in song_ids])
     t_rows = np.array([t_index[s] for s in song_ids])
     return {"artist": emb_a[a_rows], "track": emb_t[t_rows]}

@@ -95,22 +95,20 @@ def _join_value(value: str) -> str:
     return "_".join(value.split())
 
 
-def enrich_document(doc: Document, entities: list[str], kb: KbSnapshot,
-                    props: dict[str, list[str]] | None = None) -> Document:
-    """Append KB property values and categories of the linked entities.
+def enrich_document(doc: Document, entities: list[str], kb: KbSnapshot) -> Document:
+    """Append KB property values (per `DEFAULT_PROPERTY_MAP`) and categories
+    of the linked entities.
 
     Values are whitespace-joined with underscores so each one tokenizes as a
     single term. ``entities`` is expected to be pre-filtered.
     """
-    if props is None:
-        props = DEFAULT_PROPERTY_MAP
     appended: list[str] = []
     for eid in entities:
         ent = kb.get(eid)
         if ent is None:
             continue
         prop_names: list[str] = []
-        for cls, names in props.items():
+        for cls, names in DEFAULT_PROPERTY_MAP.items():
             if cls in ent.classes:
                 for name in names:
                     if name not in prop_names:
@@ -226,14 +224,6 @@ def save_kb_snapshot(kb: KbSnapshot, path) -> None:
                 "properties": ent.properties,
                 "categories": ent.categories,
             }) + "\n")
-
-
-def load_property_map(path) -> dict[str, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: property map must be a JSON object")
-    return {cls: list(names) for cls, names in data.items()}
 
 
 def _iter_jsonl(path):

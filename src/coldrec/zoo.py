@@ -32,12 +32,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-
-
-@dataclass
-class EmbeddingSet:
-    ids: list[str]
-    vectors: np.ndarray  # (len(ids), d)
+        if not self.lr > 0:
+            raise ValueError(f"learning rate must be > 0, got {self.lr}")
 
 
 @dataclass
@@ -228,28 +224,28 @@ def eval_loss(net: NetworkSpec, params, features, targets: np.ndarray) -> float:
     return nn.cosine_loss(out, targets)[0]
 
 
-def extract_embeddings(net: NetworkSpec, params, features, ids: list[str] | None = None,
-                       batch_size: int = 256) -> EmbeddingSet:
-    """Eval-mode penultimate activations at the network's embedding tap."""
+def extract_embeddings(net: NetworkSpec, params, features,
+                       batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode activations at the network's embedding tap, and its outputs.
+
+    One forward per batch yields both: rows are (n, embed_dim) embeddings
+    and (n, output_dim) unit-norm predicted factors.
+    """
     tap = f"trunk/{net.embed_tap % len(net.trunk)}"
-    rows = []
+    embeddings, outputs = [], []
     for idx in _batches(features, batch_size):
-        _, _, acts = nn.net_forward(net, params, _take(features, idx), mode="eval")
+        out, _, acts = nn.net_forward(net, params, _take(features, idx), mode="eval")
         a = acts[tap]
-        rows.append(a.reshape(a.shape[0], -1))
-    vectors = np.concatenate(rows) if rows else np.zeros((0, net.embed_dim()))
-    if ids is None:
-        ids = [str(i) for i in range(vectors.shape[0])]
-    return EmbeddingSet(list(ids), vectors)
+        embeddings.append(a.reshape(a.shape[0], -1))
+        outputs.append(out)
+    if not outputs:
+        return np.zeros((0, net.embed_dim())), np.zeros((0, net.output_dim()))
+    return np.concatenate(embeddings), np.concatenate(outputs)
 
 
 def predict_factors(net: NetworkSpec, params, features, batch_size: int = 256) -> np.ndarray:
     """Eval-mode full forward; rows are unit-norm predicted factors."""
-    rows = []
-    for idx in _batches(features, batch_size):
-        out, _, _ = nn.net_forward(net, params, _take(features, idx), mode="eval")
-        rows.append(out)
-    return np.concatenate(rows) if rows else np.zeros((0, net.output_dim()))
+    return extract_embeddings(net, params, features, batch_size)[1]
 
 
 def _batches(features, batch_size: int):

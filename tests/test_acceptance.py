@@ -253,7 +253,7 @@ def test_enrichment_beats_plain_documents():
     enriched = []
     for doc in data.documents:
         ents = textfeat.filter_entities(data.annotations.entities_for(doc.artist_id), data.kb)
-        enriched.append(textfeat.enrich_document(doc, ents, data.kb, None))
+        enriched.append(textfeat.enrich_document(doc, ents, data.kb))
 
     def evaluate(docs):
         by_id = {d.artist_id: d for d in docs}

@@ -3,24 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldrec.audio import (Spectrogram, load_spectrogram, patch_frames,
-                           sample_patch, save_spectrogram, synth_spectrogram)
+from coldrec.audio import (Spectrogram, load_spectrogram, sample_patch,
+                           save_spectrogram, synth_spectrogram)
 from coldrec.data import DataError
-
-
-class TestPatchFrames:
-    def test_reference_parameters(self):
-        assert patch_frames(15, 22050, 1024) == 323
-
-    def test_minimal_patch(self):
-        assert patch_frames(1e-6, 22050, 1024) == 1
-
-    def test_small_example(self):
-        assert patch_frames(1, 1000, 500) == 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            patch_frames(0, 22050, 1024)
 
 
 def make_spec(bins=8, frames=100, seed=0):

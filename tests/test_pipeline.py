@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from coldrec import synth
+from coldrec import matrixio, nn, synth
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
@@ -175,15 +175,33 @@ class TestConfig:
         cfg = load_pipeline_config(cfg_path)
         assert cfg.split_ratios == (0.7, 0.15, 0.15)
         assert cfg.eval_k == 50
-        assert cfg.patch_frames_override == 64
+        assert cfg.patch_frames == 64
         assert cfg.train_artist.max_epochs == 2
+
+    def test_patch_frames_default(self, tmp_path):
+        cfg_path = write_config(tmp_path / "p.cfg", "data", "out")
+        values = parse_kv_file(cfg_path)
+        del values["audio.patch_frames"]
+        write_kv_file(cfg_path, values)
+        assert load_pipeline_config(cfg_path).patch_frames == 96
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = write_config(tmp_path / "p.cfg", "data", "out", **{"train.artist.lr": value})
+        message = f"{path}: key 'train.artist.lr' has invalid value {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_pipeline_config(path)
 
     @pytest.mark.parametrize("write, load, key", [
         (lambda path: write_config(path, "data", "out", **{"train.artist.epoch": 1}),
          load_pipeline_config, "train.artist.epoch"),
         (lambda path: write_kv_file(path, {"users": 10, "song_per_artist": 3}),
          load_synthetic_spec, "song_per_artist"),
-    ], ids=["pipeline", "synthetic"])
+        (lambda path: write_config(path, "data", "out", **{"audio.patch_seconds": 15}),
+         load_pipeline_config, "audio.patch_seconds"),
+        (lambda path: write_config(path, "data", "out", **{"text.property_map": "p.json"}),
+         load_pipeline_config, "text.property_map"),
+    ], ids=["pipeline", "synthetic", "patch_seconds", "property_map"])
     def test_unknown_key_rejected(self, tmp_path, write, load, key):
         path = tmp_path / "c.cfg"
         write(path)
@@ -246,6 +264,48 @@ class TestStages:
             evaluated = {line.split("\t")[0]
                          for line in (out / f"eval_{a}.tsv").read_text().splitlines()}
             assert cold not in evaluated, a
+
+    @pytest.mark.parametrize("part, failing_stage", [("test", "evaluate"),
+                                                     ("train", "train-fusion")])
+    def test_missing_biography_names_artist(self, staged_run, tmp_path, part, failing_stage):
+        """An artist without a biography has no artist embedding: the first
+        stage that needs one fails with a StageError that names the artist."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        assignment = (out / "splits" / "artist_assignment.tsv").read_text().splitlines()
+        artist = next(line.split("\t")[0] for line in assignment
+                      if line.split("\t")[1:] == [part])
+        docs = tmp_path / "documents.jsonl"
+        lines = open(staged_run.cfg.documents, encoding="utf-8").read().splitlines(keepends=True)
+        docs.write_text("".join(line for line in lines
+                                if json.loads(line)["artist_id"] != artist))
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out), documents=str(docs))
+        for stage in STAGES[STAGES.index("enrich"):STAGES.index(failing_stage)]:
+            if stage != "train-track":
+                run_stage(cfg, stage)
+        with pytest.raises(StageError, match=rf"\({artist}\).*biograph.*paths\.documents"):
+            run_stage(cfg, failing_stage)
+
+    def test_extract_runs_track_net_once_per_batch(self, staged_run, tmp_path, monkeypatch):
+        """One eval forward per 256-song batch yields both the track embeddings
+        and the audio predictions, byte-identical to the staged run's."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        real_forward = nn.net_forward
+        batches = []
+
+        def counting_forward(net, params, inputs, mode="train", seed=0):
+            if mode == "eval" and any(s.kind == "conv1d_time" for s in net.trunk):
+                batches.append(len(inputs))
+            return real_forward(net, params, inputs, mode, seed)
+
+        monkeypatch.setattr(nn, "net_forward", counting_forward)
+        run_stage(cfg, "extract")
+        n_songs = len(matrixio.load_ids(str(out / "embeddings_track.ids")))
+        assert batches == [min(256, n_songs - start) for start in range(0, n_songs, 256)]
+        for rel in STAGE_TABLE["extract"].writes:
+            assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
 
     def test_stages_leave_config_unchanged(self, staged_run):
         assert staged_run.cfg == load_pipeline_config(staged_run.cfg_path)

@@ -97,8 +97,7 @@ class TestEnrich:
     def test_custom_property_map(self):
         kb = KbSnapshot({"e": KbEntity({"MusicGenre"},
                                        {"stylisticOrigin": ["Blues"]}, [])})
-        out = enrich_document(Document("a", "text here"), ["e"], kb,
-                              props={"MusicGenre": ["stylisticOrigin"]})
+        out = enrich_document(Document("a", "text here"), ["e"], kb)
         assert "Blues" in out.text
 
 

@@ -196,6 +196,13 @@ class TestTrainMapping:
         pred = predict_factors(net, params, feats)
         assert pred.shape == (40, 4)
 
+    def test_nonpositive_learning_rate_rejected(self):
+        feats, targets = _toy()
+        net = _linear_net(12, 6)
+        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0, lr=0.0)
+        with pytest.raises(ValueError, match="learning rate"):
+            train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+
     def test_callable_features_resampled_per_epoch(self):
         rng = np.random.default_rng(9)
         base = rng.normal(size=(32, 6))
@@ -218,9 +225,21 @@ class TestExtraction:
         net = build_artist_net(vocab_size=20, k=6)
         params = init_params(net, 0)
         x = np.abs(np.random.default_rng(0).normal(size=(7, 20)))
-        emb = extract_embeddings(net, params, x, ids=[f"a{i}" for i in range(7)])
-        assert emb.vectors.shape == (7, 2048)
-        assert emb.ids == [f"a{i}" for i in range(7)]
+        emb, out = extract_embeddings(net, params, x)
+        assert emb.shape == (7, 2048)
+        assert out.shape == (7, 6)
+
+    @pytest.mark.parametrize("net, x", [
+        (build_track_net(bins=4, frames=64, k=5, scale=1 / 64),
+         np.random.default_rng(5).random((11, 4, 64))),
+        (build_fusion_net("h1", dim_a=6, dim_t=7, k=5),
+         {"artist": np.random.default_rng(6).normal(size=(11, 6)),
+          "track": np.random.default_rng(7).normal(size=(11, 7))}),
+    ], ids=["track", "fusion-h1"])
+    def test_outputs_equal_predict_factors(self, net, x):
+        params = init_params(net, 4)
+        _, out = extract_embeddings(net, params, x, batch_size=4)
+        assert np.array_equal(out, predict_factors(net, params, x, batch_size=4))
 
     def test_predictions_unit_norm(self):
         net = build_single_branch_net(dim=20, k=6)
@@ -241,6 +260,6 @@ class TestExtraction:
         net = build_artist_net(vocab_size=11, k=4)
         params = init_params(net, 3)
         x = np.abs(np.random.default_rng(4).normal(size=(17, 11)))
-        whole = extract_embeddings(net, params, x, batch_size=17)
-        chunked = extract_embeddings(net, params, x, batch_size=5)
-        assert np.max(np.abs(whole.vectors - chunked.vectors)) <= 1e-12
+        whole, _ = extract_embeddings(net, params, x, batch_size=17)
+        chunked, _ = extract_embeddings(net, params, x, batch_size=5)
+        assert np.max(np.abs(whole - chunked)) <= 1e-12

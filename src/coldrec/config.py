@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 from .data import DataError
 from .wmf import WmfConfig
@@ -47,9 +47,9 @@ class _Reader:
         if unknown:
             raise DataError(f"{self.path}: unknown key(s) {', '.join(map(repr, unknown))}")
 
-    def get(self, key, default=None, cast=str):
+    def get(self, key, default=MISSING, cast=str):
         if key not in self.values:
-            if default is None:
+            if default is MISSING:
                 raise DataError(f"{self.path}: missing required key {key!r}")
             return default
         self.used.add(key)
@@ -62,6 +62,19 @@ class _Reader:
             raise DataError(f"{self.path}: key {key!r} has invalid value {raw!r}") from None
         return value
 
+    def fields(self, cls, table: dict[str, str], prefix: str = "") -> dict:
+        """Values for the fields of dataclass ``cls`` named in ``table`` (key -> field).
+
+        A missing key takes its field's default, and a value is cast to the
+        default's type; a field without a default is a required string.
+        """
+        values = {}
+        for key, name in table.items():
+            default = getattr(cls, name, MISSING)  # dataclasses keep plain defaults on the class
+            cast = str if default is MISSING else type(default)
+            values[name] = self.get(prefix + key, default, cast)
+        return values
+
 
 @dataclass
 class PipelineConfig:
@@ -71,7 +84,7 @@ class PipelineConfig:
     annotations: str
     kb: str
     spectrogram_dir: str
-    out_dir: str
+    out_dir: str = "out"
 
     seed: int = 0
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
@@ -79,7 +92,6 @@ class PipelineConfig:
     channel_scale: float = 0.125
     vocab_cap: int = 10000
     patch_frames: int = 96
-    val_fraction: float = 0.1
 
     wmf_songs: WmfConfig = field(default_factory=WmfConfig)
     wmf_artists: WmfConfig = field(default_factory=WmfConfig)
@@ -91,64 +103,51 @@ class PipelineConfig:
         return os.path.join(self.out_dir, *parts)
 
 
-def _wmf_from(r: _Reader, prefix: str, seed: int) -> WmfConfig:
-    return WmfConfig(
-        k=r.get(f"{prefix}.k", 200, int),
-        alpha=r.get(f"{prefix}.alpha", 40.0, float),
-        lam=r.get(f"{prefix}.lambda", 0.01, float),
-        iterations=r.get(f"{prefix}.iterations", 15, int),
-        init_scale=r.get(f"{prefix}.init_scale", 0.01, float),
-        seed=seed,
-    )
-
-
-def _train_from(r: _Reader, prefix: str, seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=r.get(f"{prefix}.batch", 32, int),
-        max_epochs=r.get(f"{prefix}.epochs", 100, int),
-        patience=r.get(f"{prefix}.patience", 10, int),
-        lr=r.get(f"{prefix}.lr", 0.001, float),
-        seed=seed,
-    )
+# Config key -> field name, one table per dataclass. Relative paths resolve
+# against the config file's directory; the split keys fill `split_ratios` in
+# order; the WMF and training keys follow `wmf.<songs|artists>.` and
+# `train.<artist|track|fusion>.`.
+_PATH_KEYS = {"paths.triples": "triples", "paths.artist_map": "artist_map",
+              "paths.documents": "documents", "paths.annotations": "annotations",
+              "paths.kb": "kb", "paths.spectrograms": "spectrogram_dir", "paths.out": "out_dir"}
+_PIPELINE_KEYS = {"seed": "seed", "eval.k": "eval_k", "scale": "channel_scale",
+                  "text.vocab_cap": "vocab_cap", "audio.patch_frames": "patch_frames"}
+_SPLIT_KEYS = ("split.train", "split.val", "split.test")
+_WMF_KEYS = {"k": "k", "alpha": "alpha", "lambda": "lam", "iterations": "iterations"}
+_TRAIN_KEYS = {"batch": "batch_size", "epochs": "max_epochs", "patience": "patience", "lr": "lr"}
+_SYNTH_KEYS = {"users": "n_users", "artists": "n_artists", "songs_per_artist": "songs_per_artist",
+               "latent_dim": "latent_dim", "text_noise": "text_noise",
+               "audio_noise": "audio_noise", "density": "density",
+               "mean_extra_plays": "mean_extra_plays", "bins": "bins", "frames": "frames",
+               "text_terms": "n_text_terms", "doc_tokens": "doc_tokens",
+               "templates": "n_templates", "seed": "seed"}
 
 
 def load_pipeline_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     r = _Reader(parse_kv_file(path), path)
     base = os.path.dirname(os.path.abspath(path))
-
-    def p(key, default=None):
-        value = r.get(key, default)
-        return os.path.join(base, value) if value and not os.path.isabs(value) else value
-
-    seed = r.get("seed", 0, int)
+    paths = {name: os.path.join(base, value) if value else value
+             for name, value in r.fields(PipelineConfig, _PATH_KEYS).items()}
+    if out_override:
+        paths["out_dir"] = out_override
+    settings = r.fields(PipelineConfig, _PIPELINE_KEYS)
     if seed_override is not None:
-        seed = seed_override
-    out_dir = p("paths.out", "out")
-    ratios = (
-        r.get("split.train", 0.8, float),
-        r.get("split.val", 0.1, float),
-        r.get("split.test", 0.1, float),
-    )
+        settings["seed"] = seed_override
+    seed = settings["seed"]
+
+    def nested(cls, table, prefix):
+        return cls(**r.fields(cls, table, prefix), seed=seed)
+
     cfg = PipelineConfig(
-        triples=p("paths.triples"),
-        artist_map=p("paths.artist_map"),
-        documents=p("paths.documents"),
-        annotations=p("paths.annotations"),
-        kb=p("paths.kb"),
-        spectrogram_dir=p("paths.spectrograms"),
-        out_dir=out_override or out_dir,
-        seed=seed,
-        split_ratios=ratios,
-        eval_k=r.get("eval.k", 500, int),
-        channel_scale=r.get("scale", 0.125, float),
-        vocab_cap=r.get("text.vocab_cap", 10000, int),
-        patch_frames=r.get("audio.patch_frames", 96, int),
-        val_fraction=r.get("train.val_fraction", 0.1, float),
-        wmf_songs=_wmf_from(r, "wmf.songs", seed),
-        wmf_artists=_wmf_from(r, "wmf.artists", seed),
-        train_artist=_train_from(r, "train.artist", seed),
-        train_track=_train_from(r, "train.track", seed),
-        train_fusion=_train_from(r, "train.fusion", seed),
+        **paths,
+        **settings,
+        split_ratios=tuple(r.get(key, default, float) for key, default
+                           in zip(_SPLIT_KEYS, PipelineConfig.split_ratios)),
+        wmf_songs=nested(WmfConfig, _WMF_KEYS, "wmf.songs."),
+        wmf_artists=nested(WmfConfig, _WMF_KEYS, "wmf.artists."),
+        train_artist=nested(TrainConfig, _TRAIN_KEYS, "train.artist."),
+        train_track=nested(TrainConfig, _TRAIN_KEYS, "train.track."),
+        train_fusion=nested(TrainConfig, _TRAIN_KEYS, "train.fusion."),
     )
     r.reject_unknown()
     return cfg
@@ -158,22 +157,7 @@ def load_synthetic_spec(path):
     from .synth import SyntheticSpec
 
     r = _Reader(parse_kv_file(path), path)
-    spec = SyntheticSpec(
-        n_users=r.get("users", 500, int),
-        n_artists=r.get("artists", 200, int),
-        songs_per_artist=r.get("songs_per_artist", 10, int),
-        latent_dim=r.get("latent_dim", 16, int),
-        text_noise=r.get("text_noise", 0.4, float),
-        audio_noise=r.get("audio_noise", 0.2, float),
-        density=r.get("density", 0.04, float),
-        mean_extra_plays=r.get("mean_extra_plays", 2.0, float),
-        bins=r.get("bins", 32, int),
-        frames=r.get("frames", 180, int),
-        n_text_terms=r.get("text_terms", 80, int),
-        doc_tokens=r.get("doc_tokens", 120, int),
-        n_templates=r.get("templates", 8, int),
-        seed=r.get("seed", 0, int),
-    )
+    spec = SyntheticSpec(**r.fields(SyntheticSpec, _SYNTH_KEYS))
     r.reject_unknown()
     spec.validate()
     return spec

@@ -124,7 +124,7 @@ def save_triples(m: FeedbackMatrix, path) -> None:
 
 
 def load_artist_map(path) -> ArtistMap:
-    """Read an `item<TAB>artist` TSV."""
+    """Read an `item<TAB>artist` TSV; an item listed twice is a DataError."""
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -134,6 +134,8 @@ def load_artist_map(path) -> ArtistMap:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
+            if parts[0] in mapping:
+                raise DataError(f"{path}:{lineno}: duplicate item {parts[0]!r}")
             mapping[parts[0]] = parts[1]
     return ArtistMap(mapping)
 

@@ -11,28 +11,23 @@ from .data import DataError
 
 MAGIC = b"CSMX"
 VERSION = 1
-
-_DTYPES = {1: "<f8", 2: "<f4"}
-_DTYPE_CODES = {np.dtype("float64"): 1, np.dtype("float32"): 2}
+_FLOAT64 = 1  # the one dtype code: every section is little-endian float64
 
 
 def save_matrix(path, sections: dict[str, np.ndarray]) -> None:
-    """Write named 2-D matrices; payloads are row-major with a CRC32 each."""
+    """Write named 2-D matrices as float64; payloads are row-major with a CRC32 each."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(sections)))
         for name, mat in sections.items():
-            mat = np.atleast_2d(np.asarray(mat))
-            if mat.dtype not in _DTYPE_CODES:
-                mat = mat.astype(np.float64)
+            mat = np.atleast_2d(np.asarray(mat, dtype="<f8"))
             if not np.all(np.isfinite(mat)):
                 raise DataError(f"section {name!r} contains non-finite values")
-            code = _DTYPE_CODES[mat.dtype]
-            payload = np.ascontiguousarray(mat.astype(_DTYPES[code])).tobytes()
+            payload = np.ascontiguousarray(mat).tobytes()
             name_b = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_b)))
             fh.write(name_b)
-            fh.write(struct.pack("<QQB", mat.shape[0], mat.shape[1], code))
+            fh.write(struct.pack("<QQB", mat.shape[0], mat.shape[1], _FLOAT64))
             fh.write(payload)
             fh.write(struct.pack("<I", zlib.crc32(payload)))
 
@@ -60,9 +55,9 @@ def load_matrix(path) -> dict[str, np.ndarray]:
             off += 17
         except (struct.error, UnicodeDecodeError):
             raise DataError(f"{path}: truncated or corrupt section header") from None
-        if code not in _DTYPES:
+        if code != _FLOAT64:
             raise DataError(f"{path}: unknown dtype code {code} in section {name!r}")
-        nbytes = rows * cols * int(_DTYPES[code][-1])
+        nbytes = rows * cols * 8
         payload = raw[off:off + nbytes]
         if len(payload) != nbytes:
             raise DataError(f"{path}: truncated payload in section {name!r}")
@@ -74,7 +69,7 @@ def load_matrix(path) -> dict[str, np.ndarray]:
         off += 4
         if zlib.crc32(payload) != crc:
             raise DataError(f"{path}: checksum mismatch in section {name!r}")
-        sections[name] = np.frombuffer(payload, dtype=_DTYPES[code]).reshape(rows, cols).copy()
+        sections[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
     return sections
 
 

@@ -31,12 +31,10 @@ class LayerSpec:
     kind: str
     units: int = 0               # dense
     filters: int = 0             # conv1d_time
-    width: int = 0               # conv1d_time kernel width
-    padding: str = "same"        # conv1d_time: same | valid
+    width: int = 0               # conv1d_time kernel width (same-padded)
     pool: int = 0                # maxpool_time window (0 if adaptive)
     output_steps: int = 0        # maxpool_time adaptive target (0 if windowed)
     rate: float = 0.0            # dropout
-    features: int = 0            # batchnorm
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -82,11 +80,7 @@ def layer_out_shape(spec: LayerSpec, shape: tuple) -> tuple:
     if spec.kind == "conv1d_time":
         if len(shape) != 2:
             raise ShapeError(f"conv1d_time expects (channels, time), got {shape}")
-        c, t = shape
-        t_out = t if spec.padding == "same" else t - spec.width + 1
-        if t_out < 1:
-            raise ShapeError(f"conv width {spec.width} too wide for {t} frames")
-        return (spec.filters, t_out)
+        return (spec.filters, shape[1])
     if spec.kind == "maxpool_time":
         if len(shape) != 2:
             raise ShapeError(f"maxpool_time expects (channels, time), got {shape}")
@@ -100,8 +94,8 @@ def layer_out_shape(spec: LayerSpec, shape: tuple) -> tuple:
     if spec.kind == "flatten":
         return (int(np.prod(shape)),)
     if spec.kind == "batchnorm":
-        if len(shape) != 1 or shape[0] != spec.features:
-            raise ShapeError(f"batchnorm over {spec.features} features got {shape}")
+        if len(shape) != 1:
+            raise ShapeError(f"batchnorm expects a vector input, got {shape}")
         return shape
     return shape  # relu, dropout, l2norm keep shape
 
@@ -165,11 +159,12 @@ def init_params(net: NetworkSpec, seed: int) -> dict[str, dict[str, np.ndarray]]
                 "b": np.zeros(spec.filters),
             }
         elif spec.kind == "batchnorm":
+            n = in_shape[0]
             params[name] = {
-                "gamma": np.ones(spec.features),
-                "beta": np.zeros(spec.features),
-                "running_mean": np.zeros(spec.features),
-                "running_var": np.ones(spec.features),
+                "gamma": np.ones(n),
+                "beta": np.zeros(n),
+                "running_mean": np.zeros(n),
+                "running_var": np.ones(n),
             }
         else:
             params[name] = {}
@@ -249,38 +244,33 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy):
 
 
 def _conv_forward(spec: LayerSpec, params: dict, x):
-    # x: (B, C, T); correlation along time only, all channels mixed
+    # x: (B, C, T); correlation along time only, all channels mixed; the
+    # output keeps T steps (zero padding, the extra one on the right)
     w, b = params["W"], params["b"]
-    if spec.padding == "same":
-        total = spec.width - 1
-        left = total // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
-    else:
-        xp = x
-    t_out = xp.shape[2] - spec.width + 1
+    total = spec.width - 1
+    left = total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
+    t_out = x.shape[2]
     y = np.zeros((x.shape[0], spec.filters, t_out))
     for dt in range(spec.width):
         # (B, C, t_out) x (F, C) -> (B, F, t_out)
         y += np.einsum("bct,fc->bft", xp[:, :, dt:dt + t_out], w[:, :, dt], optimize=True)
     y += b[None, :, None]
-    return y, {"xp": xp, "t_out": t_out, "in_t": x.shape[2]}
+    return y, {"xp": xp}
 
 
 def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy):
     w = params["W"]
-    xp, t_out = cache["xp"], cache["t_out"]
+    xp = cache["xp"]
+    t_out = dy.shape[2]
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
     for dt in range(spec.width):
         dw[:, :, dt] = np.einsum("bft,bct->fc", dy, xp[:, :, dt:dt + t_out], optimize=True)
         dxp[:, :, dt:dt + t_out] += np.einsum("bft,fc->bct", dy, w[:, :, dt], optimize=True)
     db = dy.sum(axis=(0, 2))
-    if spec.padding == "same":
-        left = (spec.width - 1) // 2
-        dx = dxp[:, :, left:left + cache["in_t"]]
-    else:
-        dx = dxp
-    return dx, {"W": dw, "b": db}
+    left = (spec.width - 1) // 2
+    return dxp[:, :, left:left + t_out], {"W": dw, "b": db}
 
 
 def _pool_segments(t: int, out_steps: int) -> list[tuple[int, int]]:

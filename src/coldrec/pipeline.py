@@ -20,6 +20,9 @@ from .data import (ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
 from .nn import NetworkSpec
 from .wmf import FactorModel, factorize_wmf
 
+# fraction of each trained net's rows held out for early stopping
+VAL_FRACTION = 0.1
+
 # approaches in report order
 APPROACHES = ("audio", "sem-emb", "mm-lf-lin", "mm-lf-h1", "random", "upper-bound")
 
@@ -155,10 +158,10 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
     matrixio.save_ids(cfg.out("features_text.ids"), [d.artist_id for d in docs])
 
 
-def _fit_val_split(n: int, fraction: float, seed: int):
+def _fit_val_split(n: int, seed: int):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_val = max(1, int(n * fraction)) if n > 1 else 0
+    n_val = max(1, int(n * VAL_FRACTION)) if n > 1 else 0
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
@@ -170,7 +173,7 @@ def _stage_train_artist(cfg: PipelineConfig) -> None:
     x = feats[[r[0] for r in rows]]
     y = artist_factors[[r[1] for r in rows]]
     seed = stage_seed(cfg.seed, "train-artist")
-    fit, val = _fit_val_split(len(rows), cfg.val_fraction, seed)
+    fit, val = _fit_val_split(len(rows), seed)
     net = zoo.build_artist_net(x.shape[1], y.shape[1])
     tc = dataclasses.replace(cfg.train_artist, seed=seed)
     params, log = zoo.train_mapping(net, x[fit], y[fit], x[val], y[val], tc)
@@ -210,7 +213,7 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
     _, song_factors, _, song_ids = _load_factors(cfg, "factors_songs")
     seed = stage_seed(cfg.seed, "train-track")
     patch_len = cfg.patch_frames
-    fit, val = _fit_val_split(len(song_ids), cfg.val_fraction, seed)
+    fit, val = _fit_val_split(len(song_ids), seed)
     fit_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in fit], patch_len, seed)
     # validation patches stay fixed across epochs for a comparable loss
     val_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
@@ -303,7 +306,7 @@ def _stage_train_fusion(cfg: PipelineConfig) -> None:
     _, song_factors, _, song_ids = _load_factors(cfg, "factors_songs")
     inputs = _fusion_inputs(cfg, song_ids, load_artist_map(cfg.artist_map))
     seed = stage_seed(cfg.seed, "train-fusion")
-    fit, val = _fit_val_split(len(song_ids), cfg.val_fraction, seed)
+    fit, val = _fit_val_split(len(song_ids), seed)
     fit_x = {b: v[fit] for b, v in inputs.items()}
     val_x = {b: v[val] for b, v in inputs.items()}
     for pos, head in enumerate(HEADS.values()):

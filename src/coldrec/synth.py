@@ -49,7 +49,6 @@ class SyntheticData:
     feedback: FeedbackMatrix
     artist_map: ArtistMap
     documents: list[Document]
-    plain_documents: list[Document]
     annotations: AnnotationSet
     kb: KbSnapshot
     spectrograms: dict[str, audio_mod.Spectrogram]
@@ -84,15 +83,14 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     feedback = _sample_plays(rng, user_ids, song_ids, user_f, song_f, spec)
     artist_map = ArtistMap(dict(song_artist))
 
-    plain_docs, docs_text = _make_documents(rng, artist_ids, artist_f[:, text_coords], spec)
+    documents = _make_documents(rng, artist_ids, artist_f[:, text_coords], spec)
     kb, annotations = _make_kb(artist_ids, artist_f[:, text_coords])
 
     specs = _make_spectrograms(rng, song_ids, song_f[:, audio_coords], spec)
     return SyntheticData(
         feedback=feedback,
         artist_map=artist_map,
-        documents=docs_text,
-        plain_documents=plain_docs,
+        documents=documents,
         annotations=annotations,
         kb=kb,
         spectrograms=specs,
@@ -128,7 +126,7 @@ def _make_documents(rng, artist_ids, text_f, spec: SyntheticSpec):
     half = text_f.shape[1]
     readout = np.abs(rng.normal(size=(spec.n_text_terms, half)))
     terms = [f"word{t:03d}" for t in range(spec.n_text_terms)]
-    plain = []
+    docs = []
     for j, aid in enumerate(artist_ids):
         intensity = np.exp(readout @ text_f[j] / np.sqrt(half))
         signal = intensity / intensity.sum()
@@ -137,8 +135,8 @@ def _make_documents(rng, artist_ids, text_f, spec: SyntheticSpec):
         tokens = []
         for t, c in enumerate(counts):
             tokens.extend([terms[t]] * int(c))
-        plain.append(Document(aid, " ".join(tokens)))
-    return plain, [Document(d.artist_id, d.text) for d in plain]
+        docs.append(Document(aid, " ".join(tokens)))
+    return docs
 
 
 def _make_kb(artist_ids, text_f):

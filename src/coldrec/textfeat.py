@@ -166,13 +166,17 @@ def tfidf_matrix(docs: list[Document], vocab: Vocabulary) -> np.ndarray:
 # JSON-lines codecs
 
 def load_documents(path) -> list[Document]:
-    docs = []
+    """One document per artist; an artist with two documents is a DataError."""
+    docs: dict[str, Document] = {}
     for lineno, rec in _iter_jsonl(path):
         try:
-            docs.append(Document(rec["artist_id"], rec["text"]))
+            artist_id = rec["artist_id"]
+            if artist_id in docs:
+                raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
+            docs[artist_id] = Document(artist_id, rec["text"])
         except (KeyError, TypeError):
             raise DataError(f"{path}:{lineno}: expected artist_id and text fields") from None
-    return docs
+    return list(docs.values())
 
 
 def save_documents(docs: list[Document], path) -> None:
@@ -182,10 +186,14 @@ def save_documents(docs: list[Document], path) -> None:
 
 
 def load_annotations(path) -> AnnotationSet:
+    """One entity list per artist; an artist listed twice is a DataError."""
     by_artist: dict[str, list[str]] = {}
     for lineno, rec in _iter_jsonl(path):
         try:
-            by_artist[rec["artist_id"]] = list(rec["entities"])
+            artist_id = rec["artist_id"]
+            if artist_id in by_artist:
+                raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
+            by_artist[artist_id] = list(rec["entities"])
         except (KeyError, TypeError):
             raise DataError(f"{path}:{lineno}: expected artist_id and entities fields") from None
     return AnnotationSet(by_artist)

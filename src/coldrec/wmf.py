@@ -11,6 +11,10 @@ from scipy.linalg import lapack
 from .data import FeedbackMatrix
 
 
+# standard deviation of the random initial factors
+INIT_SCALE = 0.01
+
+
 class FactorizationError(RuntimeError):
     pass
 
@@ -21,7 +25,6 @@ class WmfConfig:
     alpha: float = 40.0
     lam: float = 0.01
     iterations: int = 15
-    init_scale: float = 0.01
     seed: int = 0
     # stop early once a sweep improves the objective by less than this
     # relative amount; None disables the check (and the per-sweep objective)
@@ -107,8 +110,8 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
     if m.n_users == 0 or m.n_items == 0:
         raise ValueError("cannot factorize an empty matrix")
     rng = np.random.default_rng(cfg.seed)
-    x = rng.normal(0.0, cfg.init_scale, size=(m.n_users, cfg.k))
-    y = rng.normal(0.0, cfg.init_scale, size=(m.n_items, cfg.k))
+    x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
+    y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
     csr = m.counts.tocsr()
     csc = m.counts.tocsc()
     prev_obj = None

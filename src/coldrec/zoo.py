@@ -15,6 +15,7 @@ ARTIST_HIDDEN = 2048
 FUSION_HIDDEN = 512
 FUSION_DROPOUT = 0.7
 TRACK_DROPOUT = 0.5
+TRACK_WIDTH = 4  # conv kernel width in frames
 TRACK_POOL = 4
 TRACK_FINAL_STEPS = 4
 
@@ -65,8 +66,7 @@ def build_artist_net(vocab_size: int, k: int, dropout: float = 0.0) -> NetworkSp
     return NetworkSpec(trunk=trunk, input_shapes={"": (vocab_size,)}, embed_tap=tap)
 
 
-def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0,
-                    width: int = 4) -> NetworkSpec:
+def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0) -> NetworkSpec:
     """Time-axis CNN over spectrogram patches.
 
     Four conv layers with widths scaled from 256/512/1024/1024, max-pool 4
@@ -86,7 +86,7 @@ def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0,
     trunk: list[LayerSpec] = []
     for layer_idx, f in enumerate(filters):
         trunk += [
-            LayerSpec("conv1d_time", filters=f, width=width, padding="same"),
+            LayerSpec("conv1d_time", filters=f, width=TRACK_WIDTH),
             LayerSpec("relu"),
             LayerSpec("dropout", rate=TRACK_DROPOUT),
         ]
@@ -112,16 +112,10 @@ def build_fusion_net(variant: str, dim_a: int, dim_t: int, k: int) -> NetworkSpe
     if dim_a < 1 or dim_t < 1:
         raise ValueError("embedding dimensions must be >= 1")
     if variant == "lin":
-        branch_a = [LayerSpec("l2norm"), LayerSpec("dropout", rate=FUSION_DROPOUT)]
-        branch_t = [LayerSpec("l2norm"), LayerSpec("dropout", rate=FUSION_DROPOUT)]
+        branch = [LayerSpec("l2norm"), LayerSpec("dropout", rate=FUSION_DROPOUT)]
     elif variant == "h1":
-        branch_a = [
-            LayerSpec("batchnorm", features=dim_a),
-            LayerSpec("dropout", rate=FUSION_DROPOUT),
-            LayerSpec("dense", units=FUSION_HIDDEN), LayerSpec("relu"),
-        ]
-        branch_t = [
-            LayerSpec("batchnorm", features=dim_t),
+        branch = [
+            LayerSpec("batchnorm"),
             LayerSpec("dropout", rate=FUSION_DROPOUT),
             LayerSpec("dense", units=FUSION_HIDDEN), LayerSpec("relu"),
         ]
@@ -130,7 +124,7 @@ def build_fusion_net(variant: str, dim_a: int, dim_t: int, k: int) -> NetworkSpe
     trunk = [LayerSpec("concat"), LayerSpec("dense", units=k), LayerSpec("l2norm")]
     return NetworkSpec(
         trunk=trunk,
-        branches={"artist": branch_a, "track": branch_t},
+        branches={"artist": branch, "track": list(branch)},
         input_shapes={"artist": (dim_a,), "track": (dim_t,)},
         embed_tap=0,  # concat output
     )
@@ -165,6 +159,8 @@ def _copy_params(params):
     return {layer: {k: v.copy() for k, v in tensors.items()} for layer, tensors in params.items()}
 
 
+# overflow surfaces as a non-finite loss, which is reported as divergence
+@np.errstate(over="ignore", invalid="ignore")
 def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
                   val_features, val_targets: np.ndarray,
                   cfg: TrainConfig) -> tuple[dict, TrainLog]:
@@ -173,6 +169,8 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     ``features`` is a (n, ...) matrix, a dict of branch matrices, or a
     callable epoch -> features for per-epoch resampling (audio patches).
     Returns the parameters of the best validation epoch and the loss log.
+    A non-finite training or validation loss (a learning rate too high) is
+    a ValueError that names the epoch and the learning rate.
     """
     cfg.validate()
     n = targets.shape[0]
@@ -180,6 +178,8 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     n_feat = next(iter(feats0.values())).shape[0] if isinstance(feats0, dict) else feats0.shape[0]
     if n_feat != n:
         raise ValueError(f"{n_feat} feature rows vs {n} target rows")
+    if len(val_targets) == 0:
+        raise ValueError("early stopping needs at least one validation row")
     params = nn.init_params(net, cfg.seed)
     state = nn.AdamState.for_params(params, lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -196,12 +196,16 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
                                             mode="train", seed=_batch_seed(cfg.seed, epoch, start))
             loss, dpred = nn.cosine_loss(out, targets[idx])
             if not math.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}, batch offset {start}")
+                raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
+                                 f"batch offset {start}, learning rate {cfg.lr:g}")
             grads, _ = nn.net_backward(net, params, caches, dpred)
             nn.adam_step(params, grads, state)
             train_loss += loss * len(idx)
         train_loss /= n
         val_loss = eval_loss(net, params, _maybe_call(val_features, epoch), val_targets)
+        if not math.isfinite(val_loss):
+            raise ValueError(f"training diverged: non-finite validation loss at epoch {epoch}, "
+                             f"learning rate {cfg.lr:g}")
         log.epochs.append((epoch, train_loss, val_loss))
         if val_loss < log.best_val:
             log.best_val = val_loss

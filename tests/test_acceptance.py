@@ -125,18 +125,16 @@ def test_gradient_check_all_layer_kinds_and_composed_nets():
         "dense": ([LayerSpec("dense", units=4)], (6,), 0),
         "relu": ([LayerSpec("dense", units=5), LayerSpec("relu"),
                   LayerSpec("dense", units=3)], (4,), 3),
-        "conv_same": ([LayerSpec("conv1d_time", filters=3, width=4, padding="same"),
+        "conv_same": ([LayerSpec("conv1d_time", filters=3, width=4),
                        LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 9), 1),
-        "conv_valid": ([LayerSpec("conv1d_time", filters=3, width=3, padding="valid"),
-                        LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 9), 1),
-        "maxpool": ([LayerSpec("conv1d_time", filters=3, width=3, padding="same"),
+        "maxpool": ([LayerSpec("conv1d_time", filters=3, width=3),
                      LayerSpec("maxpool_time", pool=2),
                      LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 8), 3),
-        "adaptive_pool": ([LayerSpec("conv1d_time", filters=3, width=3, padding="same"),
+        "adaptive_pool": ([LayerSpec("conv1d_time", filters=3, width=3),
                            LayerSpec("maxpool_time", output_steps=3),
                            LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 7), 3),
         "dropout": ([LayerSpec("dropout", rate=0.5), LayerSpec("dense", units=4)], (8,), 4),
-        "batchnorm": ([LayerSpec("batchnorm", features=5),
+        "batchnorm": ([LayerSpec("batchnorm"),
                        LayerSpec("dense", units=3)], (5,), 5),
         "l2norm": ([LayerSpec("dense", units=5), LayerSpec("l2norm")], (4,), 6),
         "flatten": ([LayerSpec("flatten"), LayerSpec("dense", units=4)], (3, 4), 7),
@@ -273,7 +271,7 @@ def test_enrichment_beats_plain_documents():
         pred = zoo.predict_factors(net, params, x_test)
         return ev.map_at_k(uf, pred, test_a, k=500)
 
-    plain_report = evaluate(data.plain_documents)
+    plain_report = evaluate(data.documents)
     enriched_report = evaluate(enriched)
     assert enriched_report.map_score > plain_report.map_score
     diff = enriched_report.ap_vector() - plain_report.ap_vector()

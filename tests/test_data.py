@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldrec.data import (ArtistMap, DataError, FeedbackMatrix,
-                          aggregate_to_artist, load_triples, save_triples,
+                          aggregate_to_artist, load_artist_map, load_triples, save_triples,
                           split_by_artist)
 
 
@@ -79,6 +81,13 @@ class TestLoadTriples:
         assert m2.user_ids == m.user_ids
         assert m2.item_ids == m.item_ids
         assert (m2.counts != m.counts).nnz == 0
+
+
+class TestLoadArtistMap:
+    def test_duplicate_item_names_line(self, tmp_path):
+        path = write_lines(tmp_path, "m.tsv", ["s1\ta1", "s2\ta1", "s1\ta2"])
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate item 's1'")):
+            load_artist_map(path)
 
 
 class TestAggregate:

@@ -30,7 +30,7 @@ class TestMatrixContainer:
         assert np.array_equal(out["a"], mats["a"])
         assert out["a"].dtype == np.float64
         assert np.array_equal(out["b"], mats["b"])
-        assert out["b"].dtype == np.float32
+        assert out["b"].dtype == np.float64  # float32 input is widened
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.csmx"
@@ -52,6 +52,15 @@ class TestMatrixContainer:
         raw[40] ^= 0xFF  # flip a payload byte
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="checksum"):
+            load_matrix(path)
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = tmp_path / "m.csmx"
+        save_matrix(path, {"a": np.ones((2, 2))})
+        raw = bytearray(path.read_bytes())
+        raw[12 + 2 + 1 + 16] = 2  # after the header, name length, name and shape
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="unknown dtype code 2 in section 'a'"):
             load_matrix(path)
 
     def test_non_finite_rejected(self, tmp_path):

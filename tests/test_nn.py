@@ -13,15 +13,15 @@ class TestLayerForward:
         y, _ = layer_forward(LayerSpec("relu"), {}, np.array([[-1.0, 2.0]]))
         assert np.array_equal(y, [[0.0, 2.0]])
 
-    def test_conv_valid_hand(self):
-        # 1 channel, kernel [1, 1], input [1, 2, 3] -> [3, 5]
-        spec = LayerSpec("conv1d_time", filters=1, width=2, padding="valid")
+    def test_conv_same_hand(self):
+        # 1 channel, kernel [1, 1], input [1, 2, 3] padded on the right -> [3, 5, 3]
+        spec = LayerSpec("conv1d_time", filters=1, width=2)
         params = {"W": np.ones((1, 1, 2)), "b": np.zeros(1)}
         y, _ = layer_forward(spec, params, np.array([[[1.0, 2.0, 3.0]]]))
-        assert np.array_equal(y, [[[3.0, 5.0]]])
+        assert np.array_equal(y, [[[3.0, 5.0, 3.0]]])
 
     def test_conv_same_padding_keeps_length(self):
-        spec = LayerSpec("conv1d_time", filters=2, width=4, padding="same")
+        spec = LayerSpec("conv1d_time", filters=2, width=4)
         rng = np.random.default_rng(0)
         params = {"W": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=2)}
         y, _ = layer_forward(spec, params, rng.normal(size=(5, 3, 11)))
@@ -64,7 +64,7 @@ class TestLayerForward:
         assert np.allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-9)
 
     def test_batchnorm_train_hand(self):
-        spec = LayerSpec("batchnorm", features=1)
+        spec = LayerSpec("batchnorm")
         params = {"gamma": np.ones(1), "beta": np.zeros(1),
                   "running_mean": np.zeros(1), "running_var": np.ones(1)}
         x = np.array([[1.0], [3.0]])
@@ -73,7 +73,7 @@ class TestLayerForward:
         assert np.allclose(y, [[-1.0], [1.0]], atol=1e-4)
 
     def test_batchnorm_eval_uses_running_stats(self):
-        spec = LayerSpec("batchnorm", features=1)
+        spec = LayerSpec("batchnorm")
         params = {"gamma": np.ones(1), "beta": np.zeros(1),
                   "running_mean": np.array([2.0]), "running_var": np.array([4.0])}
         y, _ = layer_forward(spec, params, np.array([[4.0]]), mode="eval")
@@ -169,13 +169,13 @@ def fd_layer_check(spec, in_shape, batch=3, seed=0, mode="train", h=1e-6):
 
 @pytest.mark.parametrize("spec,shape", [
     (LayerSpec("dense", units=4), (6,)),
-    (LayerSpec("conv1d_time", filters=3, width=4, padding="same"), (2, 12)),
-    (LayerSpec("conv1d_time", filters=3, width=3, padding="valid"), (2, 12)),
+    (LayerSpec("conv1d_time", filters=3, width=4), (2, 12)),
+    (LayerSpec("conv1d_time", filters=3, width=3), (2, 12)),
     (LayerSpec("maxpool_time", pool=3), (2, 10)),
     (LayerSpec("maxpool_time", output_steps=4), (2, 7)),
     (LayerSpec("relu"), (5,)),
     (LayerSpec("dropout", rate=0.5), (8,)),
-    (LayerSpec("batchnorm", features=5), (5,)),
+    (LayerSpec("batchnorm"), (5,)),
     (LayerSpec("l2norm"), (5,)),
     (LayerSpec("flatten"), (3, 4)),
 ])
@@ -184,7 +184,7 @@ def test_every_layer_kind_matches_finite_differences(spec, shape):
 
 
 def test_batchnorm_eval_mode_gradient():
-    spec = LayerSpec("batchnorm", features=5)
+    spec = LayerSpec("batchnorm")
     assert fd_layer_check(spec, (5,), mode="eval") < 1e-4
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -13,11 +14,13 @@ import pytest
 
 from coldrec import matrixio, nn, synth
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from coldrec.config import (load_pipeline_config, load_synthetic_spec,
+from coldrec.config import (PipelineConfig, load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
 from coldrec.data import DataError
 from coldrec.pipeline import (APPROACHES, STAGE_TABLE, STAGES, StageError, run_stage,
                               stage_seed)
+from coldrec.wmf import WmfConfig
+from coldrec.zoo import TrainConfig
 
 TINY = dict(n_users=40, n_artists=12, songs_per_artist=4, latent_dim=8,
             bins=8, frames=70, n_text_terms=30, doc_tokens=60,
@@ -51,6 +54,15 @@ def write_config(path, data_dir, out_dir, **extra):
     values.update(extra)
     write_kv_file(path, values)
     return path
+
+
+def dataset_paths(data_dir) -> dict[str, str]:
+    """The `PipelineConfig` path fields of a dataset written by `coldrec synth`."""
+    return {"triples": str(data_dir / "triples.tsv"),
+            "artist_map": str(data_dir / "artist_map.tsv"),
+            "documents": str(data_dir / "documents.jsonl"),
+            "annotations": str(data_dir / "annotations.jsonl"),
+            "kb": str(data_dir / "kb.jsonl"), "spectrogram_dir": str(data_dir / "spectrograms")}
 
 
 def files_under(root) -> set[str]:
@@ -201,7 +213,12 @@ class TestConfig:
          load_pipeline_config, "audio.patch_seconds"),
         (lambda path: write_config(path, "data", "out", **{"text.property_map": "p.json"}),
          load_pipeline_config, "text.property_map"),
-    ], ids=["pipeline", "synthetic", "patch_seconds", "property_map"])
+        (lambda path: write_config(path, "data", "out", **{"wmf.songs.init_scale": 0.01}),
+         load_pipeline_config, "wmf.songs.init_scale"),
+        (lambda path: write_config(path, "data", "out", **{"train.val_fraction": 0.1}),
+         load_pipeline_config, "train.val_fraction"),
+    ], ids=["pipeline", "synthetic", "patch_seconds", "property_map", "init_scale",
+            "val_fraction"])
     def test_unknown_key_rejected(self, tmp_path, write, load, key):
         path = tmp_path / "c.cfg"
         write(path)
@@ -213,6 +230,34 @@ class TestConfig:
         write_kv_file(path, {"users": 10, "artists": 4, "latent_dim": 6, "seed": 5})
         spec = load_synthetic_spec(path)
         assert (spec.n_users, spec.n_artists, spec.latent_dim, spec.seed) == (10, 4, 6, 5)
+
+    def test_empty_synthetic_spec_is_the_default(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("")
+        assert load_synthetic_spec(path) == synth.SyntheticSpec()
+
+    def test_paths_only_config_loads_dataclass_defaults(self, tmp_path):
+        values = parse_kv_file(write_config(tmp_path / "p.cfg", "data", "out"))
+        path = tmp_path / "paths.cfg"
+        write_kv_file(path, {k: v for k, v in values.items()
+                             if k.startswith("paths.") and k != "paths.out"})
+        cfg = load_pipeline_config(path)
+        assert cfg == PipelineConfig(**dataset_paths(tmp_path / "data"),
+                                     out_dir=str(tmp_path / "out"))
+        assert cfg.wmf_songs == cfg.wmf_artists == WmfConfig(seed=0)
+        assert cfg.train_artist == cfg.train_track == cfg.train_fusion == TrainConfig(seed=0)
+
+    def test_readme_config_loads_as_shown(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (tmp_path / "run.cfg").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        assert load_pipeline_config(tmp_path / "run.cfg") == PipelineConfig(
+            **dataset_paths(tmp_path / "data"), out_dir=str(tmp_path / "out") + "/",
+            seed=3, channel_scale=0.125, split_ratios=(0.8, 0.1, 0.1),
+            wmf_songs=WmfConfig(k=16, seed=3), wmf_artists=WmfConfig(k=16, seed=3),
+            vocab_cap=10000, patch_frames=96,
+            train_artist=TrainConfig(max_epochs=40, seed=3),
+            train_track=TrainConfig(max_epochs=25, seed=3), train_fusion=TrainConfig(seed=3),
+            eval_k=500)
 
 
 class TestStages:
@@ -388,3 +433,15 @@ class TestCli:
         # evaluate before anything else: missing split artifacts
         assert main(["evaluate", "--config", str(cfg_path)]) == EXIT_DATA
         assert "split" in capsys.readouterr().err
+
+    def test_diverging_training_is_data_exit(self, staged_run, tmp_path, capsys):
+        """A finite but far too high learning rate ends in one error line that
+        names the epoch and the rate, not in a traceback."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(out), **{"train.artist.lr": 1e300})
+        assert main(["train-artist", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged: non-finite .*loss at epoch \d+, "
+                            r".*learning rate 1e\+300\n", err), err

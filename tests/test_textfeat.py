@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ class TestCodecs:
         (tmp_path / "kb.jsonl").write_text(line + line)
         with pytest.raises(DataError, match="duplicate"):
             load_kb_snapshot(tmp_path / "kb.jsonl")
+
+    @pytest.mark.parametrize("load, lines", [
+        (load_documents, ['{"artist_id": "a1", "text": "x"}', '{"artist_id": "a2", "text": "y"}',
+                          '{"artist_id": "a1", "text": "z"}']),
+        (load_annotations, ['{"artist_id": "a1", "entities": ["e1"]}',
+                            '{"artist_id": "a2", "entities": []}',
+                            '{"artist_id": "a1", "entities": ["e2"]}']),
+    ], ids=["documents", "annotations"])
+    def test_duplicate_artist_rejected(self, tmp_path, load, lines):
+        path = tmp_path / "x.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate artist_id 'a1'")):
+            load(path)
 
     def test_malformed_json_reports_line(self, tmp_path):
         (tmp_path / "docs.jsonl").write_text('{"artist_id": "a1", "text": "x"}\nnot json\n')

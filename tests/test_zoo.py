@@ -203,6 +203,13 @@ class TestTrainMapping:
         with pytest.raises(ValueError, match="learning rate"):
             train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
 
+    def test_empty_validation_set_rejected(self):
+        feats, targets = _toy()
+        net = _linear_net(12, 6)
+        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0)
+        with pytest.raises(ValueError, match="at least one validation row"):
+            train_mapping(net, feats[:48], targets[:48], feats[:0], targets[:0], cfg)
+
     def test_callable_features_resampled_per_epoch(self):
         rng = np.random.default_rng(9)
         base = rng.normal(size=(32, 6))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, field
 
 from .data import DataError
@@ -15,7 +16,8 @@ def parse_kv_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # a `#` that starts the line or follows whitespace starts a comment
+            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -17,6 +17,8 @@ import numpy as np
 EPS_NORM = 1e-12
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 KINDS = ("dense", "conv1d_time", "maxpool_time", "relu", "dropout",
          "batchnorm", "l2norm", "flatten", "concat")
@@ -437,9 +439,6 @@ class AdamState:
     v: dict[str, dict[str, np.ndarray]]
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params, lr: float = 0.001) -> "AdamState":
@@ -453,7 +452,7 @@ class AdamState:
 def adam_step(params, grads, state: AdamState) -> None:
     """One Adam update, in place over every gradient tensor."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for layer, tensors in grads.items():
@@ -464,7 +463,7 @@ def adam_step(params, grads, state: AdamState) -> None:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            params[layer][key] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            params[layer][key] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

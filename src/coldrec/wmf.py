@@ -15,10 +15,6 @@ from .data import FeedbackMatrix
 INIT_SCALE = 0.01
 
 
-class FactorizationError(RuntimeError):
-    pass
-
-
 @dataclass
 class WmfConfig:
     k: int = 200
@@ -45,36 +41,27 @@ class WmfConfig:
 class FactorModel:
     user_factors: np.ndarray  # (n_users, k) float64
     item_factors: np.ndarray  # (n_items, k) float64
-    k: int
 
     def __post_init__(self):
-        if self.user_factors.shape[1] != self.k or self.item_factors.shape[1] != self.k:
-            raise ValueError("factor matrices do not have k columns")
+        if self.user_factors.shape[1] != self.item_factors.shape[1]:
+            raise ValueError("user and item factor matrices differ in width")
 
 
-def solve_row(other_factors: np.ndarray, indices: np.ndarray, counts: np.ndarray,
-              alpha: float, lam: float, gram: np.ndarray | None = None) -> np.ndarray:
+def solve_row(other_factors: np.ndarray, indices: np.ndarray, conf: np.ndarray,
+              gram: np.ndarray, lam_eye: np.ndarray) -> np.ndarray:
     """Closed-form ridge update for one user (or item) row.
 
-    Solves (Y^T C Y + lam*I) x = Y^T C p with C = diag(1 + alpha*count) and
-    p the nonzero indicator, using the rank-restricted form
-    Y^T Y + Y_nz^T diag(alpha*count) Y_nz over the nonzero entries only.
-    Raises ValueError on a non-finite system and np.linalg.LinAlgError on
-    one that is not positive definite.
+    Solves (Y^T C Y + lam*I) x = Y^T C p, C = diag(conf) on the row's nonzeros
+    and 1 elsewhere, p the nonzero indicator, in the rank-restricted form
+    gram + Y_nz^T diag(conf - 1) Y_nz + lam_eye with the half-sweep's
+    gram = Y^T Y and lam_eye = lam*I. Raises np.linalg.LinAlgError on a
+    system that is not positive definite.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    k = other_factors.shape[1]
     if len(indices) == 0:
-        return np.zeros(k)
-    if gram is None:
-        gram = other_factors.T @ other_factors
+        return np.zeros(other_factors.shape[1])
     y_nz = other_factors[indices]
-    conf = 1.0 + alpha * counts.astype(np.float64)
-    a = gram + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + lam * np.eye(k)
+    a = gram + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + lam_eye
     b = y_nz.T @ conf
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("non-finite values in an ALS row system")
     # LAPACK's Cholesky solve directly: scipy.linalg.solve adds ~40 us per call
     _, x, info = lapack.dposv(a, b)
     if info != 0:
@@ -104,6 +91,8 @@ def als_objective(model: FactorModel, m: FeedbackMatrix, alpha: float, lam: floa
     return total
 
 
+# overflow surfaces as non-finite factors, which are reported as divergence
+@np.errstate(over="ignore", invalid="ignore")
 def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
     """Alternating least squares on the binarized-preference WMF objective."""
     cfg.validate()
@@ -112,29 +101,38 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
     rng = np.random.default_rng(cfg.seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
-    csr = m.counts.tocsr()
-    csc = m.counts.tocsc()
+    item_rows = m.counts.tocsc().T  # one CSR row per item
     prev_obj = None
-    for _ in range(cfg.iterations):
-        _half_sweep(x, y, csr, cfg.alpha, cfg.lam)
-        _half_sweep(y, x, csc.T.tocsr(), cfg.alpha, cfg.lam)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise FactorizationError(
-                "non-finite factor values during ALS; the system is "
-                "ill-conditioned, try raising lambda"
-            )
+    for sweep in range(1, cfg.iterations + 1):
+        _half_sweep(x, y, m.counts, cfg.alpha, cfg.lam, sweep)
+        _half_sweep(y, x, item_rows, cfg.alpha, cfg.lam, sweep)
         if cfg.early_stop_tol is not None:
-            obj = als_objective(FactorModel(x, y, cfg.k), m, cfg.alpha, cfg.lam)
+            obj = als_objective(FactorModel(x, y), m, cfg.alpha, cfg.lam)
             if prev_obj is not None and prev_obj - obj < cfg.early_stop_tol * abs(prev_obj):
                 break
             prev_obj = obj
-    return FactorModel(x, y, cfg.k)
+    return FactorModel(x, y)
 
 
 def _half_sweep(target: np.ndarray, other: np.ndarray, rows: sp.csr_matrix,
-                alpha: float, lam: float) -> None:
+                alpha: float, lam: float, sweep: int) -> None:
+    """Solve every row of ``target`` in place against the finite ``other``.
+
+    (1 + alpha*max count)*max diag(gram) + lam bounds every row system's
+    diagonal, and so its off-diagonal (the system is PSD): one finite bound,
+    doubled for rounding, keeps all systems finite. An overflowing right-hand
+    side shows up in the checked output, which raises a ValueError.
+    """
     gram = other.T @ other
-    indptr, indices, data = rows.indptr, rows.indices, rows.data
-    for r in range(target.shape[0]):
-        lo, hi = indptr[r], indptr[r + 1]
-        target[r] = solve_row(other, indices[lo:hi], data[lo:hi], alpha, lam, gram=gram)
+    lam_eye = lam * np.eye(other.shape[1])
+    conf = 1.0 + alpha * rows.data.astype(np.float64)
+    bound = conf.max(initial=1.0) * gram.diagonal().max() + lam
+    if np.isfinite(2.0 * bound):
+        indptr, indices = rows.indptr, rows.indices
+        for r in range(target.shape[0]):
+            lo, hi = indptr[r], indptr[r + 1]
+            target[r] = solve_row(other, indices[lo:hi], conf[lo:hi], gram, lam_eye)
+        if np.isfinite(target).all():
+            return
+    raise ValueError(f"ALS diverged: non-finite factors in sweep {sweep} "
+                     f"(alpha {alpha:g}, lambda {lam:g}); lower alpha or raise lambda")

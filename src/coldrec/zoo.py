@@ -50,14 +50,11 @@ class TrainLog:
                 fh.write(f"{epoch}\t{tr:.10f}\t{va:.10f}\n")
 
 
-def build_artist_net(vocab_size: int, k: int, dropout: float = 0.0) -> NetworkSpec:
+def build_artist_net(vocab_size: int, k: int) -> NetworkSpec:
     """Feedforward text net: two wide relu layers, linear unit-norm head."""
     if vocab_size < 1:
         raise ValueError("vocab_size must be >= 1")
-    trunk = []
-    if dropout > 0:
-        trunk.append(LayerSpec("dropout", rate=dropout))
-    trunk += [
+    trunk = [
         LayerSpec("dense", units=ARTIST_HIDDEN), LayerSpec("relu"),
         LayerSpec("dense", units=ARTIST_HIDDEN), LayerSpec("relu"),
         LayerSpec("dense", units=k), LayerSpec("l2norm"),

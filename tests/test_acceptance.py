@@ -262,7 +262,10 @@ def test_enrichment_beats_plain_documents():
         perm = np.random.default_rng(11).permutation(x_train.shape[0])
         n_val = max(1, len(perm) // 5)
         val, fit = np.sort(perm[:n_val]), np.sort(perm[n_val:])
-        net = zoo.build_artist_net(len(vocab.terms), 8, dropout=0.5)
+        plain = zoo.build_artist_net(len(vocab.terms), 8)
+        # input dropout on the tf-idf vector, ahead of the pipeline's artist net
+        net = NetworkSpec(trunk=[LayerSpec("dropout", rate=0.5)] + plain.trunk,
+                          input_shapes=plain.input_shapes, embed_tap=plain.embed_tap + 1)
         tc = zoo.TrainConfig(batch_size=32, max_epochs=80, patience=15, seed=2,
                              lr=0.0005)
         params, _ = zoo.train_mapping(net, x_train[fit], model.item_factors[fit],

@@ -163,6 +163,14 @@ class TestConfig:
         path.write_text("# top\n\nseed = 4  # trailing\n")
         assert parse_kv_file(path) == {"seed": "4"}
 
+    def test_hash_inside_value_round_trips(self, tmp_path):
+        # only a `#` that starts the line or follows whitespace starts a comment
+        path = tmp_path / "c.cfg"
+        write_kv_file(path, {"paths.out": "runs/#3/out", "tag": "a#b"})
+        assert parse_kv_file(path) == {"paths.out": "runs/#3/out", "tag": "a#b"}
+        path.write_text("#top\nseed = 4\t# tab\nname = x#y # note\n")
+        assert parse_kv_file(path) == {"seed": "4", "name": "x#y"}
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("seed = 1\nnot a pair\n")
@@ -445,3 +453,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: training diverged: non-finite .*loss at epoch \d+, "
                             r".*learning rate 1e\+300\n", err), err
+
+    def test_diverging_als_is_data_exit(self, staged_run, tmp_path, capsys, recwarn):
+        """An alpha so high that ALS overflows ends in one error line that names
+        the sweep, alpha and lambda, with no numpy warnings before it."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(out), **{"wmf.songs.alpha": 1e308})
+        assert main(["factorize-songs", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ALS diverged: non-finite factors in sweep \d+ "
+                            r"\(alpha 1e\+308, lambda [0-9.e+-]+\); .*\n", err), err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from coldrec.data import FeedbackMatrix
 from coldrec.evaluate import rank_items
-from coldrec.wmf import FactorModel, WmfConfig, als_objective, factorize_wmf, solve_row
+from coldrec.wmf import (INIT_SCALE, FactorModel, WmfConfig, _half_sweep, als_objective,
+                         factorize_wmf, solve_row)
 
 
 def random_matrix(n_users, n_items, seed=0, density=0.5):
@@ -26,17 +28,50 @@ def brute_objective(x, y, dense, alpha, lam):
     return total + lam * ((x * x).sum() + (y * y).sum())
 
 
+def solve(y, indices, counts, alpha, lam):
+    """solve_row with the per-half-sweep inputs built as _half_sweep builds them."""
+    conf = 1.0 + alpha * np.asarray(counts, dtype=np.float64)
+    return solve_row(y, indices, conf, y.T @ y, lam * np.eye(y.shape[1]))
+
+
+def reference_factorize(m, cfg):
+    """Reference ALS with all work per row: every row casts its counts and rebuilds lam*I,
+    and the item rows are transposed again on every sweep."""
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
+    y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
+
+    def half_sweep(target, other, rows):
+        gram = other.T @ other
+        for r in range(target.shape[0]):
+            lo, hi = rows.indptr[r], rows.indptr[r + 1]
+            if lo == hi:
+                target[r] = np.zeros(cfg.k)
+                continue
+            y_nz = other[rows.indices[lo:hi]]
+            conf = 1.0 + cfg.alpha * rows.data[lo:hi].astype(np.float64)
+            a = gram + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + cfg.lam * np.eye(cfg.k)
+            _, target[r], info = lapack.dposv(a, y_nz.T @ conf)
+            assert info == 0
+
+    csc = m.counts.tocsc()
+    for _ in range(cfg.iterations):
+        half_sweep(x, y, m.counts.tocsr())
+        half_sweep(y, x, csc.T.tocsr())
+    return x, y
+
+
 class TestSolveRow:
     def test_empty_row_is_zero(self):
         y = np.random.default_rng(0).normal(size=(5, 3))
-        x = solve_row(y, np.array([], dtype=int), np.array([]), alpha=10, lam=0.1)
+        x = solve(y, np.array([], dtype=int), np.array([]), alpha=10, lam=0.1)
         assert np.array_equal(x, np.zeros(3))
 
     def test_scalar_closed_form(self):
         # k=1, one item y=1, count=1, alpha=1: x = c/(c + lam) with c = 2
         y = np.array([[1.0]])
         lam = 1e-9
-        x = solve_row(y, np.array([0]), np.array([1]), alpha=1.0, lam=lam)
+        x = solve(y, np.array([0]), np.array([1]), alpha=1.0, lam=lam)
         assert x[0] == pytest.approx(2.0 / (2.0 + lam), rel=1e-9)
 
     def test_matches_dense_solve(self):
@@ -46,7 +81,7 @@ class TestSolveRow:
             counts_dense = (rng.random(8) < 0.6) * rng.integers(1, 5, 8)
             idx = np.flatnonzero(counts_dense)
             alpha, lam = 7.0, 0.05
-            x = solve_row(y, idx, counts_dense[idx], alpha, lam)
+            x = solve(y, idx, counts_dense[idx], alpha, lam)
             conf = 1.0 + alpha * counts_dense
             p = (counts_dense > 0).astype(float)
             a = y.T @ np.diag(conf) @ y + lam * np.eye(4)
@@ -54,33 +89,53 @@ class TestSolveRow:
             expected = np.linalg.solve(a, b)
             assert np.allclose(x, expected, atol=1e-10)
 
-    def test_zero_lambda_rejected(self):
-        y = np.ones((2, 1))
-        with pytest.raises(ValueError):
-            solve_row(y, np.array([0]), np.array([1]), alpha=1.0, lam=0.0)
+    @pytest.mark.parametrize("alpha, lam", [(-10.0, 0.1), (1.0, -10.0)],
+                             ids=["indefinite", "negative-lambda"])
+    def test_bad_system_rejected(self, alpha, lam):
+        y = np.array([[1.0], [1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(y, np.array([1]), np.array([1]), alpha=alpha, lam=lam)
 
-    @pytest.mark.parametrize("y, alpha, error", [
-        (np.array([[np.nan], [1.0]]), 1.0, ValueError),
+
+# direct calls run outside factorize_wmf's errstate, so overflow warns here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestHalfSweepGuard:
+    rows = sp.csr_matrix(np.array([[0, 1]]))
+
+    @pytest.mark.parametrize("y", [
+        np.array([[np.nan], [1.0]]),
         # an infinite factor outside the row's items: the Cholesky solve alone
         # would return a finite 0 here
-        (np.array([[np.inf], [1.0]]), 1.0, ValueError),
-        (np.array([[1.0], [1.0]]), -10.0, np.linalg.LinAlgError),
-    ], ids=["nan", "inf-outside-row", "indefinite"])
-    def test_bad_system_rejected(self, y, alpha, error):
-        with pytest.raises(error):
-            solve_row(y, np.array([1]), np.array([1]), alpha=alpha, lam=0.1)
+        np.array([[np.inf], [1.0]]),
+    ], ids=["nan", "inf-outside-row"])
+    def test_non_finite_other_factors_rejected(self, y):
+        target = np.zeros((1, 1))
+        with pytest.raises(ValueError, match="non-finite factors in sweep 3"):
+            _half_sweep(target, y, self.rows, 1.0, 0.1, sweep=3)
+
+    def test_overflowing_confidence_rejected(self):
+        with pytest.raises(ValueError, match=r"alpha 1e\+308, lambda 0\.1"):
+            _half_sweep(np.zeros((1, 1)), np.array([[2.0], [2.0]]), self.rows * 10,
+                        1e308, 0.1, sweep=1)
+
+    def test_overflowing_output_rejected(self):
+        # every row system is finite (diagonal 4e307), but its right-hand
+        # side, ten entries of 1e308 * 0.2, overflows
+        with pytest.raises(ValueError, match="sweep 1"):
+            _half_sweep(np.zeros((1, 1)), np.full((10, 1), 0.2), sp.csr_matrix(np.ones((1, 10))),
+                        1e308, 0.1, sweep=1)
 
 
 class TestObjective:
     def test_all_zero(self):
         m = FeedbackMatrix(["u"], ["s"], sp.csr_matrix(np.array([[1]])))
         m.counts = sp.csr_matrix((1, 1), dtype=np.int64)
-        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
+        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)))
         assert als_objective(model, m, alpha=40, lam=0.1) == 0.0
 
     def test_single_entry(self):
         m = FeedbackMatrix(["u"], ["s"], sp.csr_matrix([[1]]))
-        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
+        model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)))
         # c = 41, p = 1, prediction 0 -> 41
         assert als_objective(model, m, alpha=40, lam=0.1) == pytest.approx(41.0)
 
@@ -89,7 +144,7 @@ class TestObjective:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 2))
         y = rng.normal(size=(3, 2))
-        model = FactorModel(x, y, 2)
+        model = FactorModel(x, y)
         expected = brute_objective(x, y, m.counts.toarray(), 10.0, 0.3)
         assert als_objective(model, m, 10.0, 0.3) == pytest.approx(expected, rel=1e-12)
 
@@ -107,7 +162,7 @@ class TestObjective:
             model = factorize_wmf(m, cfg)
         else:
             rng = np.random.default_rng(seed)
-            model = FactorModel(rng.normal(size=(n_users, 4)), rng.normal(size=(n_items, 4)), 4)
+            model = FactorModel(rng.normal(size=(n_users, 4)), rng.normal(size=(n_items, 4)))
         x, y = model.user_factors, model.item_factors
         dense = m.counts.toarray()
         pred = x @ y.T
@@ -117,15 +172,52 @@ class TestObjective:
 
     def test_dimension_mismatch(self):
         m = random_matrix(3, 3)
-        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)), 2)
+        model = FactorModel(np.zeros((2, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             als_objective(model, m, 10, 0.1)
+
+    def test_factor_width_mismatch(self):
+        with pytest.raises(ValueError, match="differ in width"):
+            FactorModel(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 class TestFactorize:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, iterations=0))
+
+    def test_zero_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda must be > 0"):
+            factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, lam=0.0))
+
+    def test_alpha_overflow_is_one_value_error(self, recwarn):
+        with pytest.raises(ValueError, match=r"sweep \d+ \(alpha 1e\+308, lambda 0\.01\)"):
+            factorize_wmf(random_matrix(6, 8, seed=2), WmfConfig(k=3, alpha=1e308, seed=1))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("n_users, n_items, density, seed", [
+        (6, 8, 0.5, 0), (30, 20, 0.2, 1), (40, 60, 0.1, 2),
+    ])
+    @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
+    def test_bit_identical_to_per_row_formula(self, n_users, n_items, density, seed, unsorted):
+        m = random_matrix(n_users, n_items, seed=seed, density=density)
+        dense = m.counts.toarray()
+        dense[-1, :] = 0  # an empty user row
+        dense[:, -1] = 0  # an empty item column
+        counts = sp.csr_matrix(dense)
+        if unsorted:
+            # reversed column order within each row, as a summed product may leave it
+            order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                                    for lo, hi in zip(counts.indptr, counts.indptr[1:])])
+            counts = sp.csr_matrix((counts.data[order], counts.indices[order], counts.indptr),
+                                   shape=counts.shape)
+        m = FeedbackMatrix(m.user_ids, m.item_ids, counts)
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=4, seed=seed, early_stop_tol=None)
+        model = factorize_wmf(m, cfg)
+        x, y = reference_factorize(m, cfg)
+        assert np.array_equal(model.user_factors, x)
+        assert np.array_equal(model.item_factors, y)
+        assert np.array_equal(x[-1], np.zeros(4)) and np.array_equal(y[-1], np.zeros(4))
 
     def test_objective_monotone_over_sweeps(self):
         m = random_matrix(6, 8, seed=2)
@@ -161,8 +253,8 @@ class TestFactorize:
         dense = m.counts.toarray()
         u = 0
         row_counts = m.counts.getrow(u)
-        solved = solve_row(model.item_factors, row_counts.indices,
-                           row_counts.data, cfg.alpha, cfg.lam)
+        solved = solve(model.item_factors, row_counts.indices,
+                       row_counts.data, cfg.alpha, cfg.lam)
 
         def partial(row):
             conf = 1.0 + cfg.alpha * dense[u]
@@ -245,7 +337,7 @@ class TestGradientDescentOracle:
         model = factorize_wmf(m, cfg)
         bad_users = model.user_factors * 1.2
         bad_obj = als_objective(
-            FactorModel(bad_users, model.item_factors, cfg.k), m, cfg.alpha, cfg.lam)
+            FactorModel(bad_users, model.item_factors), m, cfg.alpha, cfg.lam)
         _, _, gd_obj = gradient_descent_oracle(
             bad_users, model.item_factors,
             m.counts.toarray().astype(float), cfg.alpha, cfg.lam)

@@ -20,12 +20,6 @@ class TestArtistNet:
         shapes = infer_shapes(net)
         assert shapes[f"trunk/{net.embed_tap % len(net.trunk)}"] == (2048,)
 
-    def test_input_dropout_optional(self):
-        plain = build_artist_net(vocab_size=50, k=8)
-        dropped = build_artist_net(vocab_size=50, k=8, dropout=0.5)
-        assert len(dropped.trunk) == len(plain.trunk) + 1
-        assert dropped.trunk[0].kind == "dropout"
-
     def test_bad_vocab_rejected(self):
         with pytest.raises(ValueError):
             build_artist_net(vocab_size=0, k=8)

@@ -12,12 +12,15 @@ from .wmf import WmfConfig
 from .zoo import TrainConfig
 
 
+# a `#` that starts the line or follows whitespace starts a comment
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def parse_kv_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            # a `#` that starts the line or follows whitespace starts a comment
-            line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -28,9 +31,19 @@ def parse_kv_file(path) -> dict[str, str]:
 
 
 def write_kv_file(path, values: dict) -> None:
+    """Write `key = value` lines; a pair `parse_kv_file` would not read back is a ValueError."""
+    lines = []
+    for key, value in values.items():
+        key, value = str(key), str(value)
+        for text in (key, value):
+            if text != text.strip() or "\n" in text or "\r" in text or _COMMENT.search(text):
+                raise ValueError(f"config key {key!r}: {text!r} would not read back "
+                                 "(newline, `#` after whitespace, or outer whitespace)")
+        if not key or "=" in key:
+            raise ValueError(f"config key {key!r} is empty or holds `=`")
+        lines.append(f"{key} = {value}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in values.items():
-            fh.write(f"{key} = {value}\n")
+        fh.writelines(lines)
 
 
 class _Reader:

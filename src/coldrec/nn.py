@@ -3,8 +3,8 @@
 Layer vocabulary: dense, conv1d_time, maxpool_time, relu, dropout,
 batchnorm, l2norm, flatten, concat. Networks are a flat trunk, optionally
 fed by named input branches that merge at a concat layer. Everything is
-seeded and reproducible; no autodiff, gradients are hand-derived and
-verified by finite differences.
+seeded and reproducible; no autodiff, gradients are hand-derived (the
+tests check them by finite differences).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# elements per in-place Adam block: its scratch stays in cache, not one temporary per tensor
+ADAM_CHUNK = 16384
 
 KINDS = ("dense", "conv1d_time", "maxpool_time", "relu", "dropout",
          "batchnorm", "l2norm", "flatten", "concat")
@@ -212,13 +214,17 @@ def layer_forward(spec: LayerSpec, params: dict, x, mode: str = "train",
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
-def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy):
-    """Gradient of one layer; returns (input gradient, parameter gradients)."""
+def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool = False):
+    """Gradient of one layer; returns (input gradient, parameter gradients).
+
+    ``skip_dx`` leaves out a dense, conv1d_time or batchnorm layer's input
+    gradient (returned as None); `net_backward` sets it where nothing reads it.
+    """
     if spec.kind == "dense":
         x = cache["x"]
-        return dy @ params["W"].T, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+        return None if skip_dx else dy @ params["W"].T, {"W": x.T @ dy, "b": dy.sum(axis=0)}
     if spec.kind == "conv1d_time":
-        return _conv_backward(spec, params, cache, dy)
+        return _conv_backward(spec, params, cache, dy, skip_dx)
     if spec.kind == "maxpool_time":
         return _pool_backward(cache, dy), {}
     if spec.kind == "relu":
@@ -227,7 +233,7 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy):
         mask = cache["mask"]
         return (dy if mask is None else dy * mask), {}
     if spec.kind == "batchnorm":
-        return _bn_backward(params, cache, dy)
+        return _bn_backward(params, cache, dy, skip_dx)
     if spec.kind == "l2norm":
         x, norms = cache["x"], cache["norms"]
         dot = np.sum(x * dy, axis=-1, keepdims=True)
@@ -261,18 +267,21 @@ def _conv_forward(spec: LayerSpec, params: dict, x):
     return y, {"xp": xp}
 
 
-def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy):
+def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool):
     w = params["W"]
     xp = cache["xp"]
     t_out = dy.shape[2]
-    dxp = np.zeros_like(xp)
+    dxp = None if skip_dx else np.zeros_like(xp)
     dw = np.zeros_like(w)
     for dt in range(spec.width):
         dw[:, :, dt] = np.einsum("bft,bct->fc", dy, xp[:, :, dt:dt + t_out], optimize=True)
-        dxp[:, :, dt:dt + t_out] += np.einsum("bft,fc->bct", dy, w[:, :, dt], optimize=True)
-    db = dy.sum(axis=(0, 2))
+        if dxp is not None:
+            dxp[:, :, dt:dt + t_out] += np.einsum("bft,fc->bct", dy, w[:, :, dt], optimize=True)
+    grads = {"W": dw, "b": dy.sum(axis=(0, 2))}
+    if dxp is None:
+        return None, grads
     left = (spec.width - 1) // 2
-    return dxp[:, :, left:left + t_out], {"W": dw, "b": db}
+    return dxp[:, :, left:left + t_out], grads
 
 
 def _pool_segments(t: int, out_steps: int) -> list[tuple[int, int]]:
@@ -330,17 +339,18 @@ def _bn_forward(params: dict, x, mode: str):
     return gamma * xhat + beta, {"xhat": xhat, "inv": inv, "mode": "eval"}
 
 
-def _bn_backward(params: dict, cache: dict, dy):
+def _bn_backward(params: dict, cache: dict, dy, skip_dx: bool):
     gamma = params["gamma"]
     xhat, inv = cache["xhat"], cache["inv"]
-    dgamma = np.sum(dy * xhat, axis=0)
-    dbeta = np.sum(dy, axis=0)
+    grads = {"gamma": np.sum(dy * xhat, axis=0), "beta": np.sum(dy, axis=0)}
+    if skip_dx:
+        return None, grads
     if cache["mode"] == "eval":
-        return dy * gamma * inv, {"gamma": dgamma, "beta": dbeta}
+        return dy * gamma * inv, grads
     n = dy.shape[0]
     dxhat = dy * gamma
     dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * np.sum(dxhat * xhat, axis=0))
-    return dx, {"gamma": dgamma, "beta": dbeta}
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +393,38 @@ def net_forward(net: NetworkSpec, params, inputs, mode: str = "train", seed: int
     return x, caches, acts
 
 
-def net_backward(net: NetworkSpec, params, caches, dy):
-    """Reverse-mode pass; returns ({layer: {tensor: grad}}, input gradient(s))."""
+def _lowest_trained(prefix: str, layers: list[LayerSpec], params) -> int:
+    """Index of the chain's lowest layer with trainable tensors, or len(layers) if none."""
+    return next((i for i in range(len(layers))
+                 if TRAINABLE & params.get(f"{prefix}/{i}", {}).keys()), len(layers))
+
+
+def net_backward(net: NetworkSpec, params, caches, dy) -> dict[str, dict[str, np.ndarray]]:
+    """Reverse-mode pass; returns {layer: {tensor: grad}}.
+
+    Each chain (the trunk, every branch) is walked down to its lowest layer
+    with trainable tensors, whose input gradient is skipped; a branch
+    without one is not walked.
+    """
     grads: dict[str, dict[str, np.ndarray]] = {}
-    g = dy
-    branch_grads = None
-    for i in range(len(net.trunk) - 1, -1, -1):
-        name = f"trunk/{i}"
-        spec = net.trunk[i]
-        g, pg = layer_backward(spec, params.get(name, {}), caches[name], g)
-        if pg:
-            grads[name] = pg
-        if spec.kind == "concat":
-            branch_grads = g
-    if not net.branches:
-        return grads, g
-    din: dict[str, np.ndarray] = {}
-    for bidx, (branch, layers) in enumerate(net.branches.items()):
-        g = branch_grads[bidx]
-        for i in range(len(layers) - 1, -1, -1):
-            name = f"{branch}/{i}"
-            g, pg = layer_backward(layers[i], params.get(name, {}), caches[name], g)
+
+    def walk(prefix, layers, g, stop, skip_dx):
+        for i in range(len(layers) - 1, stop - 1, -1):
+            name = f"{prefix}/{i}"
+            g, pg = layer_backward(layers[i], params.get(name, {}), caches[name], g,
+                                   skip_dx=skip_dx and i == stop)
             if pg:
                 grads[name] = pg
-        din[branch] = g
-    return grads, din
+        return g
+
+    stops = {b: _lowest_trained(b, layers, params) for b, layers in net.branches.items()}
+    if any(stops[b] < len(layers) for b, layers in net.branches.items()):
+        parts = walk("trunk", net.trunk, dy, 0, False)  # down to the concat
+        for part, (branch, layers) in zip(parts, net.branches.items()):
+            walk(branch, layers, part, stops[branch], True)
+    else:
+        walk("trunk", net.trunk, dy, _lowest_trained("trunk", net.trunk, params), True)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +456,9 @@ class AdamState:
     v: dict[str, dict[str, np.ndarray]]
     t: int = 0
     lr: float = 0.001
+    # two blocks of scratch that every update reuses
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)),
+                                 repr=False, compare=False)
 
     @staticmethod
     def for_params(params, lr: float = 0.001) -> "AdamState":
@@ -450,58 +470,38 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState) -> None:
-    """One Adam update, in place over every gradient tensor."""
+    """One Adam update, in place over every gradient tensor.
+
+    Each tensor is walked in blocks of ADAM_CHUNK elements, and every
+    element sees the same float operations in the same order as
+    ``m = m*b1 + (1-b1)*g; v = v*b2 + (1-b2)*g*g;
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``.
+    """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for layer, tensors in grads.items():
         for key, g in tensors.items():
-            m = state.m[layer][key]
-            v = state.v[layer][key]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            params[layer][key] -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-
-# ---------------------------------------------------------------------------
-# Verification
-
-def gradient_check(net: NetworkSpec, params, inputs, target, h: float = 1e-5,
-                   seed: int = 0, samples_per_tensor: int = 5,
-                   check_seed: int = 12345) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The forward seed is fixed, so dropout masks are frozen across the
-    perturbed evaluations.
-    """
-    def loss_at() -> float:
-        out, _, _ = net_forward(net, params, inputs, mode="train", seed=seed)
-        return cosine_loss(out, target)[0]
-
-    out, caches, _ = net_forward(net, params, inputs, mode="train", seed=seed)
-    _, dpred = cosine_loss(out, target)
-    grads, _ = net_backward(net, params, caches, dpred)
-
-    rng = np.random.default_rng(check_seed)
-    worst = 0.0
-    for layer in sorted(grads):
-        for key in sorted(grads[layer]):
-            tensor = params[layer][key]
-            flat = tensor.reshape(-1)
-            n = flat.size
-            coords = rng.choice(n, size=min(samples_per_tensor, n), replace=False)
-            for c in coords:
-                orig = flat[c]
-                flat[c] = orig + h
-                up = loss_at()
-                flat[c] = orig - h
-                down = loss_at()
-                flat[c] = orig
-                numeric = (up - down) / (2 * h)
-                analytic = grads[layer][key].reshape(-1)[c]
-                denom = max(abs(analytic), abs(numeric), 1e-8)
-                worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
+            p = params[layer][key]
+            if not p.flags.c_contiguous:
+                raise ValueError(f"Adam updates {layer}/{key} in place, so it must be C-contiguous")
+            flat = (p.reshape(-1), g.reshape(-1), state.m[layer][key].reshape(-1),
+                    state.v[layer][key].reshape(-1))
+            for lo in range(0, g.size, ADAM_CHUNK):
+                pc, gc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
+                s, u = state.scratch[:, :gc.size]
+                np.multiply(1 - b1, gc, out=s)
+                mc *= b1
+                mc += s
+                np.multiply(1 - b2, gc, out=s)
+                s *= gc
+                vc *= b2
+                vc += s
+                np.divide(vc, bc2, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                np.divide(mc, bc1, out=u)
+                u *= state.lr
+                u /= s
+                pc -= u

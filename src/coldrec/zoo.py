@@ -195,7 +195,7 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
                                  f"batch offset {start}, learning rate {cfg.lr:g}")
-            grads, _ = nn.net_backward(net, params, caches, dpred)
+            grads = nn.net_backward(net, params, caches, dpred)
             nn.adam_step(params, grads, state)
             train_loss += loss * len(idx)
         train_loss /= n

@@ -22,10 +22,11 @@ from coldrec import evaluate as ev
 from coldrec import matrixio, synth, textfeat, zoo
 from coldrec.config import load_pipeline_config, write_kv_file
 from coldrec.data import aggregate_to_artist, split_by_artist
-from coldrec.nn import LayerSpec, NetworkSpec, gradient_check, infer_shapes, init_params
+from coldrec.nn import LayerSpec, NetworkSpec, infer_shapes, init_params
 from coldrec.pipeline import STAGES, run_stage
 from coldrec.wmf import WmfConfig, als_objective, factorize_wmf
 
+from gradcheck import gradient_check
 from test_wmf import gradient_descent_oracle, random_matrix
 
 

@@ -43,3 +43,32 @@ def test_bench_tracer_patches_existing_names_and_restores_them():
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
     for m in modules:
         assert dict(vars(m)) == before[m], m.__name__
+
+
+def test_bench_tracer_counts_adam_updates_and_pruned_backward():
+    """A 2-step training run under the tracer: the Adam counter reads every
+    updated element, and backward spans stop at the lowest trained layer."""
+    import numpy as np
+
+    from coldrec import zoo
+    from coldrec.nn import LayerSpec, NetworkSpec
+
+    tracing = load_tracing()
+    net = NetworkSpec(trunk=[LayerSpec("dropout", rate=0.5), LayerSpec("relu"),
+                             LayerSpec("dense", units=3), LayerSpec("l2norm")],
+                      input_shapes={"": (5,)})
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(8, 5)), rng.normal(size=(8, 3))
+    cfg = zoo.TrainConfig(batch_size=4, max_epochs=1, patience=1)
+    tracer = tracing.Tracer("t")
+    try:
+        tracing.install(tracer)
+        zoo.train_mapping(net, x, y, x[:2], y[:2], cfg)
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.finished()]
+    steps = names.count("nn.adam_step")
+    assert steps == 2
+    assert tracer.counters["nn.adam_step.param_updates"] == steps * (5 * 3 + 3)
+    backward = sorted(n for n in names if n.startswith("nn.layer_backward."))
+    assert backward == ["nn.layer_backward.dense"] * steps + ["nn.layer_backward.l2norm"] * steps

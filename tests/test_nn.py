@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from coldrec import nn
-from coldrec.nn import (AdamState, LayerSpec, NetworkSpec, ShapeError,
-                        adam_step, cosine_loss, gradient_check, infer_shapes,
-                        init_params, layer_backward, layer_forward,
-                        net_backward, net_forward)
+from coldrec import nn, zoo
+from coldrec.nn import (ADAM_CHUNK, AdamState, LayerSpec, NetworkSpec, ShapeError,
+                        adam_step, cosine_loss, infer_shapes, init_params,
+                        layer_backward, layer_forward, net_backward, net_forward)
+
+from gradcheck import gradient_check
 
 
 class TestLayerForward:
@@ -122,21 +123,24 @@ class TestLayerBackward:
 
 
 def fd_layer_check(spec, in_shape, batch=3, seed=0, mode="train", h=1e-6):
-    """Central-difference check of one layer embedded in a scalar loss."""
+    """Central-difference check of one layer's input and parameter gradients."""
     rng = np.random.default_rng(seed)
     net = NetworkSpec(trunk=[spec], input_shapes={"": in_shape})
-    params = init_params(net, seed)
+    params = init_params(net, seed)["trunk/0"]
     x = rng.normal(size=(batch,) + in_shape)
     if spec.kind == "relu":
         x = np.where(np.abs(x) < 1e-3, 1e-3, x)  # keep away from the kink
     w = rng.normal(size=(batch,) + infer_shapes(net)["trunk/0"])
 
-    def loss():
-        y, _, _ = net_forward(net, params, x, mode=mode, seed=7)
-        return float(np.sum(w * y))
+    def forward():
+        # the dropout stream net_forward(seed=7) gives a net's first layer
+        return layer_forward(spec, params, x, mode, np.random.default_rng([7, 0]))
 
-    y, caches, _ = net_forward(net, params, x, mode=mode, seed=7)
-    grads, dx = net_backward(net, params, caches, w)
+    def loss():
+        return float(np.sum(w * forward()[0]))
+
+    _, cache = forward()
+    dx, grads = layer_backward(spec, params, cache, w)
 
     worst = 0.0
     flat_x = x.reshape(-1)
@@ -151,19 +155,18 @@ def fd_layer_check(spec, in_shape, batch=3, seed=0, mode="train", h=1e-6):
         flat_x[c] = orig
         num = (up - down) / (2 * h)
         worst = max(worst, abs(num - flat_dx[c]) / max(abs(num), abs(flat_dx[c]), 1e-8))
-    for layer in grads:
-        for key in grads[layer]:
-            tensor = params[layer][key].reshape(-1)
-            g = grads[layer][key].reshape(-1)
-            for c in check.choice(tensor.size, size=min(10, tensor.size), replace=False):
-                orig = tensor[c]
-                tensor[c] = orig + h
-                up = loss()
-                tensor[c] = orig - h
-                down = loss()
-                tensor[c] = orig
-                num = (up - down) / (2 * h)
-                worst = max(worst, abs(num - g[c]) / max(abs(num), abs(g[c]), 1e-8))
+    for key in grads:
+        tensor = params[key].reshape(-1)
+        g = grads[key].reshape(-1)
+        for c in check.choice(tensor.size, size=min(10, tensor.size), replace=False):
+            orig = tensor[c]
+            tensor[c] = orig + h
+            up = loss()
+            tensor[c] = orig - h
+            down = loss()
+            tensor[c] = orig
+            num = (up - down) / (2 * h)
+            worst = max(worst, abs(num - g[c]) / max(abs(num), abs(g[c]), 1e-8))
     return worst
 
 
@@ -321,6 +324,139 @@ class TestAdam:
             assert params["trunk/0"]["W"][0, 0] == pytest.approx(theta, abs=1e-12)
 
 
+    def test_chunked_update_bit_identical_to_per_tensor_formula(self):
+        rng = np.random.default_rng(0)
+        shapes = [(1,), (ADAM_CHUNK - 1,), (ADAM_CHUNK,), (5, (ADAM_CHUNK + 1) // 5),
+                  (3 * ADAM_CHUNK + 5,)]
+        assert [int(np.prod(s)) for s in shapes] == [1, ADAM_CHUNK - 1, ADAM_CHUNK,
+                                                     ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5]
+        params = {f"trunk/{i}": {"W": rng.normal(size=s)} for i, s in enumerate(shapes)}
+        oracle = {layer: {k: t.copy() for k, t in ts.items()} for layer, ts in params.items()}
+        m = {layer: {k: np.zeros_like(t) for k, t in ts.items()} for layer, ts in params.items()}
+        v = {layer: {k: np.zeros_like(t) for k, t in ts.items()} for layer, ts in params.items()}
+        state = AdamState.for_params(params, lr=0.01)
+        for t in (1, 2, 3):
+            grads = {layer: {k: rng.normal(size=x.shape) * 10.0**rng.integers(-6, 3, x.shape)
+                             for k, x in ts.items()} for layer, ts in params.items()}
+            grads["trunk/4"]["W"][::7] = 0.0
+            adam_step(params, grads, state)
+            # the per-tensor update as written before blocking, float order and all
+            b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for layer, tensors in grads.items():
+                for key, g in tensors.items():
+                    mk, vk = m[layer][key], v[layer][key]
+                    mk *= b1
+                    mk += (1 - b1) * g
+                    vk *= b2
+                    vk += (1 - b2) * g * g
+                    oracle[layer][key] -= 0.01 * (mk / bc1) / (np.sqrt(vk / bc2) + nn.ADAM_EPS)
+            for layer in params:
+                assert np.array_equal(params[layer]["W"], oracle[layer]["W"]), (t, layer)
+                assert np.array_equal(state.m[layer]["W"], m[layer]["W"]), (t, layer)
+                assert np.array_equal(state.v[layer]["W"], v[layer]["W"]), (t, layer)
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"trunk/0": {"W": np.zeros((4, 3))}}
+        state = AdamState.for_params(params)
+        params["trunk/0"]["W"] = np.zeros((3, 4)).T
+        with pytest.raises(ValueError, match="trunk/0/W"):
+            adam_step(params, {"trunk/0": {"W": np.ones((4, 3))}}, state)
+
+
+def zoo_nets():
+    """The five mapping nets the pipeline trains, small, with a batch of inputs each."""
+    rng = np.random.default_rng(2)
+    feats = {"artist": rng.normal(size=(4, 12)), "track": rng.normal(size=(4, 10))}
+    return {
+        "artist": (zoo.build_artist_net(vocab_size=30, k=8), np.abs(rng.normal(size=(4, 30)))),
+        "track": (zoo.build_track_net(bins=6, frames=64, k=8, scale=1 / 64),
+                  rng.normal(size=(4, 6, 64))),
+        "fusion-lin": (zoo.build_fusion_net("lin", 12, 10, 8), feats),
+        "fusion-h1": (zoo.build_fusion_net("h1", 12, 10, 8), feats),
+        "sememb": (zoo.build_single_branch_net(12, 8), feats["artist"]),
+    }
+
+
+def backward_pass(net, inputs):
+    """Train-mode forward and net_backward on a cosine loss; returns (params, caches, dy, grads)."""
+    params = init_params(net, 1)
+    out, caches, _ = net_forward(net, params, inputs, mode="train", seed=5)
+    target = np.random.default_rng(3).normal(size=out.shape)
+    _, dy = cosine_loss(out, target)
+    return params, caches, dy, net_backward(net, params, caches, dy)
+
+
+def full_backward(net, params, caches, dy):
+    """Every layer's backward, input gradients included, from the output down."""
+    grads = {}
+
+    def walk(prefix, layers, g):
+        for i in range(len(layers) - 1, -1, -1):
+            name = f"{prefix}/{i}"
+            g, pg = layer_backward(layers[i], params.get(name, {}), caches[name], g)
+            if pg:
+                grads[name] = pg
+        return g
+
+    g = walk("trunk", net.trunk, dy)
+    for part, (branch, layers) in zip(g if net.branches else [], net.branches.items()):
+        walk(branch, layers, part)
+    return grads
+
+
+class TestPrunedBackward:
+    @pytest.mark.parametrize("name", ["artist", "track", "fusion-lin", "fusion-h1", "sememb"])
+    def test_gradients_bit_identical_to_full_backward(self, name):
+        net, inputs = zoo_nets()[name]
+        params, caches, dy, grads = backward_pass(net, inputs)
+        want = full_backward(net, params, caches, dy)
+        assert {layer: set(ts) for layer, ts in grads.items()} == \
+            {layer: set(ts) for layer, ts in want.items()}
+        for layer, tensors in want.items():
+            for key, g in tensors.items():
+                assert np.array_equal(grads[layer][key], g), (layer, key)
+
+    def _recorded_walk(self, monkeypatch, name):
+        calls = []
+        real = nn.layer_backward
+
+        def recording(spec, params, cache, dy, skip_dx=False):
+            calls.append((spec, skip_dx))
+            return real(spec, params, cache, dy, skip_dx)
+
+        monkeypatch.setattr(nn, "layer_backward", recording)
+        net, inputs = zoo_nets()[name]
+        backward_pass(net, inputs)
+        return net, calls
+
+    def test_fusion_lin_walks_only_its_head(self, monkeypatch):
+        net, calls = self._recorded_walk(monkeypatch, "fusion-lin")
+        assert len(calls) == 2
+        assert calls[0][0] is net.trunk[2] and not calls[0][1]
+        assert calls[1][0] is net.trunk[1] and calls[1][1]
+
+    def test_track_first_conv_skips_input_gradient(self, monkeypatch):
+        net, calls = self._recorded_walk(monkeypatch, "track")
+        assert len(calls) == len(net.trunk)
+        for (spec, skip), i in zip(calls, range(len(net.trunk) - 1, -1, -1)):
+            assert spec is net.trunk[i] and skip == (i == 0), i
+
+    def test_fusion_h1_stops_at_branch_batchnorm(self, monkeypatch):
+        net, calls = self._recorded_walk(monkeypatch, "fusion-h1")
+        # trunk l2norm, dense, concat; then each branch relu, dense, dropout, batchnorm
+        assert [skip for _, skip in calls] == [False] * 3 + ([False] * 3 + [True]) * 2
+        assert calls[6][0] is net.branches["artist"][0]
+
+    def test_untrainable_net_walks_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nn, "layer_backward", lambda *a, **k: calls.append(a))
+        net = NetworkSpec(trunk=[LayerSpec("relu"), LayerSpec("l2norm")], input_shapes={"": (3,)})
+        x = np.random.default_rng(0).normal(size=(2, 3))
+        _, caches, _ = net_forward(net, init_params(net, 0), x)
+        assert net_backward(net, {}, caches, x) == {} and calls == []
+
+
 class TestGradientCheck:
     def test_linear_net_tight(self):
         net = NetworkSpec(trunk=[LayerSpec("dense", units=3)], input_shapes={"": (4,)})
@@ -354,7 +490,7 @@ class TestGradientCheck:
         x, t = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
         out, caches, _ = net_forward(net, params, x, mode="train", seed=0)
         _, dpred = cosine_loss(out, t)
-        grads, _ = net_backward(net, params, caches, dpred)
+        grads = net_backward(net, params, caches, dpred)
         from coldrec.nn import cosine_loss as cl
 
         def loss_at():

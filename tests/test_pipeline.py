@@ -155,8 +155,8 @@ class TestSynth:
 class TestConfig:
     def test_kv_round_trip(self, tmp_path):
         path = tmp_path / "c.cfg"
-        write_kv_file(path, {"a.b": "1", "c": "x y"})
-        assert parse_kv_file(path) == {"a.b": "1", "c": "x y"}
+        write_kv_file(path, {"a.b": "1", "c": "x y", "d e": "", "f": "g=h"})
+        assert parse_kv_file(path) == {"a.b": "1", "c": "x y", "d e": "", "f": "g=h"}
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -170,6 +170,17 @@ class TestConfig:
         assert parse_kv_file(path) == {"paths.out": "runs/#3/out", "tag": "a#b"}
         path.write_text("#top\nseed = 4\t# tab\nname = x#y # note\n")
         assert parse_kv_file(path) == {"seed": "4", "name": "x#y"}
+
+    @pytest.mark.parametrize("key,value", [
+        ("paths.out", "runs/a #3"), ("b", " pad "), ("b", "pad\t"), ("c", "x\ny=1"),
+        ("c", "x\ry"), ("d", "#3"), ("#g", "1"), (" h", "1"), ("i\nj", "1"),
+        ("k=l", "1"), ("", "1"),
+    ])
+    def test_value_that_would_not_read_back_rejected(self, tmp_path, key, value):
+        path = tmp_path / "c.cfg"
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            write_kv_file(path, {"ok": "1", key: value})
+        assert not path.exists()
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -12,38 +12,33 @@ from .wmf import WmfConfig
 from .zoo import TrainConfig
 
 
-# a `#` that starts the line or follows whitespace starts a comment
-_COMMENT = re.compile(r"(?<!\S)#")
+def _split(line: str) -> tuple[str, str, str]:
+    """A line's stripped (key, "=", value); `#` at its start or after whitespace opens a comment."""
+    key, eq, value = re.split(r"(?<!\S)#", line, maxsplit=1)[0].partition("=")
+    return key.strip(), eq, value.strip()
 
 
 def parse_kv_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
+            key, eq, value = _split(raw)
+            if key and not eq:
                 raise DataError(f"{path}:{lineno}: expected `key = value`")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            if eq:
+                values[key] = value
     return values
 
 
 def write_kv_file(path, values: dict) -> None:
     """Write `key = value` lines; a pair `parse_kv_file` would not read back is a ValueError."""
-    lines = []
-    for key, value in values.items():
-        key, value = str(key), str(value)
-        for text in (key, value):
-            if text != text.strip() or "\n" in text or "\r" in text or _COMMENT.search(text):
-                raise ValueError(f"config key {key!r}: {text!r} would not read back "
-                                 "(newline, `#` after whitespace, or outer whitespace)")
-        if not key or "=" in key:
-            raise ValueError(f"config key {key!r} is empty or holds `=`")
-        lines.append(f"{key} = {value}\n")
+    pairs = [(str(key), str(value)) for key, value in values.items()]
+    for key, value in pairs:
+        line = f"{key} = {value}"
+        if not key or "\n" in line or "\r" in line or _split(line) != (key, "=", value):
+            raise ValueError(f"config key {key!r}: {line!r} would not read back")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.writelines(f"{key} = {value}\n" for key, value in pairs)
 
 
 class _Reader:

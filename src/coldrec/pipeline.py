@@ -18,7 +18,7 @@ from .data import (ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
                    load_artist_map, load_assignment, load_triples, save_split,
                    split_by_artist)
 from .nn import NetworkSpec
-from .wmf import FactorModel, factorize_wmf
+from .wmf import factorize_wmf
 
 # fraction of each trained net's rows held out for early stopping
 VAL_FRACTION = 0.1
@@ -74,12 +74,37 @@ def run_stage(cfg: PipelineConfig, stage: str) -> None:
     STAGE_TABLE[stage].run(cfg)
 
 
+def _producer(rel: str) -> str:
+    return next(name for name, s in STAGE_TABLE.items() if rel in s.writes)
+
+
 def _require(cfg: PipelineConfig, rel: str) -> str:
     path = cfg.out(rel)
     if not os.path.exists(path):
-        producer = next(name for name, s in STAGE_TABLE.items() if rel in s.writes)
-        raise StageError(f"missing artifact {rel!r}; run stage {producer!r} first")
+        raise StageError(f"missing artifact {rel!r}; run stage {_producer(rel)!r} first")
     return path
+
+
+def _table(*names: str) -> tuple[str, ...]:
+    """The files of each named row table: `<name>.csmx` holds one section,
+    `rows`, and `<name>.ids` one id per row, in row order."""
+    return tuple(f"{name}.{ext}" for name in names for ext in ("csmx", "ids"))
+
+
+def _save_rows(cfg: PipelineConfig, name: str, rows: np.ndarray, ids: list[str]) -> None:
+    matrixio.save_matrix(cfg.out(f"{name}.csmx"), {"rows": rows})
+    matrixio.save_ids(cfg.out(f"{name}.ids"), ids)
+
+
+def _load_rows(cfg: PipelineConfig, name: str):
+    """A row table's rows, ids and id -> row index; ids and rows must pair up."""
+    sections = matrixio.load_matrix(_require(cfg, f"{name}.csmx"))
+    ids = matrixio.load_ids(_require(cfg, f"{name}.ids"))
+    rows = sections.get("rows", ())
+    if list(sections) != ["rows"] or len(ids) != len(rows):
+        raise StageError(f"row table {name!r} has {len(ids)} ids for {len(rows)} rows in "
+                         f"sections {list(sections)}; rerun stage {_producer(f'{name}.ids')!r}")
+    return rows, ids, {i: r for r, i in enumerate(ids)}
 
 
 # ---------------------------------------------------------------------------
@@ -96,30 +121,12 @@ def _load_split(cfg: PipelineConfig, part: str) -> FeedbackMatrix:
     return load_triples(_require(cfg, f"splits/{part}.tsv"))
 
 
-def _save_factors(cfg: PipelineConfig, name: str, model: FactorModel,
-                  user_ids, item_ids) -> None:
-    matrixio.save_matrix(cfg.out(f"{name}.csmx"),
-                         {"user_factors": model.user_factors,
-                          "item_factors": model.item_factors})
-    matrixio.save_ids(cfg.out(f"{name}.users.ids"), user_ids)
-    matrixio.save_ids(cfg.out(f"{name}.items.ids"), item_ids)
-
-
-def _load_ids(cfg: PipelineConfig, rel: str) -> list[str]:
-    return matrixio.load_ids(_require(cfg, rel))
-
-
-def _load_factors(cfg: PipelineConfig, name: str):
-    sections = matrixio.load_matrix(_require(cfg, f"{name}.csmx"))
-    return (sections["user_factors"], sections["item_factors"],
-            _load_ids(cfg, f"{name}.users.ids"), _load_ids(cfg, f"{name}.items.ids"))
-
-
 def _stage_factorize_songs(cfg: PipelineConfig) -> None:
     train = _load_split(cfg, "train")
     wmf_cfg = dataclasses.replace(cfg.wmf_songs, seed=stage_seed(cfg.seed, "factorize-songs"))
     model = factorize_wmf(train, wmf_cfg)
-    _save_factors(cfg, "factors_songs", model, train.user_ids, train.item_ids)
+    _save_rows(cfg, "factors_songs.users", model.user_factors, train.user_ids)
+    _save_rows(cfg, "factors_songs.items", model.item_factors, train.item_ids)
 
 
 def _stage_factorize_artists(cfg: PipelineConfig) -> None:
@@ -128,7 +135,8 @@ def _stage_factorize_artists(cfg: PipelineConfig) -> None:
     r = aggregate_to_artist(train, am)
     wmf_cfg = dataclasses.replace(cfg.wmf_artists, seed=stage_seed(cfg.seed, "factorize-artists"))
     model = factorize_wmf(r, wmf_cfg)
-    _save_factors(cfg, "factors_artists", model, r.user_ids, r.item_ids)
+    _save_rows(cfg, "factors_artists.users", model.user_factors, r.user_ids)
+    _save_rows(cfg, "factors_artists.items", model.item_factors, r.item_ids)
 
 
 def _stage_enrich(cfg: PipelineConfig) -> None:
@@ -154,8 +162,7 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
                    "n_docs": vocab.n_docs}, fh)
         fh.write("\n")
     features = textfeat.tfidf_matrix(docs, vocab)
-    matrixio.save_matrix(cfg.out("features_text.csmx"), {"tfidf": features})
-    matrixio.save_ids(cfg.out("features_text.ids"), [d.artist_id for d in docs])
+    _save_rows(cfg, "features_text", features, [d.artist_id for d in docs])
 
 
 def _fit_val_split(n: int, seed: int):
@@ -166,25 +173,18 @@ def _fit_val_split(n: int, seed: int):
 
 
 def _stage_train_artist(cfg: PipelineConfig) -> None:
-    feats = matrixio.load_matrix(_require(cfg, "features_text.csmx"))["tfidf"]
-    feat_ids = _load_ids(cfg, "features_text.ids")
-    _, artist_factors, _, artist_ids = _load_factors(cfg, "factors_artists")
-    rows = _align_rows(feat_ids, artist_ids)
-    x = feats[[r[0] for r in rows]]
-    y = artist_factors[[r[1] for r in rows]]
+    feats, _, feat_index = _load_rows(cfg, "features_text")
+    artist_factors, artist_ids, factor_index = _load_rows(cfg, "factors_artists.items")
+    artists = [a for a in artist_ids if a in feat_index]  # those with a document
+    x = feats[[feat_index[a] for a in artists]]
+    y = artist_factors[[factor_index[a] for a in artists]]
     seed = stage_seed(cfg.seed, "train-artist")
-    fit, val = _fit_val_split(len(rows), seed)
+    fit, val = _fit_val_split(len(artists), seed)
     net = zoo.build_artist_net(x.shape[1], y.shape[1])
     tc = dataclasses.replace(cfg.train_artist, seed=seed)
     params, log = zoo.train_mapping(net, x[fit], y[fit], x[val], y[val], tc)
     matrixio.save_params(cfg.out("params_artist.csmx"), params)
     log.write_tsv(cfg.out("log_artist.tsv"))
-
-
-def _align_rows(feature_ids: list[str], factor_ids: list[str]):
-    """(feature row, factor row) index pairs for ids present in both."""
-    feat_index = {fid: i for i, fid in enumerate(feature_ids)}
-    return [(feat_index[fid], j) for j, fid in enumerate(factor_ids) if fid in feat_index]
 
 
 class PatchProvider:
@@ -210,7 +210,7 @@ class PatchProvider:
 
 
 def _stage_train_track(cfg: PipelineConfig) -> None:
-    _, song_factors, _, song_ids = _load_factors(cfg, "factors_songs")
+    song_factors, song_ids, _ = _load_rows(cfg, "factors_songs.items")
     seed = stage_seed(cfg.seed, "train-track")
     patch_len = cfg.patch_frames
     fit, val = _fit_val_split(len(song_ids), seed)
@@ -249,15 +249,13 @@ def _all_song_ids(cfg: PipelineConfig) -> list[str]:
 
 def _stage_extract(cfg: PipelineConfig) -> None:
     # artist embeddings for every artist with a document
-    feats = matrixio.load_matrix(_require(cfg, "features_text.csmx"))["tfidf"]
-    feat_ids = _load_ids(cfg, "features_text.ids")
+    feats, feat_ids, _ = _load_rows(cfg, "features_text")
     artist_params = matrixio.load_params(_require(cfg, "params_artist.csmx"))
     # the net's output width k is the bias length of its last dense layer
     k = next(t["b"] for t in reversed(artist_params.values()) if "b" in t).shape[0]
     artist_net = zoo.build_artist_net(feats.shape[1], k)
     emb_a, _ = zoo.extract_embeddings(artist_net, artist_params, feats)
-    matrixio.save_matrix(cfg.out("embeddings_artist.csmx"), {"embeddings": emb_a})
-    matrixio.save_ids(cfg.out("embeddings_artist.ids"), feat_ids)
+    _save_rows(cfg, "embeddings_artist", emb_a, feat_ids)
 
     # track embeddings for every song, one fixed eval patch each
     track_net, meta = _track_net(cfg)
@@ -268,21 +266,13 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     # one pass yields the embeddings and the track net's own factor
     # predictions, which `evaluate` reuses as the audio approach
     emb_t, preds = zoo.extract_embeddings(track_net, track_params, provider(0))
-    matrixio.save_matrix(cfg.out("embeddings_track.csmx"), {"embeddings": emb_t})
-    matrixio.save_ids(cfg.out("embeddings_track.ids"), song_ids)
-    matrixio.save_matrix(cfg.out("predictions_audio.csmx"), {"factors": preds})
-    matrixio.save_ids(cfg.out("predictions_audio.ids"), song_ids)
-
-
-def _load_embeddings(cfg: PipelineConfig, name: str):
-    vectors = matrixio.load_matrix(_require(cfg, f"{name}.csmx"))["embeddings"]
-    ids = _load_ids(cfg, f"{name}.ids")
-    return vectors, {i: j for j, i in enumerate(ids)}
+    _save_rows(cfg, "embeddings_track", emb_t, song_ids)
+    _save_rows(cfg, "predictions_audio", preds, song_ids)
 
 
 def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], am: ArtistMap):
-    emb_a, a_index = _load_embeddings(cfg, "embeddings_artist")
-    emb_t, t_index = _load_embeddings(cfg, "embeddings_track")
+    emb_a, _, a_index = _load_rows(cfg, "embeddings_artist")
+    emb_t, _, t_index = _load_rows(cfg, "embeddings_track")
     missing = sorted({am.artist_of(s) for s in song_ids} - a_index.keys())
     if missing:
         raise StageError(f"no artist embedding for {len(missing)} artist(s) "
@@ -303,7 +293,7 @@ def _head_inputs(net: NetworkSpec, inputs: dict[str, np.ndarray]):
 
 
 def _stage_train_fusion(cfg: PipelineConfig) -> None:
-    _, song_factors, _, song_ids = _load_factors(cfg, "factors_songs")
+    song_factors, song_ids, _ = _load_rows(cfg, "factors_songs.items")
     inputs = _fusion_inputs(cfg, song_ids, load_artist_map(cfg.artist_map))
     seed = stage_seed(cfg.seed, "train-fusion")
     fit, val = _fit_val_split(len(song_ids), seed)
@@ -320,26 +310,19 @@ def _stage_train_fusion(cfg: PipelineConfig) -> None:
 
 def _stage_evaluate(cfg: PipelineConfig) -> None:
     test = _load_split(cfg, "test")
-    user_factors, _, train_users, _ = _load_factors(cfg, "factors_songs")
+    users, _, user_index = _load_rows(cfg, "factors_songs.users")
     # a test user without training plays has no user factor: every approach skips them
-    n_cold_users = 0
-    if train_users != test.user_ids:
-        user_index = {u: i for i, u in enumerate(train_users)}
-        keep = [r for r, u in enumerate(test.user_ids) if u in user_index]
-        n_cold_users = test.n_users - len(keep)
-        if n_cold_users:
-            test = FeedbackMatrix([test.user_ids[r] for r in keep], test.item_ids,
-                                  test.counts[keep])
-        user_factors = user_factors[[user_index[u] for u in test.user_ids]]
+    keep = [r for r, u in enumerate(test.user_ids) if u in user_index]
+    n_cold_users = test.n_users - len(keep)
+    if n_cold_users:
+        test = FeedbackMatrix([test.user_ids[r] for r in keep], test.item_ids,
+                              test.counts[keep])
+    user_factors = users[[user_index[u] for u in test.user_ids]]
     k = user_factors.shape[1]
 
-    predictions: dict[str, np.ndarray] = {}
-
     # audio: the track network's own factor predictions
-    preds = matrixio.load_matrix(_require(cfg, "predictions_audio.csmx"))["factors"]
-    pred_ids = _load_ids(cfg, "predictions_audio.ids")
-    p_index = {s: i for i, s in enumerate(pred_ids)}
-    predictions["audio"] = preds[[p_index[s] for s in test.item_ids]]
+    preds, _, pred_index = _load_rows(cfg, "predictions_audio")
+    predictions = {"audio": preds[[pred_index[s] for s in test.item_ids]]}
 
     inputs = _fusion_inputs(cfg, test.item_ids, load_artist_map(cfg.artist_map))
     for approach, head in HEADS.items():
@@ -382,20 +365,17 @@ def _stage_report(cfg: PipelineConfig) -> None:
 STAGE_TABLE = {
     "split": Stage(_stage_split, ("splits/train.tsv", "splits/val.tsv", "splits/test.tsv",
                                   "splits/artist_assignment.tsv")),
-    "factorize-songs": Stage(_stage_factorize_songs, (
-        "factors_songs.csmx", "factors_songs.users.ids", "factors_songs.items.ids")),
-    "factorize-artists": Stage(_stage_factorize_artists, (
-        "factors_artists.csmx", "factors_artists.users.ids", "factors_artists.items.ids")),
+    "factorize-songs": Stage(_stage_factorize_songs,
+                             _table("factors_songs.users", "factors_songs.items")),
+    "factorize-artists": Stage(_stage_factorize_artists,
+                               _table("factors_artists.users", "factors_artists.items")),
     "enrich": Stage(_stage_enrich, ("enriched_docs.jsonl",)),
-    "vectorize": Stage(_stage_vectorize, ("vocab.json", "features_text.csmx",
-                                          "features_text.ids")),
+    "vectorize": Stage(_stage_vectorize, ("vocab.json",) + _table("features_text")),
     "train-artist": Stage(_stage_train_artist, ("params_artist.csmx", "log_artist.tsv")),
     "train-track": Stage(_stage_train_track, ("params_track.csmx", "log_track.tsv",
                                               "track_net.json")),
-    "extract": Stage(_stage_extract, (
-        "embeddings_artist.csmx", "embeddings_artist.ids",
-        "embeddings_track.csmx", "embeddings_track.ids",
-        "predictions_audio.csmx", "predictions_audio.ids")),
+    "extract": Stage(_stage_extract,
+                     _table("embeddings_artist", "embeddings_track", "predictions_audio")),
     "train-fusion": Stage(_stage_train_fusion,
                           tuple(f for h in HEADS.values() for f in (h.params, h.log))),
     "evaluate": Stage(_stage_evaluate,

@@ -141,11 +141,6 @@ def build_single_branch_net(dim: int, k: int) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 # Training
 
-def _maybe_call(features, epoch: int):
-    """Features may be a fixed matrix/dict or an epoch -> features provider."""
-    return features(epoch) if callable(features) else features
-
-
 def _take(features, idx):
     if isinstance(features, dict):
         return {k: v[idx] for k, v in features.items()}
@@ -171,10 +166,6 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     """
     cfg.validate()
     n = targets.shape[0]
-    feats0 = _maybe_call(features, 0)
-    n_feat = next(iter(feats0.values())).shape[0] if isinstance(feats0, dict) else feats0.shape[0]
-    if n_feat != n:
-        raise ValueError(f"{n_feat} feature rows vs {n} target rows")
     if len(val_targets) == 0:
         raise ValueError("early stopping needs at least one validation row")
     params = nn.init_params(net, cfg.seed)
@@ -184,7 +175,10 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     best_params = _copy_params(params)
     since_best = 0
     for epoch in range(cfg.max_epochs):
-        feats = _maybe_call(features, epoch)
+        feats = features(epoch) if callable(features) else features
+        n_feat = next(iter(feats.values())).shape[0] if isinstance(feats, dict) else feats.shape[0]
+        if n_feat != n:
+            raise ValueError(f"{n_feat} feature rows vs {n} target rows")
         order = shuffle_rng.permutation(n)
         train_loss = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -199,7 +193,7 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
             nn.adam_step(params, grads, state)
             train_loss += loss * len(idx)
         train_loss /= n
-        val_loss = eval_loss(net, params, _maybe_call(val_features, epoch), val_targets)
+        val_loss = eval_loss(net, params, val_features, val_targets)
         if not math.isfinite(val_loss):
             raise ValueError(f"training diverged: non-finite validation loss at epoch {epoch}, "
                              f"learning rate {cfg.lr:g}")

@@ -288,11 +288,11 @@ def test_enrichment_beats_plain_documents():
 
 def test_trained_networks_predict_unit_norm_rows(e2e_run):
     cfg, _ = e2e_run
-    preds = matrixio.load_matrix(cfg.out("predictions_audio.csmx"))["factors"]
+    preds = matrixio.load_matrix(cfg.out("predictions_audio.csmx"))["rows"]
     assert np.allclose(np.linalg.norm(preds, axis=1), 1.0, atol=1e-6)
 
-    emb_a = matrixio.load_matrix(cfg.out("embeddings_artist.csmx"))["embeddings"]
-    emb_t = matrixio.load_matrix(cfg.out("embeddings_track.csmx"))["embeddings"]
+    emb_a = matrixio.load_matrix(cfg.out("embeddings_artist.csmx"))["rows"]
+    emb_t = matrixio.load_matrix(cfg.out("embeddings_track.csmx"))["rows"]
     k = preds.shape[1]
 
     sememb = zoo.build_single_branch_net(emb_a.shape[1], k)
@@ -352,12 +352,11 @@ def test_two_runs_are_byte_identical(tmp_path):
         for stage in STAGES:
             run_stage(cfg, stage)
         outputs.append(out_dir)
-    compared = [
-        "factors_songs.csmx", "factors_artists.csmx",
-        "embeddings_artist.csmx", "embeddings_track.csmx",
-        "predictions_audio.csmx", "report.tsv", "report.json",
-    ]
-    for rel in compared:
+    files = [{os.path.relpath(os.path.join(d, f), out) for d, _, fs in os.walk(out) for f in fs}
+             for out in outputs]
+    assert files[0] == files[1]
+    assert {"report.json", "factors_songs.items.csmx", "params_track.csmx"} <= files[0]
+    for rel in sorted(files[0]):
         assert filecmp.cmp(outputs[0] / rel, outputs[1] / rel, shallow=False), rel
 
 

@@ -72,3 +72,26 @@ def test_bench_tracer_counts_adam_updates_and_pruned_backward():
     assert tracer.counters["nn.adam_step.param_updates"] == steps * (5 * 3 + 3)
     backward = sorted(n for n in names if n.startswith("nn.layer_backward."))
     assert backward == ["nn.layer_backward.dense"] * steps + ["nn.layer_backward.l2norm"] * steps
+
+
+def test_bench_tracer_sees_row_table_reads_and_writes(tmp_path):
+    """The pipeline's row-table writer and reader call matrixio through the
+    module, so the bench's matrixio.* spans and counters see them."""
+    import numpy as np
+
+    from coldrec import pipeline
+
+    tracing = load_tracing()
+    cfg = pipeline.PipelineConfig(*[""] * 6, out_dir=str(tmp_path))
+    rows = np.arange(6.0).reshape(3, 2)
+    tracer = tracing.Tracer("t")
+    try:
+        tracing.install(tracer)
+        pipeline._save_rows(cfg, "table", rows, ["a", "b", "c"])
+        loaded, ids, index = pipeline._load_rows(cfg, "table")
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(loaded, rows) and ids == ["a", "b", "c"] and index["c"] == 2
+    names = [s.name for s in tracer.finished()]
+    assert names.count("matrixio.save") == 2 and names.count("matrixio.load") == 2
+    assert tracer.counters["matrixio.save.bytes"] == tracer.counters["matrixio.load.bytes"] > 0

@@ -308,6 +308,41 @@ class TestStages:
                 run_stage(broken_cfg, stage)
             os.rename(tmp_path / "hidden", broken / rel)
 
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_short_ids_file_names_table_and_producer(self, staged_run, stage, tmp_path):
+        """A row table whose `.ids` file lost a line stops every stage that
+        reads it with an error naming the table and the stage that writes it,
+        instead of pairing each later row with its neighbour's id."""
+        producer = {rel: s for s in STAGES for rel in STAGE_TABLE[s].writes}
+        id_files = sorted(rel for rel in staged_run.reads[stage] if rel.endswith(".ids"))
+        assert bool(id_files) == (stage in ("train-artist", "train-track", "extract",
+                                            "train-fusion", "evaluate"))
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        for rel in id_files:
+            lines = (out / rel).read_text().splitlines(keepends=True)
+            (out / rel).write_text("".join(lines[:1] + lines[2:]))
+            name = rel.removesuffix(".ids")
+            message = (re.escape(f"row table {name!r} has {len(lines) - 1} ids for "
+                                 f"{len(lines)} rows") + ".*"
+                       + re.escape(f"; rerun stage {producer[rel]!r}"))
+            with pytest.raises(StageError, match=message):
+                run_stage(cfg, stage)
+            (out / rel).write_text("".join(lines))
+
+    def test_table_in_another_layout_names_producer(self, staged_run, tmp_path):
+        """A matrix file without the one `rows` section (one left by an older
+        build, say) is a StageError naming its sections and producer."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        path = str(out / "features_text.csmx")
+        matrixio.save_matrix(path, {"tfidf": matrixio.load_matrix(path)["rows"]})
+        with pytest.raises(StageError, match=re.escape(
+                "in sections ['tfidf']; rerun stage 'vectorize'")):
+            run_stage(cfg, "train-artist")
+
     def test_test_user_without_training_plays_is_skipped(self, staged_run, tmp_path):
         """A test user with no training plays has no user factor: every
         approach leaves them out and counts them as skipped."""
@@ -385,6 +420,21 @@ class TestArtifacts:
     def test_all_expected_files_exist(self, staged_run, stage):
         """Each stage creates exactly the artifacts the stage table declares."""
         assert staged_run.created[stage] == set(STAGE_TABLE[stage].writes)
+
+    def test_matrix_artifacts_are_row_tables(self, pipeline_run):
+        """Every matrix artifact but the network parameters holds one section,
+        `rows`, beside an `.ids` file with one line per row."""
+        out = Path(pipeline_run.out_dir)
+        tables = sorted(p for p in out.glob("*.csmx") if not p.name.startswith("params_"))
+        assert [p.stem for p in tables] == [
+            "embeddings_artist", "embeddings_track", "factors_artists.items",
+            "factors_artists.users", "factors_songs.items", "factors_songs.users",
+            "features_text", "predictions_audio"]
+        for path in tables:
+            sections = matrixio.load_matrix(str(path))
+            assert list(sections) == ["rows"], path.name
+            ids = path.with_suffix(".ids").read_text(encoding="utf-8").splitlines()
+            assert len(ids) == len(sections["rows"]) > 0, path.name
 
     def test_report_covers_all_approaches(self, pipeline_run):
         with open(pipeline_run.out("report.json"), encoding="utf-8") as fh:

@@ -6,12 +6,14 @@ Usage:
         [--users 500 --artists 200 --songs-per-artist 10 --latent-dim 16]
 
 The output directory will contain data/ (the generated dataset), out/ (all
-pipeline artifacts) and pipeline.cfg (the exact configuration used).
+pipeline artifacts) and pipeline.cfg (the exact configuration used). Each
+stage's line shows its time and the process's RSS high-water mark after it.
 """
 
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -74,7 +76,10 @@ def main() -> int:
     for stage in STAGES:
         t = time.time()
         run_stage(cfg, stage)
-        print(f"stage {stage:18s} {time.time() - t:7.1f}s", flush=True)
+        # the process's RSS high-water mark so far (KiB on Linux), so the stage
+        # that sets the run's peak is the first to show it
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"stage {stage:18s} {time.time() - t:7.1f}s {peak_mib:8.1f} MiB peak", flush=True)
 
     with open(cfg.out("report.json"), encoding="utf-8") as fh:
         report = json.load(fh)

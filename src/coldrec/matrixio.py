@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -14,16 +16,39 @@ VERSION = 1
 _FLOAT64 = 1  # the one dtype code: every section is little-endian float64
 
 
+@contextmanager
+def _replacing(path):
+    """A binary file opened beside ``path`` that replaces it only once the
+    block finishes; on any error it is removed and ``path`` is left as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_matrix(path, sections: dict[str, np.ndarray]) -> None:
-    """Write named 2-D matrices as float64; payloads are row-major with a CRC32 each."""
-    with open(path, "wb") as fh:
+    """Write named 2-D matrices as float64; payloads are row-major with a CRC32 each.
+
+    Every section is checked before the file is touched, and the file is
+    replaced atomically, so a failed save leaves an earlier file intact.
+    """
+    mats = {}
+    for name, mat in sections.items():
+        mat = np.ascontiguousarray(np.atleast_2d(np.asarray(mat, dtype="<f8")))
+        if not np.all(np.isfinite(mat)):
+            raise DataError(f"section {name!r} contains non-finite values")
+        mats[name] = mat
+    with _replacing(path) as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(sections)))
-        for name, mat in sections.items():
-            mat = np.atleast_2d(np.asarray(mat, dtype="<f8"))
-            if not np.all(np.isfinite(mat)):
-                raise DataError(f"section {name!r} contains non-finite values")
-            payload = np.ascontiguousarray(mat).tobytes()
+        fh.write(struct.pack("<II", VERSION, len(mats)))
+        for name, mat in mats.items():
+            payload = memoryview(mat.reshape(-1))
             name_b = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_b)))
             fh.write(name_b)
@@ -34,7 +59,7 @@ def save_matrix(path, sections: dict[str, np.ndarray]) -> None:
 
 def load_matrix(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = memoryview(fh.read())
     if raw[:4] != MAGIC:
         raise DataError(f"{path}: bad magic, not a matrix container")
     try:
@@ -49,7 +74,7 @@ def load_matrix(path) -> dict[str, np.ndarray]:
         try:
             (name_len,) = struct.unpack_from("<H", raw, off)
             off += 2
-            name = raw[off:off + name_len].decode("utf-8")
+            name = bytes(raw[off:off + name_len]).decode("utf-8")
             off += name_len
             rows, cols, code = struct.unpack_from("<QQB", raw, off)
             off += 17
@@ -74,9 +99,8 @@ def load_matrix(path) -> dict[str, np.ndarray]:
 
 
 def save_ids(path, ids: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in ids:
-            fh.write(i + "\n")
+    with _replacing(path) as fh:
+        fh.write("".join(i + "\n" for i in ids).encode("utf-8"))
 
 
 def load_ids(path) -> list[str]:

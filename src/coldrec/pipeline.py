@@ -187,26 +187,44 @@ def _stage_train_artist(cfg: PipelineConfig) -> None:
     log.write_tsv(cfg.out("log_artist.tsv"))
 
 
+def _load_song(spectrogram_dir: str, sid: str) -> audio_mod.Spectrogram:
+    path = os.path.join(spectrogram_dir, f"{sid}.cqts")
+    if not os.path.exists(path):
+        raise DataError(f"no spectrogram file for song {sid!r} at {path}")
+    return audio_mod.load_spectrogram(path)
+
+
+def _stack(patches, n: int) -> np.ndarray:
+    """The n patches an iterator yields, as one (n, bins, frames) float64 array."""
+    out = None
+    for i, patch in enumerate(patches):
+        if out is None:
+            out = np.empty((n,) + patch.data.shape)
+        out[i] = patch.data
+    return out
+
+
+def _read_patches(spectrogram_dir: str, song_ids: list[str], patch_len: int,
+                  seed: int) -> np.ndarray:
+    """One patch per song, drawn as `PatchProvider(...)(0)` draws it; each
+    spectrogram is loaded, sampled and dropped before the next is read."""
+    return _stack((audio_mod.sample_patch(_load_song(spectrogram_dir, sid), patch_len, seed,
+                                          item_id=sid) for sid in song_ids), len(song_ids))
+
+
 class PatchProvider:
-    """Per-epoch resampled spectrogram patches for a fixed list of songs."""
+    """Per-epoch resampled spectrogram patches for a fixed list of songs,
+    whose spectrograms it holds for as long as it lives."""
 
     def __init__(self, spectrogram_dir: str, song_ids: list[str], patch_len: int, seed: int):
         self.song_ids = list(song_ids)
         self.patch_len = patch_len
         self.seed = seed
-        self.specs = []
-        for sid in self.song_ids:
-            path = os.path.join(spectrogram_dir, f"{sid}.cqts")
-            if not os.path.exists(path):
-                raise DataError(f"no spectrogram file for song {sid!r} at {path}")
-            self.specs.append(audio_mod.load_spectrogram(path))
+        self.specs = [_load_song(spectrogram_dir, sid) for sid in self.song_ids]
 
     def __call__(self, epoch: int) -> np.ndarray:
-        out = np.empty((len(self.specs), self.specs[0].bins, self.patch_len))
-        for i, (sid, s) in enumerate(zip(self.song_ids, self.specs)):
-            patch = audio_mod.sample_patch(s, self.patch_len, self.seed + epoch, item_id=sid)
-            out[i] = patch.data
-        return out
+        return _stack((audio_mod.sample_patch(s, self.patch_len, self.seed + epoch, item_id=sid)
+                       for sid, s in zip(self.song_ids, self.specs)), len(self.specs))
 
 
 def _stage_train_track(cfg: PipelineConfig) -> None:
@@ -216,8 +234,7 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
     fit, val = _fit_val_split(len(song_ids), seed)
     fit_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in fit], patch_len, seed)
     # validation patches stay fixed across epochs for a comparable loss
-    val_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
-    val_x = val_provider(0)
+    val_x = _read_patches(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
     bins = fit_provider.specs[0].bins
     net = zoo.build_track_net(bins, patch_len, song_factors.shape[1],
                               scale=cfg.channel_scale)
@@ -247,27 +264,33 @@ def _all_song_ids(cfg: PipelineConfig) -> list[str]:
     return ids
 
 
-def _stage_extract(cfg: PipelineConfig) -> None:
-    # artist embeddings for every artist with a document
+def _extract_artists(cfg: PipelineConfig) -> None:
+    """Artist embeddings for every artist with a document."""
     feats, feat_ids, _ = _load_rows(cfg, "features_text")
-    artist_params = matrixio.load_params(_require(cfg, "params_artist.csmx"))
+    params = matrixio.load_params(_require(cfg, "params_artist.csmx"))
     # the net's output width k is the bias length of its last dense layer
-    k = next(t["b"] for t in reversed(artist_params.values()) if "b" in t).shape[0]
-    artist_net = zoo.build_artist_net(feats.shape[1], k)
-    emb_a, _ = zoo.extract_embeddings(artist_net, artist_params, feats)
+    k = next(t["b"] for t in reversed(params.values()) if "b" in t).shape[0]
+    net = zoo.build_artist_net(feats.shape[1], k)
+    emb_a, _ = zoo.extract_embeddings(net, params, feats)
     _save_rows(cfg, "embeddings_artist", emb_a, feat_ids)
 
-    # track embeddings for every song, one fixed eval patch each
+
+def _stage_extract(cfg: PipelineConfig) -> None:
+    # the artist net's parameters are freed when its pass returns, before the track pass
+    _extract_artists(cfg)
+
+    # track embeddings and the track net's own factor predictions (`evaluate`'s
+    # audio approach) for every song, from one fixed eval patch each. Patches
+    # are read in chunks of zoo.EVAL_BATCH songs, each one forward batch
     track_net, meta = _track_net(cfg)
     track_params = matrixio.load_params(_require(cfg, "params_track.csmx"))
     song_ids = _all_song_ids(cfg)
     seed = stage_seed(cfg.seed, "extract")
-    provider = PatchProvider(cfg.spectrogram_dir, song_ids, meta["patch_len"], seed)
-    # one pass yields the embeddings and the track net's own factor
-    # predictions, which `evaluate` reuses as the audio approach
-    emb_t, preds = zoo.extract_embeddings(track_net, track_params, provider(0))
-    _save_rows(cfg, "embeddings_track", emb_t, song_ids)
-    _save_rows(cfg, "predictions_audio", preds, song_ids)
+    parts = [zoo.extract_embeddings(track_net, track_params, _read_patches(
+                 cfg.spectrogram_dir, song_ids[lo:lo + zoo.EVAL_BATCH], meta["patch_len"], seed))
+             for lo in range(0, len(song_ids), zoo.EVAL_BATCH)]
+    _save_rows(cfg, "embeddings_track", np.concatenate([e for e, _ in parts]), song_ids)
+    _save_rows(cfg, "predictions_audio", np.concatenate([p for _, p in parts]), song_ids)
 
 
 def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], am: ArtistMap):

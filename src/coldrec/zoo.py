@@ -18,6 +18,8 @@ TRACK_DROPOUT = 0.5
 TRACK_WIDTH = 4  # conv kernel width in frames
 TRACK_POOL = 4
 TRACK_FINAL_STEPS = 4
+# rows per eval-mode forward; `pipeline` reads extract's patches in chunks of this size
+EVAL_BATCH = 256
 
 
 @dataclass
@@ -172,6 +174,7 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     state = nn.AdamState.for_params(params, lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     log = TrainLog()
+    # the one best-epoch copy, overwritten in place when validation improves
     best_params = _copy_params(params)
     since_best = 0
     for epoch in range(cfg.max_epochs):
@@ -183,15 +186,20 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
         train_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
+            # a step's caches stay bound until the next step's forward replaces
+            # them: freed at the end of each step instead, glibc trimmed the heap
+            # and faulted it back in (desk-train on a 2-CPU VM: 3x the page
+            # faults, train-track about 15% slower)
             out, caches, _ = nn.net_forward(net, params, _take(feats, idx),
                                             mode="train", seed=_batch_seed(cfg.seed, epoch, start))
             loss, dpred = nn.cosine_loss(out, targets[idx])
             if not math.isfinite(loss):
                 raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
                                  f"batch offset {start}, learning rate {cfg.lr:g}")
-            grads = nn.net_backward(net, params, caches, dpred)
-            nn.adam_step(params, grads, state)
+            # the gradients die with this call, before the next step's backward
+            nn.adam_step(params, nn.net_backward(net, params, caches, dpred), state)
             train_loss += loss * len(idx)
+        out = caches = dpred = None  # not held through validation
         train_loss /= n
         val_loss = eval_loss(net, params, val_features, val_targets)
         if not math.isfinite(val_loss):
@@ -201,7 +209,9 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
         if val_loss < log.best_val:
             log.best_val = val_loss
             log.best_epoch = epoch
-            best_params = _copy_params(params)
+            for layer, tensors in params.items():
+                for key, value in tensors.items():
+                    np.copyto(best_params[layer][key], value)
             since_best = 0
         else:
             since_best += 1
@@ -220,7 +230,7 @@ def eval_loss(net: NetworkSpec, params, features, targets: np.ndarray) -> float:
 
 
 def extract_embeddings(net: NetworkSpec, params, features,
-                       batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
+                       batch_size: int = EVAL_BATCH) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode activations at the network's embedding tap, and its outputs.
 
     One forward per batch yields both: rows are (n, embed_dim) embeddings
@@ -238,7 +248,8 @@ def extract_embeddings(net: NetworkSpec, params, features,
     return np.concatenate(embeddings), np.concatenate(outputs)
 
 
-def predict_factors(net: NetworkSpec, params, features, batch_size: int = 256) -> np.ndarray:
+def predict_factors(net: NetworkSpec, params, features,
+                    batch_size: int = EVAL_BATCH) -> np.ndarray:
     """Eval-mode full forward; rows are unit-norm predicted factors."""
     return extract_embeddings(net, params, features, batch_size)[1]
 

@@ -1,3 +1,7 @@
+import os
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +71,31 @@ class TestMatrixContainer:
         with pytest.raises(DataError, match="non-finite"):
             save_matrix(tmp_path / "m.csmx", {"a": np.array([[np.nan]])})
 
+    def test_failed_save_leaves_earlier_file(self, tmp_path):
+        """Every section is checked before the file is touched: a non-finite
+        later section leaves no temp file and the earlier file unchanged."""
+        path = tmp_path / "m.csmx"
+        save_matrix(path, {"a": np.ones((2, 3))})
+        before = path.read_bytes()
+        with pytest.raises(DataError, match="section 'b' contains non-finite values"):
+            save_matrix(path, {"a": np.zeros((4, 4)), "b": np.array([[1.0, np.inf]])})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.csmx"]
+
+    def test_layout(self, tmp_path):
+        """Header, then per section: name length, name, shape, dtype code,
+        little-endian float64 payload and its CRC32."""
+        a = np.arange(6.0).reshape(2, 3)
+        path = tmp_path / "m.csmx"
+        save_matrix(path, {"a": a, "bc": np.zeros((0, 2))})
+        payload = a.astype("<f8").tobytes()
+        assert path.read_bytes() == (
+            b"CSMX" + struct.pack("<II", 1, 2)
+            + struct.pack("<H", 1) + b"a" + struct.pack("<QQB", 2, 3, 1)
+            + payload + struct.pack("<I", zlib.crc32(payload))
+            + struct.pack("<H", 2) + b"bc" + struct.pack("<QQB", 0, 2, 1)
+            + struct.pack("<I", zlib.crc32(b"")))
+
     @settings(max_examples=20, deadline=None)
     @given(rows=st.integers(1, 20), cols=st.integers(1, 20), seed=st.integers(0, 50))
     def test_round_trip_property(self, tmp_path_factory, rows, cols, seed):
@@ -81,6 +110,15 @@ class TestIds:
         ids = ["u1", "artist x", "söng"]
         save_ids(tmp_path / "x.ids", ids)
         assert load_ids(tmp_path / "x.ids") == ids
+
+    def test_failed_save_leaves_earlier_file(self, tmp_path):
+        """An id list that fails part-way through is never seen at the path."""
+        path = tmp_path / "x.ids"
+        save_ids(path, ["a", "b"])
+        with pytest.raises(TypeError):
+            save_ids(path, ["c", None])
+        assert load_ids(path) == ["a", "b"]
+        assert os.listdir(tmp_path) == ["x.ids"]
 
 
 class TestParams:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -12,13 +13,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from coldrec import matrixio, nn, synth
+from coldrec import audio, matrixio, nn, synth
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (PipelineConfig, load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
 from coldrec.data import DataError
-from coldrec.pipeline import (APPROACHES, STAGE_TABLE, STAGES, StageError, run_stage,
-                              stage_seed)
+from coldrec.pipeline import (APPROACHES, STAGE_TABLE, STAGES, StageError, _fit_val_split,
+                              run_stage, stage_seed)
 from coldrec.wmf import WmfConfig
 from coldrec.zoo import TrainConfig
 
@@ -405,6 +406,60 @@ class TestStages:
         assert batches == [min(256, n_songs - start) for start in range(0, n_songs, 256)]
         for rel in STAGE_TABLE["extract"].writes:
             assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
+
+    @pytest.mark.parametrize("stage", ["train-track", "extract"])
+    def test_one_shot_patches_hold_one_spectrogram_at_a_time(self, staged_run, stage,
+                                                             tmp_path, monkeypatch):
+        """`extract`, and `train-track` for its fixed validation patches, drop
+        each song's spectrogram once its patch is drawn: no earlier one is
+        alive when the next is loaded, and the artifacts are byte-identical
+        to the staged run's. Only the training songs' spectrograms are kept."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        if stage == "train-track":
+            song_ids = matrixio.load_ids(cfg.out("factors_songs.items.ids"))
+            _, val = _fit_val_split(len(song_ids), stage_seed(cfg.seed, stage))
+            one_shot = {song_ids[i] for i in val}
+        else:
+            one_shot = set(matrixio.load_ids(cfg.out("embeddings_track.ids")))
+        real_load = audio.load_spectrogram
+        alive = []  # weakrefs to the one-shot songs' spectrograms
+        held = []  # how many of them were alive at each one-shot load
+
+        def tracking_load(path):
+            spec = real_load(path)
+            if os.path.basename(path).removesuffix(".cqts") in one_shot:
+                held.append(sum(ref() is not None for ref in alive))
+                alive.append(weakref.ref(spec))
+            return spec
+
+        monkeypatch.setattr(audio, "load_spectrogram", tracking_load)
+        run_stage(cfg, stage)
+        assert len(held) == len(one_shot) > 1
+        assert max(held) == 0
+        for rel in STAGE_TABLE[stage].writes:
+            assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
+
+    @pytest.mark.parametrize("stage, role", [("train-track", "fit"), ("train-track", "val"),
+                                             ("extract", "test")])
+    def test_missing_spectrogram_is_data_error(self, staged_run, stage, role, tmp_path):
+        """A song without a spectrogram file stops the stage with a DataError
+        naming the song and the path, whether its patch is drawn every epoch,
+        once for validation or once for extraction."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        song_ids = matrixio.load_ids(str(out / "factors_songs.items.ids"))
+        fit, val = _fit_val_split(len(song_ids), stage_seed(staged_run.cfg.seed, "train-track"))
+        song = {"fit": song_ids[fit[0]], "val": song_ids[val[0]],
+                "test": matrixio.load_ids(str(out / "embeddings_track.ids"))[-1]}[role]
+        specs = tmp_path / "spectrograms"
+        shutil.copytree(staged_run.cfg.spectrogram_dir, specs)
+        os.remove(specs / f"{song}.cqts")
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out), spectrogram_dir=str(specs))
+        with pytest.raises(DataError, match=re.escape(
+                f"no spectrogram file for song {song!r} at {specs / song}.cqts")):
+            run_stage(cfg, stage)
 
     def test_stages_leave_config_unchanged(self, staged_run):
         assert staged_run.cfg == load_pipeline_config(staged_run.cfg_path)

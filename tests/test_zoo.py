@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,30 @@ class TestTrainMapping:
         cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10, seed=0)
         train_mapping(net, provider, targets, base[:8], targets[:8], cfg)
         assert seen == [0, 1, 2]
+
+
+    def test_peak_memory_holds_one_best_copy(self):
+        """Over improving epochs training holds the parameters, two Adam
+        moments, one best copy and one step's gradients and caches: about 5x
+        the parameter bytes. A fresh best copy made while the old one and the
+        last step's gradients are still alive takes it past 6x."""
+        net = NetworkSpec(trunk=[LayerSpec("dense", units=1024), LayerSpec("relu"),
+                                 LayerSpec("dense", units=8), LayerSpec("l2norm")],
+                          input_shapes={"": (1024,)})
+        x = np.random.default_rng(0).normal(size=(80, 1024))
+        y, _, _ = net_forward(net, init_params(net, 99), x, mode="eval")
+        param_bytes = sum(t.nbytes for ts in init_params(net, 0).values() for t in ts.values())
+        assert param_bytes >= 8 * 1_000_000
+        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=0)
+        tracemalloc.start()
+        try:
+            _, log = train_mapping(net, x[:64], y[:64], x[64:], y[64:], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        val = [row[2] for row in log.epochs]
+        assert len(val) == 3 and all(b < a for a, b in zip(val, val[1:]))  # every epoch improves
+        assert peak < 5.5 * param_bytes, peak / param_bytes
 
 
 class TestExtraction:

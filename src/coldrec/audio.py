@@ -12,7 +12,6 @@ from .data import DataError
 MAGIC = b"CQTS"
 VERSION = 1
 
-DEFAULT_BINS = 96
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_HOP = 1024
 
@@ -42,7 +41,6 @@ class Spectrogram:
 @dataclass
 class Patch:
     data: np.ndarray  # (bins, length) float32
-    item_id: str
     start: int
 
 
@@ -56,7 +54,7 @@ def sample_patch(s: Spectrogram, length: int, seed: int, item_id: str = "") -> P
         raise DataError(f"spectrogram has {s.frames} frames, patch needs {length}")
     rng = np.random.default_rng([seed, _id_key(item_id)])
     start = int(rng.integers(0, s.frames - length + 1))
-    return Patch(s.data[:, start:start + length].copy(), item_id, start)
+    return Patch(s.data[:, start:start + length].copy(), start)
 
 
 def _id_key(item_id: str) -> int:

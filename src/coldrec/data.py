@@ -57,19 +57,8 @@ class ArtistMap:
             raise DataError(f"item {item!r} has no artist mapping") from None
 
 
-@dataclass
-class SplitBundle:
-    """Artist-disjoint train/validation/test partition of a feedback matrix."""
-
-    train: FeedbackMatrix
-    validation: FeedbackMatrix
-    test: FeedbackMatrix
-    artist_assignment: dict[str, str]  # artist -> "train" | "val" | "test"
-
-    PARTS = ("train", "val", "test")
-
-    def matrix_for(self, part: str) -> FeedbackMatrix:
-        return {"train": self.train, "val": self.validation, "test": self.test}[part]
+# the parts of an artist-disjoint split, in the order artists are dealt to them
+PARTS = ("train", "val", "test")
 
 
 def load_triples(path) -> FeedbackMatrix:
@@ -171,13 +160,14 @@ def split_by_artist(
     am: ArtistMap,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-) -> SplitBundle:
+) -> tuple[dict[str, FeedbackMatrix], dict[str, str]]:
     """Partition a feedback matrix by artist into train/val/test.
 
     Artists are shuffled by a seeded generator and partitioned by the ratios:
     validation and test sizes are floored, the remainder goes to train. Each
     item's whole feedback column follows its artist. Users are shared across
-    the parts.
+    the parts. Returns the part matrices keyed by `PARTS` and the
+    artist -> part assignment.
     """
     r_train, r_val, r_test = ratios
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
@@ -202,22 +192,22 @@ def split_by_artist(
             part = "test"
         assignment[artists[idx]] = part
     parts = {}
-    for part in SplitBundle.PARTS:
+    for part in PARTS:
         cols = [i for i, item in enumerate(m.item_ids) if assignment[am.artist_of(item)] == part]
         sub = m.counts[:, cols] if cols else sp.csr_matrix((m.n_users, 0), dtype=np.int64)
         parts[part] = FeedbackMatrix(list(m.user_ids), [m.item_ids[i] for i in cols], sub)
-    return SplitBundle(parts["train"], parts["val"], parts["test"], assignment)
+    return parts, assignment
 
 
-def save_split(bundle: SplitBundle, out_dir) -> None:
-    """Persist a SplitBundle as three triples files plus artist_assignment.tsv."""
+def save_split(parts: dict[str, FeedbackMatrix], assignment: dict[str, str], out_dir) -> None:
+    """Persist a split as one triples file per part plus artist_assignment.tsv."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    for part in SplitBundle.PARTS:
-        save_triples(bundle.matrix_for(part), os.path.join(out_dir, f"{part}.tsv"))
+    for part in PARTS:
+        save_triples(parts[part], os.path.join(out_dir, f"{part}.tsv"))
     with open(os.path.join(out_dir, "artist_assignment.tsv"), "w", encoding="utf-8") as fh:
-        for artist, part in sorted(bundle.artist_assignment.items()):
+        for artist, part in sorted(assignment.items()):
             fh.write(f"{artist}\t{part}\n")
 
 
@@ -229,7 +219,7 @@ def load_assignment(path) -> dict[str, str]:
             if not line:
                 continue
             artist, _, part = line.partition("\t")
-            if part not in SplitBundle.PARTS:
+            if part not in PARTS:
                 raise DataError(f"{path}:{lineno}: unknown partition {part!r}")
             assignment[artist] = part
     return assignment

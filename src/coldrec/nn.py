@@ -64,16 +64,6 @@ class NetworkSpec:
         for i, spec in enumerate(self.trunk):
             yield f"trunk/{i}", spec
 
-    def output_dim(self) -> int:
-        shape = infer_shapes(self)[f"trunk/{len(self.trunk) - 1}"]
-        if len(shape) != 1:
-            raise ShapeError(f"network output is not a vector: {shape}")
-        return shape[0]
-
-    def embed_dim(self) -> int:
-        shape = infer_shapes(self)[f"trunk/{self.embed_tap % len(self.trunk)}"]
-        return int(np.prod(shape))
-
 
 def layer_out_shape(spec: LayerSpec, shape: tuple) -> tuple:
     """Output shape (sans batch) of one layer applied to ``shape``."""

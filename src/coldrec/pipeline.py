@@ -14,7 +14,7 @@ from . import audio as audio_mod
 from . import evaluate as ev
 from . import matrixio, textfeat, zoo
 from .config import PipelineConfig
-from .data import (ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
+from .data import (PARTS, ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
                    load_artist_map, load_assignment, load_triples, save_split,
                    split_by_artist)
 from .nn import NetworkSpec
@@ -113,8 +113,9 @@ def _load_rows(cfg: PipelineConfig, name: str):
 def _stage_split(cfg: PipelineConfig) -> None:
     m = load_triples(cfg.triples)
     am = load_artist_map(cfg.artist_map)
-    bundle = split_by_artist(m, am, cfg.split_ratios, seed=stage_seed(cfg.seed, "split"))
-    save_split(bundle, cfg.out("splits"))
+    parts, assignment = split_by_artist(m, am, cfg.split_ratios,
+                                        seed=stage_seed(cfg.seed, "split"))
+    save_split(parts, assignment, cfg.out("splits"))
 
 
 def _load_split(cfg: PipelineConfig, part: str) -> FeedbackMatrix:
@@ -145,7 +146,7 @@ def _stage_enrich(cfg: PipelineConfig) -> None:
     kb = textfeat.load_kb_snapshot(cfg.kb)
     enriched = []
     for doc in docs:
-        entities = textfeat.filter_entities(ann.entities_for(doc.artist_id), kb)
+        entities = textfeat.filter_entities(ann.get(doc.artist_id, []), kb)
         enriched.append(textfeat.enrich_document(doc, entities, kb))
     textfeat.save_documents(enriched, cfg.out("enriched_docs.jsonl"))
 
@@ -386,8 +387,8 @@ def _stage_report(cfg: PipelineConfig) -> None:
 
 # every stage in run order, with every artifact it writes under the output directory
 STAGE_TABLE = {
-    "split": Stage(_stage_split, ("splits/train.tsv", "splits/val.tsv", "splits/test.tsv",
-                                  "splits/artist_assignment.tsv")),
+    "split": Stage(_stage_split, tuple(f"splits/{part}.tsv" for part in PARTS)
+                   + ("splits/artist_assignment.tsv",)),
     "factorize-songs": Stage(_stage_factorize_songs,
                              _table("factors_songs.users", "factors_songs.items")),
     "factorize-artists": Stage(_stage_factorize_artists,

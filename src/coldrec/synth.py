@@ -149,10 +149,10 @@ def _make_kb(artist_ids, text_f):
     thirds = np.quantile(text_f, [1 / 3, 2 / 3], axis=0)
     fifths = np.quantile(text_f, [0.2, 0.4, 0.6, 0.8], axis=0)
     tenths = np.quantile(text_f, np.arange(0.1, 1.0, 0.1), axis=0)
-    entities: dict[str, KbEntity] = {
+    entities: KbSnapshot = {
         "e_offtopic": KbEntity(classes={"SoccerPlayer"}, properties={}, categories=["Sports"]),
     }
-    by_artist: dict[str, list[str]] = {}
+    by_artist: AnnotationSet = {}
     for j, aid in enumerate(artist_ids):
         cats = []
         for c in range(text_f.shape[1]):
@@ -169,7 +169,7 @@ def _make_kb(artist_ids, text_f):
             categories=cats,
         )
         by_artist[aid] = [eid, "e_offtopic"]
-    return KbSnapshot(entities), AnnotationSet(by_artist)
+    return entities, by_artist
 
 
 def _make_spectrograms(rng, song_ids, audio_f, spec: SyntheticSpec):

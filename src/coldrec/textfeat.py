@@ -6,7 +6,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +43,8 @@ class KbEntity:
     categories: list[str]
 
 
-@dataclass
-class KbSnapshot:
-    entities: dict[str, KbEntity]
-
-    def get(self, entity_id: str) -> KbEntity | None:
-        return self.entities.get(entity_id)
-
-
-@dataclass
-class AnnotationSet:
-    by_artist: dict[str, list[str]]
-
-    def entities_for(self, artist_id: str) -> list[str]:
-        return self.by_artist.get(artist_id, [])
+KbSnapshot = dict[str, KbEntity]  # entity id -> entity
+AnnotationSet = dict[str, list[str]]  # artist id -> linked entity ids
 
 
 @dataclass
@@ -196,12 +184,12 @@ def load_annotations(path) -> AnnotationSet:
             by_artist[artist_id] = list(rec["entities"])
         except (KeyError, TypeError):
             raise DataError(f"{path}:{lineno}: expected artist_id and entities fields") from None
-    return AnnotationSet(by_artist)
+    return by_artist
 
 
 def save_annotations(ann: AnnotationSet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for artist_id, entities in ann.by_artist.items():
+        for artist_id, entities in ann.items():
             fh.write(json.dumps({"artist_id": artist_id, "entities": entities}) + "\n")
 
 
@@ -220,12 +208,12 @@ def load_kb_snapshot(path) -> KbSnapshot:
         if eid in entities:
             raise DataError(f"{path}:{lineno}: duplicate entity_id {eid!r}")
         entities[eid] = ent
-    return KbSnapshot(entities)
+    return entities
 
 
 def save_kb_snapshot(kb: KbSnapshot, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for eid, ent in kb.entities.items():
+        for eid, ent in kb.items():
             fh.write(json.dumps({
                 "entity_id": eid,
                 "classes": sorted(ent.classes),

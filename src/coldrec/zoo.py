@@ -233,8 +233,8 @@ def extract_embeddings(net: NetworkSpec, params, features,
                        batch_size: int = EVAL_BATCH) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode activations at the network's embedding tap, and its outputs.
 
-    One forward per batch yields both: rows are (n, embed_dim) embeddings
-    and (n, output_dim) unit-norm predicted factors.
+    One forward per batch yields both: rows are flattened embeddings and
+    unit-norm predicted factors. ``features`` holds at least one row.
     """
     tap = f"trunk/{net.embed_tap % len(net.trunk)}"
     embeddings, outputs = [], []
@@ -243,8 +243,6 @@ def extract_embeddings(net: NetworkSpec, params, features,
         a = acts[tap]
         embeddings.append(a.reshape(a.shape[0], -1))
         outputs.append(out)
-    if not outputs:
-        return np.zeros((0, net.embed_dim())), np.zeros((0, net.output_dim()))
     return np.concatenate(embeddings), np.concatenate(outputs)
 
 

@@ -21,7 +21,7 @@ from scipy import integrate, special
 from coldrec import evaluate as ev
 from coldrec import matrixio, synth, textfeat, zoo
 from coldrec.config import load_pipeline_config, write_kv_file
-from coldrec.data import aggregate_to_artist, split_by_artist
+from coldrec.data import PARTS, aggregate_to_artist, split_by_artist
 from coldrec.nn import LayerSpec, NetworkSpec, infer_shapes, init_params
 from coldrec.pipeline import STAGES, run_stage
 from coldrec.wmf import WmfConfig, als_objective, factorize_wmf
@@ -242,22 +242,22 @@ def test_enrichment_beats_plain_documents():
     spec = synth.SyntheticSpec(seed=5, text_noise=0.8, doc_tokens=60,
                                n_artists=500, n_users=1500, latent_dim=8)
     data = synth.generate(spec)
-    bundle = split_by_artist(data.feedback, data.artist_map, (0.7, 0.1, 0.2), seed=7)
-    train_a = aggregate_to_artist(bundle.train, data.artist_map)
-    test_a = aggregate_to_artist(bundle.test, data.artist_map)
+    parts, assignment = split_by_artist(data.feedback, data.artist_map, (0.7, 0.1, 0.2), seed=7)
+    train_a = aggregate_to_artist(parts["train"], data.artist_map)
+    test_a = aggregate_to_artist(parts["test"], data.artist_map)
     model = factorize_wmf(train_a, WmfConfig(k=8, iterations=15, seed=1))
     uidx = {u: i for i, u in enumerate(train_a.user_ids)}
     uf = model.user_factors[[uidx[u] for u in test_a.user_ids]]
 
     enriched = []
     for doc in data.documents:
-        ents = textfeat.filter_entities(data.annotations.entities_for(doc.artist_id), data.kb)
+        ents = textfeat.filter_entities(data.annotations.get(doc.artist_id, []), data.kb)
         enriched.append(textfeat.enrich_document(doc, ents, data.kb))
 
     def evaluate(docs):
         by_id = {d.artist_id: d for d in docs}
         vocab = textfeat.build_vocab(
-            [d for d in docs if bundle.artist_assignment.get(d.artist_id) == "train"],
+            [d for d in docs if assignment.get(d.artist_id) == "train"],
             10000)
         x_train = textfeat.tfidf_matrix([by_id[a] for a in train_a.item_ids], vocab)
         perm = np.random.default_rng(11).permutation(x_train.shape[0])
@@ -369,14 +369,13 @@ def test_splits_are_artist_disjoint_over_100_trials():
                                doc_tokens=20, n_templates=2, density=0.1, seed=19)
     data = synth.generate(spec)
     for trial in range(100):
-        bundle = split_by_artist(data.feedback, data.artist_map,
-                                 (0.6, 0.2, 0.2), seed=trial)
+        parts, _ = split_by_artist(data.feedback, data.artist_map,
+                                   (0.6, 0.2, 0.2), seed=trial)
         artist_sets = {
-            part: {data.artist_map.artist_of(s)
-                   for s in bundle.matrix_for(part).item_ids}
-            for part in bundle.PARTS
+            part: {data.artist_map.artist_of(s) for s in parts[part].item_ids}
+            for part in PARTS
         }
-        for a, b in itertools.combinations(bundle.PARTS, 2):
+        for a, b in itertools.combinations(PARTS, 2):
             assert not (artist_sets[a] & artist_sets[b]), (trial, a, b)
 
 

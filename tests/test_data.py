@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldrec.data import (ArtistMap, DataError, FeedbackMatrix,
+from coldrec.data import (PARTS, ArtistMap, DataError, FeedbackMatrix,
                           aggregate_to_artist, load_artist_map, load_triples, save_triples,
                           split_by_artist)
 
@@ -143,23 +143,22 @@ def _matrix_with_artists(n_artists=10, songs_per=2, n_users=4, seed=0):
 class TestSplit:
     def test_floor_rounding(self):
         m, am = _matrix_with_artists(n_artists=10)
-        bundle = split_by_artist(m, am, (0.8, 0.1, 0.1), seed=1)
-        sizes = {p: sum(1 for v in bundle.artist_assignment.values() if v == p)
-                 for p in ("train", "val", "test")}
+        _, assignment = split_by_artist(m, am, (0.8, 0.1, 0.1), seed=1)
+        sizes = {p: sum(1 for v in assignment.values() if v == p) for p in PARTS}
         assert sizes == {"train": 8, "val": 1, "test": 1}
 
     def test_degenerate_all_train(self):
         m, am = _matrix_with_artists()
-        bundle = split_by_artist(m, am, (1.0, 0.0, 0.0), seed=0)
-        assert bundle.validation.n_items == 0
-        assert bundle.test.n_items == 0
-        assert bundle.train.n_items == m.n_items
+        parts, _ = split_by_artist(m, am, (1.0, 0.0, 0.0), seed=0)
+        assert parts["val"].n_items == 0
+        assert parts["test"].n_items == 0
+        assert parts["train"].n_items == m.n_items
 
     def test_deterministic(self):
         m, am = _matrix_with_artists()
-        b1 = split_by_artist(m, am, (0.8, 0.1, 0.1), seed=42)
-        b2 = split_by_artist(m, am, (0.8, 0.1, 0.1), seed=42)
-        assert b1.artist_assignment == b2.artist_assignment
+        _, a1 = split_by_artist(m, am, (0.8, 0.1, 0.1), seed=42)
+        _, a2 = split_by_artist(m, am, (0.8, 0.1, 0.1), seed=42)
+        assert a1 == a2
 
     def test_bad_ratios(self):
         m, am = _matrix_with_artists()
@@ -175,15 +174,10 @@ class TestSplit:
     @given(seed=st.integers(0, 10_000), n_artists=st.integers(5, 20))
     def test_artist_disjointness_and_totals(self, seed, n_artists):
         m, am = _matrix_with_artists(n_artists=n_artists, seed=seed % 17)
-        bundle = split_by_artist(m, am, (0.6, 0.2, 0.2), seed=seed)
-        by_part = {p: {a for a, v in bundle.artist_assignment.items() if v == p}
-                   for p in ("train", "val", "test")}
+        parts, assignment = split_by_artist(m, am, (0.6, 0.2, 0.2), seed=seed)
+        by_part = {p: {a for a, v in assignment.items() if v == p} for p in PARTS}
         assert not by_part["train"] & by_part["val"]
         assert not by_part["train"] & by_part["test"]
         assert not by_part["val"] & by_part["test"]
-        total = (bundle.train.counts.sum() + bundle.validation.counts.sum()
-                 + bundle.test.counts.sum())
-        assert total == m.counts.sum()
-        items = set(bundle.train.item_ids) | set(bundle.validation.item_ids) \
-            | set(bundle.test.item_ids)
-        assert items == set(m.item_ids)
+        assert sum(parts[p].counts.sum() for p in PARTS) == m.counts.sum()
+        assert set().union(*(parts[p].item_ids for p in PARTS)) == set(m.item_ids)

@@ -144,8 +144,8 @@ class TestSynth:
 
     def test_kb_contains_off_topic_entity(self):
         data = synth.generate(tiny_spec())
-        assert "e_offtopic" in data.kb.entities
-        assert all("e_offtopic" in data.annotations.entities_for(d.artist_id)
+        assert "e_offtopic" in data.kb
+        assert all("e_offtopic" in data.annotations.get(d.artist_id, [])
                    for d in data.documents)
 
     def test_odd_latent_dim_rejected(self):

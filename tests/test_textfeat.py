@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldrec.data import DataError
-from coldrec.textfeat import (AnnotationSet, Document, KbEntity, KbSnapshot,
+from coldrec.textfeat import (Document, KbEntity,
                               build_vocab, enrich_document, filter_entities,
                               load_annotations, load_documents,
                               load_kb_snapshot, save_annotations,
@@ -41,12 +41,12 @@ class TestTokenize:
 
 
 def make_kb():
-    return KbSnapshot({
+    return {
         "e_artist": KbEntity({"MusicalArtist"}, {"genre": ["Rock"]},
                              ["English_rock_groups"]),
         "e_player": KbEntity({"SoccerPlayer"}, {}, ["Athletes"]),
         "e_studio": KbEntity({"Place"}, {}, ["Abbey Road Studios"]),
-    })
+    }
 
 
 class TestFilterEntities:
@@ -96,8 +96,7 @@ class TestEnrich:
         assert all(after[t] >= c for t, c in before.items())
 
     def test_custom_property_map(self):
-        kb = KbSnapshot({"e": KbEntity({"MusicGenre"},
-                                       {"stylisticOrigin": ["Blues"]}, [])})
+        kb = {"e": KbEntity({"MusicGenre"}, {"stylisticOrigin": ["Blues"]}, [])}
         out = enrich_document(Document("a", "text here"), ["e"], kb)
         assert "Blues" in out.text
 
@@ -175,7 +174,7 @@ class TestCodecs:
         assert load_documents(tmp_path / "docs.jsonl") == docs
 
     def test_annotations_round_trip(self, tmp_path):
-        ann = AnnotationSet({"a1": ["e1", "e2"], "a2": []})
+        ann = {"a1": ["e1", "e2"], "a2": []}
         save_annotations(ann, tmp_path / "ann.jsonl")
         assert load_annotations(tmp_path / "ann.jsonl") == ann
 
@@ -188,7 +187,7 @@ class TestCodecs:
         (tmp_path / "kb.jsonl").write_text(
             '{"entity_id": "e1", "classes": ["Band"], "properties": {}, "categories": []}\n')
         kb = load_kb_snapshot(tmp_path / "kb.jsonl")
-        assert set(kb.entities) == {"e1"}
+        assert set(kb) == {"e1"}
 
     def test_duplicate_entity_rejected(self, tmp_path):
         line = '{"entity_id": "e1", "classes": [], "properties": {}, "categories": []}\n'

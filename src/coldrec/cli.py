@@ -52,7 +52,7 @@ def main(argv=None) -> int:
                                        seed_override=args.seed)
             run_stage(cfg, args.command)
             print(f"stage {args.command} done -> {cfg.out_dir}")
-    except (DataError, StageError, FileNotFoundError, ValueError) as exc:
+    except (DataError, StageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

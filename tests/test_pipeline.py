@@ -532,6 +532,19 @@ class TestCli:
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["config-is-directory", "out-is-file"])
+    def test_bad_path_is_data_exit(self, staged_run, tmp_path, capsys, bad):
+        """A config path naming a directory, or an output directory naming a
+        file, ends in one error line, not in a traceback."""
+        cfg_path = tmp_path
+        if bad == "out-is-file":
+            (tmp_path / "taken").write_text("")
+            cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                    str(tmp_path / "taken"))
+        assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]+\n", err), err
+
     def test_synth_and_split_round_trip(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.cfg"
         write_kv_file(spec_path, {"users": 25, "artists": 8, "songs_per_artist": 3,

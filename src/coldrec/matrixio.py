@@ -58,43 +58,39 @@ def save_matrix(path, sections: dict[str, np.ndarray]) -> None:
 
 
 def load_matrix(path) -> dict[str, np.ndarray]:
+    """Named matrices from a container; each payload is read straight into its array."""
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    if raw[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic, not a matrix container")
-    try:
-        version, count = struct.unpack_from("<II", raw, 4)
-    except struct.error:
-        raise DataError(f"{path}: truncated header") from None
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported version {version}")
-    sections: dict[str, np.ndarray] = {}
-    off = 12
-    for _ in range(count):
+        if fh.read(4) != MAGIC:
+            raise DataError(f"{path}: bad magic, not a matrix container")
         try:
-            (name_len,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = bytes(raw[off:off + name_len]).decode("utf-8")
-            off += name_len
-            rows, cols, code = struct.unpack_from("<QQB", raw, off)
-            off += 17
-        except (struct.error, UnicodeDecodeError):
-            raise DataError(f"{path}: truncated or corrupt section header") from None
-        if code != _FLOAT64:
-            raise DataError(f"{path}: unknown dtype code {code} in section {name!r}")
-        nbytes = rows * cols * 8
-        payload = raw[off:off + nbytes]
-        if len(payload) != nbytes:
-            raise DataError(f"{path}: truncated payload in section {name!r}")
-        off += nbytes
-        try:
-            (crc,) = struct.unpack_from("<I", raw, off)
+            version, count = struct.unpack("<II", fh.read(8))
         except struct.error:
-            raise DataError(f"{path}: missing checksum for section {name!r}") from None
-        off += 4
-        if zlib.crc32(payload) != crc:
-            raise DataError(f"{path}: checksum mismatch in section {name!r}")
-        sections[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+            raise DataError(f"{path}: truncated header") from None
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        sections: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            try:
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                rows, cols, code = struct.unpack("<QQB", fh.read(17))
+            except (struct.error, UnicodeDecodeError):
+                raise DataError(f"{path}: truncated or corrupt section header") from None
+            if code != _FLOAT64:
+                raise DataError(f"{path}: unknown dtype code {code} in section {name!r}")
+            # checked before allocating, so a corrupt shape cannot ask for more than the file holds
+            if rows * cols * 8 > size - fh.tell():
+                raise DataError(f"{path}: truncated payload in section {name!r}")
+            mat = np.empty((rows, cols), "<f8")
+            fh.readinto(mat)
+            try:
+                (crc,) = struct.unpack("<I", fh.read(4))
+            except struct.error:
+                raise DataError(f"{path}: missing checksum for section {name!r}") from None
+            if zlib.crc32(mat) != crc:
+                raise DataError(f"{path}: checksum mismatch in section {name!r}")
+            sections[name] = mat
     return sections
 
 

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -81,6 +82,23 @@ class TestMatrixContainer:
             save_matrix(path, {"a": np.zeros((4, 4)), "b": np.array([[1.0, np.inf]])})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.csmx"]
+
+    def test_load_holds_each_payload_once(self, tmp_path):
+        """Payloads are read straight into their arrays: a load never holds
+        the file's bytes beside the matrices built from them."""
+        rng = np.random.default_rng(0)
+        mats = {"a": rng.normal(size=(1280, 1024)), "b": rng.normal(size=(1024, 1280))}
+        path = tmp_path / "m.csmx"
+        save_matrix(path, mats)
+        size = os.path.getsize(path)  # 20 MiB
+        tracemalloc.start()
+        try:
+            out = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * size, peak / size
+        assert all(np.array_equal(out[k], mats[k]) for k in mats)
 
     def test_layout(self, tmp_path):
         """Header, then per section: name length, name, shape, dtype code,

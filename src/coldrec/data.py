@@ -199,10 +199,12 @@ def split_by_artist(
     return parts, assignment
 
 
-def save_split(parts: dict[str, FeedbackMatrix], assignment: dict[str, str], out_dir) -> None:
-    """Persist a split as one triples file per part plus artist_assignment.tsv."""
+def save_split(split: tuple[dict[str, FeedbackMatrix], dict[str, str]], out_dir) -> None:
+    """Persist `split_by_artist`'s result as one triples file per part plus
+    artist_assignment.tsv."""
     import os
 
+    parts, assignment = split
     os.makedirs(out_dir, exist_ok=True)
     for part in PARTS:
         save_triples(parts[part], os.path.join(out_dir, f"{part}.tsv"))

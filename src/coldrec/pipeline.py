@@ -113,9 +113,8 @@ def _load_rows(cfg: PipelineConfig, name: str):
 def _stage_split(cfg: PipelineConfig) -> None:
     m = load_triples(cfg.triples)
     am = load_artist_map(cfg.artist_map)
-    parts, assignment = split_by_artist(m, am, cfg.split_ratios,
-                                        seed=stage_seed(cfg.seed, "split"))
-    save_split(parts, assignment, cfg.out("splits"))
+    save_split(split_by_artist(m, am, cfg.split_ratios, seed=stage_seed(cfg.seed, "split")),
+               cfg.out("splits"))
 
 
 def _load_split(cfg: PipelineConfig, part: str) -> FeedbackMatrix:

@@ -257,13 +257,6 @@ def _track_net(cfg: PipelineConfig):
     return net, meta
 
 
-def _all_song_ids(cfg: PipelineConfig) -> list[str]:
-    ids = []
-    for part in ("train", "val", "test"):
-        ids.extend(_load_split(cfg, part).item_ids)
-    return ids
-
-
 def _extract_artists(cfg: PipelineConfig) -> None:
     """Artist embeddings for every artist with a document."""
     feats, feat_ids, _ = _load_rows(cfg, "features_text")
@@ -280,11 +273,13 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     _extract_artists(cfg)
 
     # track embeddings and the track net's own factor predictions (`evaluate`'s
-    # audio approach) for every song, from one fixed eval patch each. Patches
-    # are read in chunks of zoo.EVAL_BATCH songs, each one forward batch
+    # audio approach) for the songs later stages read: the training songs
+    # `train-fusion` looks up, then the test songs. One fixed eval patch each,
+    # read in chunks of zoo.EVAL_BATCH songs, each one forward batch
     track_net, meta = _track_net(cfg)
     track_params = matrixio.load_params(_require(cfg, "params_track.csmx"))
-    song_ids = _all_song_ids(cfg)
+    _, train_ids, _ = _load_rows(cfg, "factors_songs.items")
+    song_ids = train_ids + _load_split(cfg, "test").item_ids
     seed = stage_seed(cfg.seed, "extract")
     parts = [zoo.extract_embeddings(track_net, track_params, _read_patches(
                  cfg.spectrogram_dir, song_ids[lo:lo + zoo.EVAL_BATCH], meta["patch_len"], seed))

@@ -461,6 +461,19 @@ class TestStages:
                 f"no spectrogram file for song {song!r} at {specs / song}.cqts")):
             run_stage(cfg, stage)
 
+    def test_every_stage_runs_without_validation_artists(self, tmp_path):
+        """`split.val = 0` leaves `splits/val.tsv` empty, and no stage reads it."""
+        data_dir = tmp_path / "data"
+        synth.write_dataset(synth.generate(tiny_spec()), data_dir)
+        cfg = load_pipeline_config(write_config(
+            tmp_path / "p.cfg", str(data_dir), str(tmp_path / "out"),
+            **{"split.train": 0.85, "split.val": 0, "split.test": 0.15}))
+        for stage in STAGES:
+            run_stage(cfg, stage)
+        assert os.path.getsize(cfg.out("splits/val.tsv")) == 0
+        with open(cfg.out("report.json"), encoding="utf-8") as fh:
+            assert set(json.load(fh)) == set(APPROACHES)
+
     def test_stages_leave_config_unchanged(self, staged_run):
         assert staged_run.cfg == load_pipeline_config(staged_run.cfg_path)
 
@@ -490,6 +503,14 @@ class TestArtifacts:
             assert list(sections) == ["rows"], path.name
             ids = path.with_suffix(".ids").read_text(encoding="utf-8").splitlines()
             assert len(ids) == len(sections["rows"]) > 0, path.name
+
+    def test_extract_embeds_training_then_test_songs(self, pipeline_run):
+        """`extract` embeds the songs later stages read, and no others."""
+        train_ids = matrixio.load_ids(pipeline_run.out("factors_songs.items.ids"))
+        with open(pipeline_run.out("splits/test.tsv"), encoding="utf-8") as fh:
+            test_ids = list(dict.fromkeys(line.split("\t")[1] for line in fh))
+        for name in ("embeddings_track", "predictions_audio"):
+            assert matrixio.load_ids(pipeline_run.out(f"{name}.ids")) == train_ids + test_ids
 
     def test_report_covers_all_approaches(self, pipeline_run):
         with open(pipeline_run.out("report.json"), encoding="utf-8") as fh:

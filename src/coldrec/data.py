@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +12,23 @@ import scipy.sparse as sp
 
 class DataError(ValueError):
     """Malformed input data (bad triples, missing mappings, bad ratios)."""
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """A file opened beside ``path``, as UTF-8 text or with ``mode="wb"`` as
+    bytes, that replaces it only once the block finishes; on any error it is
+    removed and ``path`` is left as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -106,7 +125,7 @@ def save_triples(m: FeedbackMatrix, path) -> None:
     """
     coo = m.counts.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for idx in order:
             u, i, c = coo.row[idx], coo.col[idx], coo.data[idx]
             fh.write(f"{m.user_ids[u]}\t{m.item_ids[i]}\t{c}\n")
@@ -202,13 +221,11 @@ def split_by_artist(
 def save_split(split: tuple[dict[str, FeedbackMatrix], dict[str, str]], out_dir) -> None:
     """Persist `split_by_artist`'s result as one triples file per part plus
     artist_assignment.tsv."""
-    import os
-
     parts, assignment = split
     os.makedirs(out_dir, exist_ok=True)
     for part in PARTS:
         save_triples(parts[part], os.path.join(out_dir, f"{part}.tsv"))
-    with open(os.path.join(out_dir, "artist_assignment.tsv"), "w", encoding="utf-8") as fh:
+    with replacing(os.path.join(out_dir, "artist_assignment.tsv")) as fh:
         for artist, part in sorted(assignment.items()):
             fh.write(f"{artist}\t{part}\n")
 

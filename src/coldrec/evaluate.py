@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .data import FeedbackMatrix
+from .data import FeedbackMatrix, replacing
 from .wmf import FactorModel, WmfConfig, factorize_wmf
 
 DEFAULT_CUTOFF = 500
@@ -32,10 +32,10 @@ class EvalReport:
         return float(aps.std(ddof=1) / np.sqrt(len(aps)))
 
     def write(self, tsv_path, json_path) -> None:
-        with open(tsv_path, "w", encoding="utf-8") as fh:
+        with replacing(tsv_path) as fh:
             for user, ap in self.ap_by_user.items():
                 fh.write(f"{user}\t{ap:.10f}\n")
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with replacing(json_path) as fh:
             json.dump({"map": self.map_score, "k": self.cutoff,
                        "users": self.n_users, "skipped": self.n_skipped}, fh, indent=2)
             fh.write("\n")

@@ -5,31 +5,14 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from contextlib import contextmanager
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, replacing
 
 MAGIC = b"CSMX"
 VERSION = 1
 _FLOAT64 = 1  # the one dtype code: every section is little-endian float64
-
-
-@contextmanager
-def _replacing(path):
-    """A binary file opened beside ``path`` that replaces it only once the
-    block finishes; on any error it is removed and ``path`` is left as it was."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def save_matrix(path, sections: dict[str, np.ndarray]) -> None:
@@ -44,7 +27,7 @@ def save_matrix(path, sections: dict[str, np.ndarray]) -> None:
         if not np.all(np.isfinite(mat)):
             raise DataError(f"section {name!r} contains non-finite values")
         mats[name] = mat
-    with _replacing(path) as fh:
+    with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(mats)))
         for name, mat in mats.items():
@@ -95,7 +78,7 @@ def load_matrix(path) -> dict[str, np.ndarray]:
 
 
 def save_ids(path, ids: list[str]) -> None:
-    with _replacing(path) as fh:
+    with replacing(path, "wb") as fh:
         fh.write("".join(i + "\n" for i in ids).encode("utf-8"))
 
 

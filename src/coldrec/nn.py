@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 EPS_NORM = 1e-12
 BN_EPS = 1e-5
@@ -242,33 +243,43 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool
 
 def _conv_forward(spec: LayerSpec, params: dict, x):
     # x: (B, C, T); correlation along time only, all channels mixed; the
-    # output keeps T steps (zero padding, the extra one on the right)
+    # output keeps T steps (zero padding, the extra one on the right).
+    # The padded input is unrolled once, channel-major, into
+    # cols[dt, c, b*T + t] = xp[b, c, t + dt], and each tap is one GEMM
+    # (Chellapilla, Puri & Simard 2006). Every GEMM here and in _conv_backward
+    # gets its operands in the orientation and memory order that numpy's
+    # einsum over one tap hands to matmul (a strided view, not a copy, when
+    # T == 1), so its sums round as that einsum's do (tests/conv_oracle.py).
     w, b = params["W"], params["b"]
+    bsz, c, t = x.shape
     total = spec.width - 1
     left = total // 2
     xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
-    t_out = x.shape[2]
-    y = np.zeros((x.shape[0], spec.filters, t_out))
+    cols = sliding_window_view(xp, t, axis=2).transpose(2, 1, 0, 3).reshape(spec.width, c, bsz * t)
+    y = np.zeros((spec.filters, bsz * t))
     for dt in range(spec.width):
-        # (B, C, t_out) x (F, C) -> (B, F, t_out)
-        y += np.einsum("bct,fc->bft", xp[:, :, dt:dt + t_out], w[:, :, dt], optimize=True)
-    y += b[None, :, None]
-    return y, {"xp": xp}
+        y += w[:, :, dt] @ cols[dt]
+    y += b[:, None]
+    return np.ascontiguousarray(y.reshape(spec.filters, bsz, t).transpose(1, 0, 2)), {"cols": cols}
 
 
 def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool):
-    w = params["W"]
-    xp = cache["xp"]
-    t_out = dy.shape[2]
-    dxp = None if skip_dx else np.zeros_like(xp)
+    w, cols = params["W"], cache["cols"]
+    bsz, f, t = dy.shape
+    dy_t = dy.transpose(0, 2, 1).reshape(bsz * t, f)
     dw = np.zeros_like(w)
     for dt in range(spec.width):
-        dw[:, :, dt] = np.einsum("bft,bct->fc", dy, xp[:, :, dt:dt + t_out], optimize=True)
-        if dxp is not None:
-            dxp[:, :, dt:dt + t_out] += np.einsum("bft,fc->bct", dy, w[:, :, dt], optimize=True)
+        dw[:, :, dt] = (cols[dt] @ dy_t).T
+    grads = {"W": dw, "b": dy.sum(axis=(0, 2))}
+    if skip_dx:
+        return None, grads
+    # the input gradient, channel-major and padded, summed onto zeros in tap order
+    dy_f = dy.transpose(1, 0, 2).reshape(f, bsz * t)
+    dxp = np.zeros((cols.shape[1], bsz, t + spec.width - 1))
+    for dt in range(spec.width):
+        dxp[:, :, dt:dt + t] += (w[:, :, dt].T @ dy_f).reshape(-1, bsz, t)
     left = (spec.width - 1) // 2
-    dx = None if dxp is None else dxp[:, :, left:left + t_out]
-    return dx, {"W": dw, "b": dy.sum(axis=(0, 2))}
+    return dxp[:, :, left:left + t].transpose(1, 0, 2), grads
 
 
 def _pool_segments(t: int, out_steps: int) -> list[tuple[int, int]]:
@@ -288,7 +299,7 @@ def _pool_forward(spec: LayerSpec, x):
         y = np.take_along_axis(xw, arg[..., None], axis=3)[..., 0]
         # absolute time index of each window max
         src = arg + np.arange(t_out)[None, None, :] * spec.pool
-        return y, {"src": src, "in_shape": x.shape}
+        return y, {"src": src, "in_shape": x.shape, "disjoint": True}
     segs = _pool_segments(t, spec.output_steps)
     cols = []
     src_cols = []
@@ -299,14 +310,19 @@ def _pool_forward(spec: LayerSpec, x):
         src_cols.append(arg + lo)
     y = np.stack(cols, axis=2)
     src = np.stack(src_cols, axis=2)
-    return y, {"src": src, "in_shape": x.shape}
+    disjoint = all(prev[1] <= nxt[0] for prev, nxt in zip(segs, segs[1:]))
+    return y, {"src": src, "in_shape": x.shape, "disjoint": disjoint}
 
 
 def _pool_backward(cache: dict, dy):
     src = cache["src"]
     dx = np.zeros(cache["in_shape"])
+    if cache["disjoint"]:
+        # every source is distinct, so one put; + 0.0 maps -0.0 to the +0.0 a sum onto zeros gives
+        np.put_along_axis(dx, src, dy + 0.0, axis=2)
+        return dx
     b, c, _ = src.shape
-    # one scatter; repeated sources (overlapping adaptive segments) accumulate
+    # repeated sources (overlapping adaptive segments) accumulate
     np.add.at(dx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], src), dy)
     return dx
 

@@ -15,8 +15,8 @@ from . import evaluate as ev
 from . import matrixio, textfeat, zoo
 from .config import PipelineConfig
 from .data import (PARTS, ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
-                   load_artist_map, load_assignment, load_triples, save_split,
-                   split_by_artist)
+                   load_artist_map, load_assignment, load_triples, replacing,
+                   save_split, split_by_artist)
 from .nn import NetworkSpec
 from .wmf import factorize_wmf
 
@@ -113,8 +113,13 @@ def _load_rows(cfg: PipelineConfig, name: str):
 def _stage_split(cfg: PipelineConfig) -> None:
     m = load_triples(cfg.triples)
     am = load_artist_map(cfg.artist_map)
-    save_split(split_by_artist(m, am, cfg.split_ratios, seed=stage_seed(cfg.seed, "split")),
-               cfg.out("splits"))
+    split = split_by_artist(m, am, cfg.split_ratios, seed=stage_seed(cfg.seed, "split"))
+    # the later stages train on the train part and evaluate on the test part
+    for part in ("train", "test"):
+        if not split[0][part].n_items:
+            ratio = cfg.split_ratios[PARTS.index(part)]
+            raise DataError(f"split.{part} = {ratio:g} leaves the {part} part without artists")
+    save_split(split, cfg.out("splits"))
 
 
 def _load_split(cfg: PipelineConfig, part: str) -> FeedbackMatrix:
@@ -157,7 +162,7 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
     if not train_docs:
         raise StageError("no training-artist documents to build a vocabulary from")
     vocab = textfeat.build_vocab(train_docs, cfg.vocab_cap)
-    with open(cfg.out("vocab.json"), "w", encoding="utf-8") as fh:
+    with replacing(cfg.out("vocab.json")) as fh:
         json.dump({"terms": vocab.terms, "df": vocab.doc_freq.tolist(),
                    "n_docs": vocab.n_docs}, fh)
         fh.write("\n")
@@ -243,7 +248,7 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
                                     val_x, song_factors[val], tc)
     matrixio.save_params(cfg.out("params_track.csmx"), params)
     log.write_tsv(cfg.out("log_track.tsv"))
-    with open(cfg.out("track_net.json"), "w", encoding="utf-8") as fh:
+    with replacing(cfg.out("track_net.json")) as fh:
         json.dump({"bins": bins, "patch_len": patch_len,
                    "k": song_factors.shape[1], "scale": cfg.channel_scale}, fh)
         fh.write("\n")
@@ -370,11 +375,11 @@ def _stage_report(cfg: PipelineConfig) -> None:
         with open(path, encoding="utf-8") as fh:
             summary = json.load(fh)
         rows.append((approach, summary["map"], summary["users"]))
-    with open(cfg.out("report.tsv"), "w", encoding="utf-8") as fh:
+    with replacing(cfg.out("report.tsv")) as fh:
         fh.write("approach\tmap\tusers\n")
         for approach, map_score, users in rows:
             fh.write(f"{approach}\t{map_score:.10f}\t{users}\n")
-    with open(cfg.out("report.json"), "w", encoding="utf-8") as fh:
+    with replacing(cfg.out("report.json")) as fh:
         json.dump({a: {"map": m, "users": u} for a, m, u in rows}, fh, indent=2)
         fh.write("\n")
 

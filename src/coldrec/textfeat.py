@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, replacing
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -168,7 +168,7 @@ def load_documents(path) -> list[Document]:
 
 
 def save_documents(docs: list[Document], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for d in docs:
             fh.write(json.dumps({"artist_id": d.artist_id, "text": d.text}) + "\n")
 

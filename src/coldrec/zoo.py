@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .data import replacing
 from .nn import LayerSpec, NetworkSpec
 
 TRACK_FILTERS = (256, 512, 1024, 1024)
@@ -46,7 +47,7 @@ class TrainLog:
     best_val: float = math.inf
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replacing(path) as fh:
             fh.write("epoch\ttrain_loss\tval_loss\n")
             for epoch, tr, va in self.epochs:
                 fh.write(f"{epoch}\t{tr:.10f}\t{va:.10f}\n")

@@ -1,19 +1,50 @@
 """The benchmark traces coldrec functions by name, and keys its metrics by
-stage and layer kind; the names must all still exist in coldrec."""
+stage and layer kind; the names must all still exist in coldrec. Its desk
+config must also stay the one the experiment script and the acceptance suite run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("audio", "evaluate", "matrixio", "nn", "pipeline", "textfeat", "wmf", "zoo")
 
 
+def load_file(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_file(ROOT / "bench" / "tracing.py", "bench_tracing")
+
+
+def test_desk_config_is_the_same_in_script_acceptance_suite_and_bench(tmp_path):
+    """`bench/workloads.REFERENCE_MAP` is the MAP table that
+    scripts/run_synthetic_experiment.py prints, and the acceptance suite runs
+    the same config: the three copies agree on every value but paths and seed."""
+    from coldrec.config import parse_kv_file, write_kv_file
+
+    from test_acceptance import _write_pipeline_config
+
+    workloads = load_file(ROOT / "bench" / "workloads.py", "bench_workloads")
+    script = load_file(ROOT / "scripts" / "run_synthetic_experiment.py", "desk_script")
+    write_kv_file(tmp_path / "bench.cfg", workloads.DESK_CONFIG)
+    (tmp_path / "script").mkdir()
+    copies = {
+        "bench": tmp_path / "bench.cfg",
+        "script": script.build_config(str(tmp_path / "script"), seed=3),
+        "acceptance": _write_pipeline_config(tmp_path / "acceptance.cfg", "data", "out"),
+    }
+    values = {name: {k: v for k, v in parse_kv_file(path).items()
+                     if not k.startswith("paths.") and k != "seed"}
+              for name, path in copies.items()}
+    assert values["script"] == values["bench"] == values["acceptance"]
+    assert len(values["bench"]) == len(workloads.DESK_CONFIG) - 7  # the seven paths
 
 
 def test_bench_stage_and_layer_names_match_coldrec():

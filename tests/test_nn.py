@@ -6,6 +6,7 @@ from coldrec.nn import (ADAM_CHUNK, AdamState, LayerSpec, NetworkSpec, ShapeErro
                         adam_step, cosine_loss, infer_shapes, init_params,
                         layer_backward, layer_forward, net_backward, net_forward)
 
+import conv_oracle
 from gradcheck import gradient_check
 
 
@@ -189,6 +190,70 @@ def test_every_layer_kind_matches_finite_differences(spec, shape):
 def test_batchnorm_eval_mode_gradient():
     spec = LayerSpec("batchnorm")
     assert fd_layer_check(spec, (5,), mode="eval") < 1e-4
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("t", [1, 6, 24, 96])
+@pytest.mark.parametrize("batch", [1, 7, 32, 202, 256])
+def test_conv_matches_per_tap_einsum(batch, t, width):
+    """Forward, dW, db and dx agree with one einsum per tap; at T = 1 every
+    tap but the centre one reads only padding."""
+    rng = np.random.default_rng([batch, t, width])
+    spec = LayerSpec("conv1d_time", filters=12, width=width)
+    params = {"W": rng.normal(size=(12, 8, width)), "b": rng.normal(size=12)}
+    x = rng.normal(size=(batch, 8, t))
+    dy = rng.normal(size=(batch, 12, t))
+    y, cache = layer_forward(spec, params, x)
+    dx, grads = layer_backward(spec, params, cache, dy)
+    y_ref, xp = conv_oracle.conv_forward(params["W"], params["b"], x)
+    dx_ref, dw_ref, db_ref = conv_oracle.conv_backward(params["W"], xp, dy)
+    # exact: the GEMMs take their operands as the einsum does, so every sum
+    # rounds alike. Only the sign of a zero may differ: at B*T = 1 the einsum
+    # gives a padding tap's weight gradient as a product, dy * 0.0, and the
+    # GEMM as a sum onto +0.0.
+    for got, ref in ((y, y_ref), (grads["W"], dw_ref), (grads["b"], db_ref), (dx, dx_ref)):
+        np.testing.assert_array_equal(got, ref, strict=True)
+
+
+def _scatter_add_reference(cache, dy):
+    dx = np.zeros(cache["in_shape"])
+    b, c, _ = dy.shape
+    np.add.at(dx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], cache["src"]), dy)
+    return dx
+
+
+class TestPoolBackward:
+    @pytest.mark.parametrize("spec,t", [
+        (LayerSpec("maxpool_time", pool=4), 96),
+        (LayerSpec("maxpool_time", pool=3), 10),          # the last frame is in no window
+        (LayerSpec("maxpool_time", output_steps=4), 8),   # disjoint adaptive segments
+    ])
+    def test_disjoint_windows_bit_identical_to_scatter_add(self, spec, t):
+        rng = np.random.default_rng(t)
+        _, cache = layer_forward(spec, {}, rng.normal(size=(5, 3, t)))
+        dy = rng.normal(size=(5, 3, cache["src"].shape[2]))
+        dy[0, 0, :] = -0.0
+        dy[1, 2, 0] = -0.0
+        dx, _ = layer_backward(spec, {}, cache, dy)
+        # bytes, so a -0.0 where the sum onto zeros gives +0.0 fails
+        assert dx.tobytes() == _scatter_add_reference(cache, dy).tobytes()
+        assert not np.signbit(dx[0, 0]).any()
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 7])
+    def test_overlapping_segments_accumulate(self, t):
+        """With output_steps > T (and at T = 7, where segments share an edge
+        frame) one input frame is the max of several outputs, and its
+        gradient is their sum."""
+        spec = LayerSpec("maxpool_time", output_steps=4)
+        rng = np.random.default_rng(t)
+        x = rng.normal(size=(2, 3, t))
+        _, cache = layer_forward(spec, {}, x)
+        dy = rng.normal(size=(2, 3, 4))
+        dx, _ = layer_backward(spec, {}, cache, dy)
+        assert np.array_equal(dx, _scatter_add_reference(cache, dy))
+        assert np.allclose(dx.sum(axis=2), dy.sum(axis=2))
+        if t == 1:
+            assert np.allclose(dx[..., 0], dy.sum(axis=2))
 
 
 class TestNetComposition:

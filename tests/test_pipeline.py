@@ -474,6 +474,15 @@ class TestStages:
         with open(cfg.out("report.json"), encoding="utf-8") as fh:
             assert set(json.load(fh)) == set(APPROACHES)
 
+    def test_empty_triples_file_stops_split_naming_it(self, tmp_path):
+        data_dir = tmp_path / "data"
+        synth.write_dataset(synth.generate(tiny_spec()), data_dir)
+        (data_dir / "triples.tsv").write_text("")
+        cfg = load_pipeline_config(write_config(tmp_path / "p.cfg", str(data_dir),
+                                                str(tmp_path / "out")))
+        with pytest.raises(DataError, match=re.escape(f"{cfg.triples}: empty triples file")):
+            run_stage(cfg, "split")
+
     def test_stages_leave_config_unchanged(self, staged_run):
         assert staged_run.cfg == load_pipeline_config(staged_run.cfg_path)
 
@@ -578,6 +587,21 @@ class TestCli:
                                 **{"split.train": 0.6, "split.val": 0.2, "split.test": 0.2})
         assert main(["split", "--config", str(cfg_path)]) == EXIT_OK
         assert os.path.exists(tmp_path / "out" / "splits" / "train.tsv")
+
+    @pytest.mark.parametrize("part,ratios", [("test", (0.9, 0.1, 0.0)),
+                                             ("train", (0.0, 0.5, 0.5))])
+    def test_split_part_without_artists_is_data_exit(self, tmp_path, capsys, part, ratios):
+        """Later stages read the train and test parts, so `split` stops with
+        one error line that names the part and writes no split."""
+        data_dir = tmp_path / "data"
+        synth.write_dataset(synth.generate(tiny_spec()), data_dir)
+        cfg_path = write_config(tmp_path / "p.cfg", str(data_dir), str(tmp_path / "out"),
+                                **dict(zip(("split.train", "split.val", "split.test"), ratios)))
+        assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: split\.{part} = 0 leaves the {part} part without artists\n",
+                            err), err
+        assert not os.path.exists(tmp_path / "out" / "splits")
 
     def test_stage_error_is_data_exit(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.cfg"

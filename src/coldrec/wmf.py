@@ -47,25 +47,15 @@ class FactorModel:
             raise ValueError("user and item factor matrices differ in width")
 
 
-def solve_row(other_factors: np.ndarray, indices: np.ndarray, conf: np.ndarray,
-              gram: np.ndarray, lam_eye: np.ndarray) -> np.ndarray:
-    """Closed-form ridge update for one user (or item) row.
+def solve_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve one row's system a x = b, with a symmetric positive definite.
 
-    Solves (Y^T C Y + lam*I) x = Y^T C p, C = diag(conf) on the row's nonzeros
-    and 1 elsewhere, p the nonzero indicator, in the rank-restricted form
-    gram + Y_nz^T diag(conf - 1) Y_nz + lam_eye with the half-sweep's
-    gram = Y^T Y and lam_eye = lam*I. Raises np.linalg.LinAlgError on a
-    system that is not positive definite.
+    LAPACK's Cholesky solve directly: scipy.linalg.solve adds ~40 us per call.
+    Raises np.linalg.LinAlgError on a system that is not positive definite.
     """
-    if len(indices) == 0:
-        return np.zeros(other_factors.shape[1])
-    y_nz = other_factors[indices]
-    a = gram + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + lam_eye
-    b = y_nz.T @ conf
-    # LAPACK's Cholesky solve directly: scipy.linalg.solve adds ~40 us per call
     _, x, info = lapack.dposv(a, b)
     if info != 0:
-        raise np.linalg.LinAlgError(f"ALS row system is not positive definite (LAPACK info {info})")
+        raise np.linalg.LinAlgError(f"not positive definite (LAPACK info {info})")
     return x
 
 
@@ -94,7 +84,12 @@ def als_objective(model: FactorModel, m: FeedbackMatrix, alpha: float, lam: floa
 # overflow surfaces as non-finite factors, which are reported as divergence
 @np.errstate(over="ignore", invalid="ignore")
 def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
-    """Alternating least squares on the binarized-preference WMF objective."""
+    """Alternating least squares on the binarized-preference WMF objective.
+
+    Once per factorization: the initial factors and the item-major copy of
+    the counts. Once per sweep: a user and an item half-sweep (see
+    ``_half_sweep``), then the objective if early stopping is on.
+    """
     cfg.validate()
     if m.n_users == 0 or m.n_items == 0:
         raise ValueError("cannot factorize an empty matrix")
@@ -104,8 +99,8 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
     item_rows = m.counts.tocsc().T  # one CSR row per item
     prev_obj = None
     for sweep in range(1, cfg.iterations + 1):
-        _half_sweep(x, y, m.counts, cfg.alpha, cfg.lam, sweep)
-        _half_sweep(y, x, item_rows, cfg.alpha, cfg.lam, sweep)
+        _half_sweep(x, y, m.counts, cfg.alpha, cfg.lam, sweep, "user")
+        _half_sweep(y, x, item_rows, cfg.alpha, cfg.lam, sweep, "item")
         if cfg.early_stop_tol is not None:
             obj = als_objective(FactorModel(x, y), m, cfg.alpha, cfg.lam)
             if prev_obj is not None and prev_obj - obj < cfg.early_stop_tol * abs(prev_obj):
@@ -115,13 +110,25 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
 
 
 def _half_sweep(target: np.ndarray, other: np.ndarray, rows: sp.csr_matrix,
-                alpha: float, lam: float, sweep: int) -> None:
+                alpha: float, lam: float, sweep: int, side: str) -> None:
     """Solve every row of ``target`` in place against the finite ``other``.
+
+    Row r solves (gram + Y_r^T diag(c_r - 1) Y_r + lam*I) x = Y_r^T c_r,
+    with gram = Y^T Y, Y_r the rows of ``other`` at row r's nonzeros and
+    c_r = 1 + alpha*counts their confidences (Hu, Koren & Volinsky 2008).
+    Once per half-sweep: gram, lam*I and every confidence. Once per group of
+    the R rows that share a nonzero count n: the (R, n, k) stack of Y_r, its
+    confidence-weighted copy, the (R, k, k) systems and the (R, k)
+    right-hand sides, about 2*R*n*k + R*k*(k + 1) float64 at the peak. numpy's
+    matmul hands BLAS every slice in the orientation and memory order of the
+    one-row formula, so the results equal it bit for bit. Once per row: the
+    Cholesky solve (``solve_row``). A row with no nonzeros is zero.
 
     (1 + alpha*max count)*max diag(gram) + lam bounds every row system's
     diagonal, and so its off-diagonal (the system is PSD): one finite bound,
     doubled for rounding, keeps all systems finite. An overflowing right-hand
-    side shows up in the checked output, which raises a ValueError.
+    side shows up in the checked output, which raises a ValueError; so does
+    a system that is not positive definite, naming its ``side`` row.
     """
     gram = other.T @ other
     lam_eye = lam * np.eye(other.shape[1])
@@ -129,9 +136,26 @@ def _half_sweep(target: np.ndarray, other: np.ndarray, rows: sp.csr_matrix,
     bound = conf.max(initial=1.0) * gram.diagonal().max() + lam
     if np.isfinite(2.0 * bound):
         indptr, indices = rows.indptr, rows.indices
-        for r in range(target.shape[0]):
-            lo, hi = indptr[r], indptr[r + 1]
-            target[r] = solve_row(other, indices[lo:hi], conf[lo:hi], gram, lam_eye)
+        nnz = np.diff(indptr)
+        order = np.argsort(nnz, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(nnz[order])) + 1):
+            n = nnz[group[0]]
+            if n == 0:
+                target[group] = 0.0
+                continue
+            at = indptr[group][:, None] + np.arange(n)
+            y_nz = other[indices[at]]  # (R, n, k), C-contiguous
+            c = conf[at]
+            y_t = y_nz.transpose(0, 2, 1)
+            a = gram + y_t @ ((c - 1.0)[..., None] * y_nz) + lam_eye
+            b = (y_t @ c[..., None])[..., 0]
+            try:
+                for r, a_r, b_r in zip(group, a, b):
+                    target[r] = solve_row(a_r, b_r)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"ALS system of {side} row {r} is not positive definite in "
+                                 f"sweep {sweep} (alpha {alpha:g}, lambda {lam:g}); "
+                                 f"raise lambda or lower k") from None
         if np.isfinite(target).all():
             return
     raise ValueError(f"ALS diverged: non-finite factors in sweep {sweep} "

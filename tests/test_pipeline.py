@@ -640,3 +640,17 @@ class TestCli:
         assert re.fullmatch(r"error: ALS diverged: non-finite factors in sweep \d+ "
                             r"\(alpha 1e\+308, lambda [0-9.e+-]+\); .*\n", err), err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_singular_als_system_is_data_exit(self, staged_run, tmp_path, capsys):
+        """k above the number of training artists with a vanishing lambda leaves
+        an artist-factor row system singular: one error line that names the
+        sweep, the row, alpha and lambda."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(out), **{"wmf.artists.k": 64, "wmf.artists.lambda": 1e-20})
+        assert main(["factorize-artists", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ALS system of (user|item) row \d+ is not positive definite "
+                            r"in sweep 1 \(alpha [0-9.e+-]+, lambda 1e-20\); "
+                            r"raise lambda or lower k\n", err), err

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,50 +30,109 @@ def brute_objective(x, y, dense, alpha, lam):
     return total + lam * ((x * x).sum() + (y * y).sum())
 
 
-def solve(y, indices, counts, alpha, lam):
-    """solve_row with the per-half-sweep inputs built as _half_sweep builds them."""
+def row_system(y, indices, counts, alpha, lam):
+    """One row's ALS system (a, b), built by the per-row formula."""
+    y_nz = y[indices]
     conf = 1.0 + alpha * np.asarray(counts, dtype=np.float64)
-    return solve_row(y, indices, conf, y.T @ y, lam * np.eye(y.shape[1]))
+    a = y.T @ y + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + lam * np.eye(y.shape[1])
+    return a, y_nz.T @ conf
+
+
+def solve(y, indices, counts, alpha, lam):
+    return solve_row(*row_system(y, indices, counts, alpha, lam))
 
 
 def reference_factorize(m, cfg):
-    """Reference ALS with all work per row: every row casts its counts and rebuilds lam*I,
-    and the item rows are transposed again on every sweep."""
+    """Reference ALS with all work per row: every row gathers its factors, casts its
+    counts, rebuilds Y^T Y and lam*I and forms its own system, and the item rows
+    are transposed again on every sweep. Returns the factors and the sweeps run."""
     rng = np.random.default_rng(cfg.seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
 
     def half_sweep(target, other, rows):
-        gram = other.T @ other
         for r in range(target.shape[0]):
             lo, hi = rows.indptr[r], rows.indptr[r + 1]
             if lo == hi:
                 target[r] = np.zeros(cfg.k)
                 continue
-            y_nz = other[rows.indices[lo:hi]]
-            conf = 1.0 + cfg.alpha * rows.data[lo:hi].astype(np.float64)
-            a = gram + y_nz.T @ ((conf - 1.0)[:, None] * y_nz) + cfg.lam * np.eye(cfg.k)
-            _, target[r], info = lapack.dposv(a, y_nz.T @ conf)
+            a, b = row_system(other, rows.indices[lo:hi], rows.data[lo:hi], cfg.alpha, cfg.lam)
+            _, target[r], info = lapack.dposv(a, b)
             assert info == 0
 
     csc = m.counts.tocsc()
-    for _ in range(cfg.iterations):
+    prev_obj = None
+    for sweep in range(1, cfg.iterations + 1):
         half_sweep(x, y, m.counts.tocsr())
         half_sweep(y, x, csc.T.tocsr())
-    return x, y
+        if cfg.early_stop_tol is not None:
+            dense = m.counts.toarray()
+            pred = x @ y.T
+            obj = (float(np.sum((1.0 + cfg.alpha * dense) * ((dense > 0) - pred) ** 2))
+                   + cfg.lam * (float(np.sum(x * x)) + float(np.sum(y * y))))
+            if prev_obj is not None and prev_obj - obj < cfg.early_stop_tol * abs(prev_obj):
+                break
+            prev_obj = obj
+    return x, y, sweep
+
+
+def assert_matches_reference(m, cfg):
+    model = factorize_wmf(m, cfg)
+    x, y, sweeps = reference_factorize(m, cfg)
+    assert np.array_equal(model.user_factors, x)
+    assert np.array_equal(model.item_factors, y)
+    return sweeps
+
+
+def unsort_columns(counts):
+    """The same matrix with each row's columns reversed, as a summed product may leave it."""
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                            for lo, hi in zip(counts.indptr, counts.indptr[1:])])
+    return sp.csr_matrix((counts.data[order], counts.indices[order], counts.indptr),
+                         shape=counts.shape)
+
+
+def feedback(dense):
+    return FeedbackMatrix([f"u{i}" for i in range(dense.shape[0])],
+                          [f"s{i}" for i in range(dense.shape[1])], sp.csr_matrix(dense))
+
+
+def equal_nnz_rows(rng):
+    # 60 users with exactly 5 items each: one group of 60 user rows
+    dense = np.zeros((60, 40), dtype=np.int64)
+    for u in range(60):
+        dense[u, rng.choice(40, 5, replace=False)] = rng.integers(1, 6, 5)
+    return dense
+
+
+def single_nonzero_rows(rng):
+    # every user and most items have one nonzero
+    dense = np.zeros((30, 45), dtype=np.int64)
+    dense[np.arange(30), rng.permutation(45)[:30]] = rng.integers(1, 6, 30)
+    return dense
+
+
+def long_rows(rng):
+    # a few artist-like rows with more than 100 nonzeros among short ones
+    dense = (rng.random((20, 300)) < 0.05) * rng.integers(1, 6, (20, 300))
+    dense[:3] = (rng.random((3, 300)) < 0.6) * rng.integers(1, 40, (3, 300))
+    assert (np.count_nonzero(dense[:3], axis=1) > 100).all()
+    return dense
+
+
+def empty_rows(rng):
+    # empty users and empty items, first, in the middle and last
+    dense = (rng.random((25, 30)) < 0.3) * rng.integers(1, 6, (25, 30))
+    dense[[0, 12, 24], :] = 0
+    dense[:, [0, 15, 29]] = 0
+    return dense
 
 
 class TestSolveRow:
-    def test_empty_row_is_zero(self):
-        y = np.random.default_rng(0).normal(size=(5, 3))
-        x = solve(y, np.array([], dtype=int), np.array([]), alpha=10, lam=0.1)
-        assert np.array_equal(x, np.zeros(3))
-
     def test_scalar_closed_form(self):
         # k=1, one item y=1, count=1, alpha=1: x = c/(c + lam) with c = 2
-        y = np.array([[1.0]])
         lam = 1e-9
-        x = solve(y, np.array([0]), np.array([1]), alpha=1.0, lam=lam)
+        x = solve_row(np.array([[2.0 + lam]]), np.array([2.0]))
         assert x[0] == pytest.approx(2.0 / (2.0 + lam), rel=1e-9)
 
     def test_matches_dense_solve(self):
@@ -97,6 +158,33 @@ class TestSolveRow:
             solve(y, np.array([1]), np.array([1]), alpha=alpha, lam=lam)
 
 
+class TestHalfSweep:
+    def test_empty_row_is_zero(self):
+        y = np.random.default_rng(0).normal(size=(5, 3))
+        target = np.full((3, 3), 7.0)
+        rows = sp.csr_matrix(np.array([[0, 2, 0, 0, 1], [0, 0, 0, 0, 0], [3, 0, 0, 0, 0]]))
+        _half_sweep(target, y, rows, 10.0, 0.1, 1, "user")
+        assert np.array_equal(target[1], np.zeros(3))
+        assert np.array_equal(target[0], solve(y, [1, 4], [2, 1], 10.0, 0.1))
+        assert np.array_equal(target[2], solve(y, [0], [3], 10.0, 0.1))
+
+    def test_one_solve_per_nonempty_row(self):
+        m = feedback(empty_rows(np.random.default_rng(3)))
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, seed=0, early_stop_tol=None)
+        nonempty = sum(np.count_nonzero(m.counts.getnnz(axis=axis)) for axis in (0, 1))
+        with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
+            factorize_wmf(m, cfg)
+        assert spy.call_count == cfg.iterations * nonempty
+
+    def test_not_positive_definite_names_row(self):
+        # k = 16 over two items: every user system is lam*I plus rank <= 2
+        m = feedback(np.array([[1, 2], [0, 3], [4, 0]]))
+        with pytest.raises(ValueError, match=r"^ALS system of user row 1 is not positive definite "
+                                             r"in sweep 1 \(alpha 40, lambda 1e-20\); "
+                                             r"raise lambda or lower k$"):
+            factorize_wmf(m, WmfConfig(k=16, alpha=40.0, lam=1e-20, seed=0))
+
+
 # direct calls run outside factorize_wmf's errstate, so overflow warns here
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestHalfSweepGuard:
@@ -111,19 +199,19 @@ class TestHalfSweepGuard:
     def test_non_finite_other_factors_rejected(self, y):
         target = np.zeros((1, 1))
         with pytest.raises(ValueError, match="non-finite factors in sweep 3"):
-            _half_sweep(target, y, self.rows, 1.0, 0.1, sweep=3)
+            _half_sweep(target, y, self.rows, 1.0, 0.1, sweep=3, side="user")
 
     def test_overflowing_confidence_rejected(self):
         with pytest.raises(ValueError, match=r"alpha 1e\+308, lambda 0\.1"):
             _half_sweep(np.zeros((1, 1)), np.array([[2.0], [2.0]]), self.rows * 10,
-                        1e308, 0.1, sweep=1)
+                        1e308, 0.1, sweep=1, side="user")
 
     def test_overflowing_output_rejected(self):
         # every row system is finite (diagonal 4e307), but its right-hand
         # side, ten entries of 1e308 * 0.2, overflows
         with pytest.raises(ValueError, match="sweep 1"):
             _half_sweep(np.zeros((1, 1)), np.full((10, 1), 0.2), sp.csr_matrix(np.ones((1, 10))),
-                        1e308, 0.1, sweep=1)
+                        1e308, 0.1, sweep=1, side="user")
 
 
 class TestObjective:
@@ -205,19 +293,38 @@ class TestFactorize:
         dense[-1, :] = 0  # an empty user row
         dense[:, -1] = 0  # an empty item column
         counts = sp.csr_matrix(dense)
-        if unsorted:
-            # reversed column order within each row, as a summed product may leave it
-            order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
-                                    for lo, hi in zip(counts.indptr, counts.indptr[1:])])
-            counts = sp.csr_matrix((counts.data[order], counts.indices[order], counts.indptr),
-                                   shape=counts.shape)
-        m = FeedbackMatrix(m.user_ids, m.item_ids, counts)
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=4, seed=seed, early_stop_tol=None)
+        m = FeedbackMatrix(m.user_ids, m.item_ids, unsort_columns(counts) if unsorted else counts)
+        for k in (4, 16):
+            cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4, seed=seed, early_stop_tol=None)
+            assert_matches_reference(m, cfg)
         model = factorize_wmf(m, cfg)
-        x, y = reference_factorize(m, cfg)
-        assert np.array_equal(model.user_factors, x)
-        assert np.array_equal(model.item_factors, y)
-        assert np.array_equal(x[-1], np.zeros(4)) and np.array_equal(y[-1], np.zeros(4))
+        assert np.array_equal(model.user_factors[-1], np.zeros(16))
+        assert np.array_equal(model.item_factors[-1], np.zeros(16))
+
+    @pytest.mark.parametrize("make", [equal_nnz_rows, single_nonzero_rows, long_rows, empty_rows],
+                             ids=["equal-nnz", "single-nonzero", "over-100-nonzeros", "empty"])
+    @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
+    def test_bit_identical_on_row_groups(self, make, unsorted):
+        """Row shapes that group unusually: one large group, groups of one nonzero,
+        groups of one long row, and empty rows in both halves."""
+        counts = sp.csr_matrix(make(np.random.default_rng(7)))
+        m = feedback(counts.toarray())
+        m.counts = unsort_columns(counts) if unsorted else counts
+        cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3, seed=5, early_stop_tol=None)
+        assert_matches_reference(m, cfg)
+
+    def test_bit_identical_with_early_stopping(self):
+        m = random_matrix(30, 20, seed=4, density=0.3)
+        settings = dict(k=16, alpha=40.0, lam=10.0, seed=4)
+        cfg = WmfConfig(iterations=60, early_stop_tol=1e-4, **settings)
+        sweeps = assert_matches_reference(m, cfg)
+        assert 1 < sweeps < cfg.iterations
+        # one sweep more or fewer gives other factors
+        stopped = factorize_wmf(m, cfg).user_factors
+        for other in (sweeps - 1, sweeps + 1):
+            x, _, _ = reference_factorize(m, WmfConfig(iterations=other, early_stop_tol=None,
+                                                       **settings))
+            assert not np.array_equal(stopped, x)
 
     def test_objective_monotone_over_sweeps(self):
         m = random_matrix(6, 8, seed=2)

@@ -169,6 +169,30 @@ def init_params(net: NetworkSpec, seed: int) -> dict[str, dict[str, np.ndarray]]
 TRAINABLE = {"W", "b", "gamma", "beta"}
 
 
+class FactoredGrad:
+    """A dense layer's weight gradient ``x.T @ dy``, held as its two factors.
+
+    ``adam_step`` forms it a block of rows at a time, so the whole gradient
+    never exists in training; ``np.asarray`` forms it whole.
+    """
+
+    __slots__ = ("x", "dy")
+
+    def __init__(self, x: np.ndarray, dy: np.ndarray):
+        self.x, self.dy = x, dy
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.x.shape[1], self.dy.shape[1]
+
+    @property
+    def size(self) -> int:
+        return self.x.shape[1] * self.dy.shape[1]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.x.T @ self.dy, dtype=dtype)
+
+
 # ---------------------------------------------------------------------------
 # Single-layer forward / backward
 
@@ -209,10 +233,11 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool
     """Gradient of one layer; returns (input gradient, parameter gradients).
 
     With ``skip_dx`` a dense, conv1d_time or batchnorm layer returns None as its input gradient.
+    A dense layer's weight gradient stays factored (``FactoredGrad``).
     """
     if spec.kind == "dense":
-        x = cache["x"]
-        return None if skip_dx else dy @ params["W"].T, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+        dx = None if skip_dx else dy @ params["W"].T
+        return dx, {"W": FactoredGrad(cache["x"], dy), "b": dy.sum(axis=0)}
     if spec.kind == "conv1d_time":
         return _conv_backward(spec, params, cache, dy, skip_dx)
     if spec.kind == "maxpool_time":
@@ -468,27 +493,52 @@ class AdamState:
         return AdamState(m=zeros(), v=zeros(), lr=lr)
 
 
-def adam_step(params, grads, state: AdamState) -> None:
-    """One Adam update, in place over every gradient tensor, in blocks of ADAM_CHUNK elements.
+def _blocks(g) -> list[tuple[int, int]]:
+    """Adam's blocks over a gradient's flat elements, as (lo, hi) pairs.
 
-    Each element sees the float operations of ``m = m*b1 + (1-b1)*g; v = v*b2 + (1-b2)*g*g;
+    An array is cut every ADAM_CHUNK elements. A factored gradient is cut every
+    max(2, ADAM_CHUNK // units) rows, and a 1-row tail joins the block before it:
+    numpy hands a 1-row product to gemv, which rounds unlike the gemm of ``x.T @ dy``.
+    """
+    if not isinstance(g, FactoredGrad):
+        return [(lo, min(lo + ADAM_CHUNK, g.size)) for lo in range(0, g.size, ADAM_CHUNK)]
+    rows, units = g.shape
+    bounds = list(range(0, rows, max(2, ADAM_CHUNK // units))) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [(lo * units, hi * units) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def adam_step(params, grads, state: AdamState) -> None:
+    """One Adam update, in place over every gradient tensor, a block at a time (``_blocks``).
+
+    A factored gradient's block is one GEMM, ``x.T[lo:hi] @ dy``, formed just before its
+    update; its rows come out bit-identical to those of ``x.T @ dy``. Each element sees the
+    float operations of ``m = m*b1 + (1-b1)*g; v = v*b2 + (1-b2)*g*g;
     p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order.
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    scratch = np.empty((2, ADAM_CHUNK))
     for layer, tensors in grads.items():
         for key, g in tensors.items():
             p = params[layer][key]
             if not p.flags.c_contiguous:
                 raise ValueError(f"Adam updates {layer}/{key} in place, so it must be C-contiguous")
-            flat = (p.reshape(-1), g.reshape(-1), state.m[layer][key].reshape(-1),
+            blocks = _blocks(g)
+            scratch = np.empty((3, max((hi - lo for lo, hi in blocks), default=0)))
+            flat = (p.reshape(-1), state.m[layer][key].reshape(-1),
                     state.v[layer][key].reshape(-1))
-            for lo in range(0, g.size, ADAM_CHUNK):
-                pc, gc, mc, vc = (a[lo:lo + ADAM_CHUNK] for a in flat)
-                s, u = scratch[:, :gc.size]
+            g_flat = None if isinstance(g, FactoredGrad) else g.reshape(-1)
+            for lo, hi in blocks:
+                pc, mc, vc = (a[lo:hi] for a in flat)
+                s, u, gc = scratch[:, :hi - lo]
+                if g_flat is not None:
+                    gc = g_flat[lo:hi]
+                else:
+                    units = g.shape[1]
+                    np.matmul(g.x.T[lo // units:hi // units], g.dy, out=gc.reshape(-1, units))
                 np.multiply(1 - b1, gc, out=s)
                 mc *= b1
                 mc += s

@@ -34,6 +34,8 @@ class TrainConfig:
     def validate(self):
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError(f"max epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not self.lr > 0:
@@ -200,7 +202,8 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
             # the gradients die with this call, before the next step's backward
             nn.adam_step(params, nn.net_backward(net, params, caches, dpred), state)
             train_loss += loss * len(idx)
-        out = caches = dpred = None  # not held through validation
+        # not held through validation; a provider's next epoch is built without this one's
+        out = caches = dpred = feats = None
         train_loss /= n
         val_loss = eval_loss(net, params, val_features, val_targets)
         if not math.isfinite(val_loss):

@@ -27,6 +27,8 @@ def gradient_check(net: NetworkSpec, params, inputs, target, h: float = 1e-5,
         for key in sorted(grads[layer]):
             tensor = params[layer][key]
             flat = tensor.reshape(-1)
+            # a dense weight gradient is factored (nn.FactoredGrad); asarray forms it
+            grad = np.asarray(grads[layer][key]).reshape(-1)
             n = flat.size
             coords = rng.choice(n, size=min(samples_per_tensor, n), replace=False)
             for c in coords:
@@ -37,7 +39,7 @@ def gradient_check(net: NetworkSpec, params, inputs, target, h: float = 1e-5,
                 down = loss_at()
                 flat[c] = orig
                 numeric = (up - down) / (2 * h)
-                analytic = grads[layer][key].reshape(-1)[c]
+                analytic = grad[c]
                 denom = max(abs(analytic), abs(numeric), 1e-8)
                 worst = max(worst, abs(analytic - numeric) / denom)
     return worst

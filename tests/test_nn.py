@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,7 +160,7 @@ def fd_layer_check(spec, in_shape, batch=3, seed=0, mode="train", h=1e-6):
         worst = max(worst, abs(num - flat_dx[c]) / max(abs(num), abs(flat_dx[c]), 1e-8))
     for key in grads:
         tensor = params[key].reshape(-1)
-        g = grads[key].reshape(-1)
+        g = np.asarray(grads[key]).reshape(-1)
         for c in check.choice(tensor.size, size=min(10, tensor.size), replace=False):
             orig = tensor[c]
             tensor[c] = orig + h
@@ -421,6 +423,54 @@ class TestAdam:
                 assert np.array_equal(state.m[layer]["W"], m[layer]["W"]), (t, layer)
                 assert np.array_equal(state.v[layer]["W"], v[layer]["W"]), (t, layer)
 
+    @pytest.mark.parametrize("rows,units,batch", [
+        # every dense weight the zoo trains on desk-train (seeds 3 and 7) and
+        # wide-catalogue (seed 3), at batch 32 and each last-batch size: artist,
+        # fusion-h1, fusion-lin, sem-emb and track
+        *[(r, u, b) for (r, u), batches in {
+            (108, 2048): (16, 20, 32), (2048, 2048): (16, 20, 32), (2048, 16): (8, 16, 20, 32),
+            (2048, 512): (8, 32), (512, 512): (8, 32), (1024, 16): (8, 32),
+            (2560, 16): (8, 32), (512, 16): (8, 32)}.items() for b in batches],
+        (2048, 16, 1),
+        (17, 2048, 32), (2049, 16, 7),  # a 1-row tail, merged into the block before it
+        (5, ADAM_CHUNK + 1, 3),  # units > ADAM_CHUNK: blocks of 2 rows, then 3
+        (1, 4, 2),  # one 1-row block, the whole product itself
+    ])
+    def test_factored_gradient_bit_identical_to_whole_product(self, rows, units, batch):
+        blocks = nn._blocks(nn.FactoredGrad(np.empty((batch, rows)), np.empty((batch, units))))
+        assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows * units
+        assert all(hi - lo >= min(2, rows) * units for lo, hi in blocks)
+        rng = np.random.default_rng([rows, units, batch])
+        w = rng.normal(size=(rows, units))
+        factored, whole = {"trunk/0": {"W": w}}, {"trunk/0": {"W": w.copy()}}
+        states = AdamState.for_params(factored, lr=0.01), AdamState.for_params(whole, lr=0.01)
+        for _ in range(3):
+            x, dy = rng.normal(size=(batch, rows)), rng.normal(size=(batch, units))
+            adam_step(factored, {"trunk/0": {"W": nn.FactoredGrad(x, dy)}}, states[0])
+            adam_step(whole, {"trunk/0": {"W": x.T @ dy}}, states[1])
+        for got, want in ((factored, whole), (states[0].m, states[1].m),
+                          (states[0].v, states[1].v)):
+            assert got["trunk/0"]["W"].tobytes() == want["trunk/0"]["W"].tobytes()
+
+    def test_backward_and_step_never_hold_a_whole_dense_gradient(self):
+        """A 1024x1024 dense layer's gradient (8 MiB) is formed a block at a time."""
+        net = NetworkSpec(trunk=[LayerSpec("dense", units=1024), LayerSpec("relu"),
+                                 LayerSpec("dense", units=1024), LayerSpec("l2norm")],
+                          input_shapes={"": (64,)})
+        params = init_params(net, 0)
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(1)
+        out, caches, _ = net_forward(net, params, rng.normal(size=(32, 64)), seed=2)
+        _, dy = cosine_loss(out, rng.normal(size=out.shape))
+        tracemalloc.start()
+        try:
+            adam_step(params, net_backward(net, params, caches, dy), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params["trunk/2"]["W"].nbytes / 2, peak
+
     def test_non_contiguous_parameter_rejected(self):
         params = {"trunk/0": {"W": np.zeros((4, 3))}}
         state = AdamState.for_params(params)
@@ -564,7 +614,7 @@ class TestGradientCheck:
 
         h = 1e-5
         flat = params["trunk/0"]["W"].reshape(-1)
-        corrupted = grads["trunk/0"]["W"].reshape(-1) * 2.0
+        corrupted = np.asarray(grads["trunk/0"]["W"]).reshape(-1) * 2.0
         errs = []
         for c in range(flat.size):
             orig = flat[c]

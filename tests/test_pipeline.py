@@ -628,6 +628,19 @@ class TestCli:
         assert re.fullmatch(r"error: training diverged: non-finite .*loss at epoch \d+, "
                             r".*learning rate 1e\+300\n", err), err
 
+    def test_zero_epochs_is_data_exit(self, staged_run, tmp_path, capsys):
+        """An epoch cap of 0 would save the untrained initial parameters for every
+        later stage; it ends in one error line that names the epochs instead."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        os.remove(out / "params_artist.csmx")
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(out), **{"train.artist.epochs": 0})
+        assert main(["train-artist", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*epochs[^\n]*\n", err), err
+        assert not os.path.exists(out / "params_artist.csmx")
+
     def test_diverging_als_is_data_exit(self, staged_run, tmp_path, capsys, recwarn):
         """An alpha so high that ALS overflows ends in one error line that names
         the sweep, alpha and lambda, with no numpy warnings before it."""

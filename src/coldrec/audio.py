@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,14 @@ def sample_patch(s: Spectrogram, length: int, seed: int, item_id: str = "") -> P
     generator keyed on both.
     """
     if s.frames < length:
-        raise DataError(f"spectrogram has {s.frames} frames, patch needs {length}")
+        raise DataError(f"spectrogram of song {item_id!r} has shape {s.data.shape}, "
+                        f"too short for a patch of shape {(s.bins, length)}")
     rng = np.random.default_rng([seed, _id_key(item_id)])
     start = int(rng.integers(0, s.frames - length + 1))
     return Patch(s.data[:, start:start + length].copy(), start)
 
 
 def _id_key(item_id: str) -> int:
-    import zlib
     return zlib.crc32(item_id.encode("utf-8"))
 
 

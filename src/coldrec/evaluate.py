@@ -119,21 +119,14 @@ def paired_ttest(ap_a, ap_b) -> TTestResult:
     return TTestResult(t=t, p=p, n=n)
 
 
-def make_baseline_factors(kind: str, test: FeedbackMatrix, k: int,
-                          cfg: WmfConfig | None = None, seed: int = 0):
-    """Baseline item factors: seeded unit-norm rows, or WMF on the test matrix.
+def random_factors(n_items: int, k: int, seed: int) -> np.ndarray:
+    """The random baseline's item factors: seeded unit-norm rows."""
+    f = np.random.default_rng(seed).normal(size=(n_items, k))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    return f
 
-    ``random`` returns (item_factors, None); ``upper_bound`` returns
-    (item_factors, user_factors) fit on the test feedback itself.
-    """
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        f = rng.normal(size=(test.n_items, k))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        return f, None
-    if kind == "upper_bound":
-        if cfg is None:
-            cfg = WmfConfig(k=k, seed=seed)
-        model = factorize_wmf(test, cfg)
-        return model.item_factors, model.user_factors
-    raise ValueError(f"unknown baseline kind {kind!r}")
+
+def make_baseline_factors(test: FeedbackMatrix, cfg: WmfConfig):
+    """The upper bound's (item_factors, user_factors): WMF fit on the test feedback itself."""
+    model = factorize_wmf(test, cfg)
+    return model.item_factors, model.user_factors

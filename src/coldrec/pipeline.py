@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import zlib
@@ -14,7 +15,7 @@ from . import audio as audio_mod
 from . import evaluate as ev
 from . import matrixio, textfeat, zoo
 from .config import PipelineConfig
-from .data import (PARTS, ArtistMap, DataError, FeedbackMatrix, aggregate_to_artist,
+from .data import (PARTS, DataError, FeedbackMatrix, aggregate_to_artist,
                    load_artist_map, load_assignment, load_triples, replacing,
                    save_split, split_by_artist)
 from .nn import NetworkSpec
@@ -23,14 +24,15 @@ from .wmf import factorize_wmf
 # fraction of each trained net's rows held out for early stopping
 VAL_FRACTION = 0.1
 
-# approaches in report order
-APPROACHES = ("audio", "sem-emb", "mm-lf-lin", "mm-lf-h1", "random", "upper-bound")
-
 
 class Head(NamedTuple):
-    """A trained head: its artifact name and its net builder (dim_a, dim_t, k) -> net."""
+    """A trained head: the embeddings it reads, in branch order; its zoo builder
+    (one width per input, then k); its artifact; its seed's offset from the
+    `train-fusion` stage seed."""
+    inputs: tuple[str, ...]
+    build: Callable[..., NetworkSpec]
     artifact: str
-    build: Callable[[int, int, int], NetworkSpec]
+    seed_offset: int
 
     @property
     def params(self) -> str:
@@ -40,17 +42,26 @@ class Head(NamedTuple):
     def log(self) -> str:
         return f"log_{self.artifact.removeprefix('params_')}.tsv"
 
+    def net(self, embeddings: dict[str, np.ndarray], k: int) -> NetworkSpec:
+        return self.build(*(embeddings[name].shape[1] for name in self.inputs), k)
 
-# trained heads by approach, in training order; a head's seed is the
-# train-fusion stage seed plus its position here
+    def features(self, embeddings: dict[str, np.ndarray]):
+        """The head's embeddings by input name, or the one matrix of a single-input head."""
+        x = {name: embeddings[name] for name in self.inputs}
+        return x if len(x) > 1 else x[self.inputs[0]]
+
+
+# every trained head by approach, in report order
 HEADS = {
-    "mm-lf-lin": Head("params_fusion_lin",
-                      lambda dim_a, dim_t, k: zoo.build_fusion_net("lin", dim_a, dim_t, k)),
-    "mm-lf-h1": Head("params_fusion_h1",
-                     lambda dim_a, dim_t, k: zoo.build_fusion_net("h1", dim_a, dim_t, k)),
-    "sem-emb": Head("params_sememb",
-                    lambda dim_a, dim_t, k: zoo.build_single_branch_net(dim_a, k)),
+    "sem-emb": Head(("artist",), zoo.build_single_branch_net, "params_sememb", 2),
+    "mm-lf-lin": Head(("artist", "track"), functools.partial(zoo.build_fusion_net, "lin"),
+                      "params_fusion_lin", 0),
+    "mm-lf-h1": Head(("artist", "track"), functools.partial(zoo.build_fusion_net, "h1"),
+                     "params_fusion_h1", 1),
 }
+
+# approaches in report order
+APPROACHES = ("audio", *HEADS, "random", "upper-bound")
 
 
 class Stage(NamedTuple):
@@ -105,6 +116,17 @@ def _load_rows(cfg: PipelineConfig, name: str):
         raise StageError(f"row table {name!r} has {len(ids)} ids for {len(rows)} rows in "
                          f"sections {list(sections)}; rerun stage {_producer(f'{name}.ids')!r}")
     return rows, ids, {i: r for r, i in enumerate(ids)}
+
+
+def _row_numbers(name: str, index: dict[str, int], ids: list[str]) -> np.ndarray:
+    """The rows of `ids` in row table `name`, whose id -> row index is `index`; an id
+    without a row is a StageError naming the table, the first such ids and the
+    stage to rerun."""
+    missing = [i for i in dict.fromkeys(ids) if i not in index]
+    if missing:
+        raise StageError(f"row table {name!r} has no row for {len(missing)} id(s) "
+                         f"({', '.join(missing[:5])}); rerun stage {_producer(f'{name}.ids')!r}")
+    return np.array([index[i] for i in ids], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +221,16 @@ def _load_song(spectrogram_dir: str, sid: str) -> audio_mod.Spectrogram:
     return audio_mod.load_spectrogram(path)
 
 
-def _stack(patches, n: int) -> np.ndarray:
-    """The n patches an iterator yields, as one (n, bins, frames) float64 array."""
+def _stack(song_ids: list[str], patches) -> np.ndarray:
+    """Each song's patch, from an iterator, as one (songs, bins, frames) float64
+    array; a patch unlike the first song's is a DataError naming both songs."""
     out = None
-    for i, patch in enumerate(patches):
+    for i, (sid, patch) in enumerate(zip(song_ids, patches)):
         if out is None:
-            out = np.empty((n,) + patch.data.shape)
+            out = np.empty((len(song_ids),) + patch.data.shape)
+        elif patch.data.shape != out.shape[1:]:
+            raise DataError(f"spectrogram of song {sid!r} gives a patch of shape "
+                            f"{patch.data.shape}, but song {song_ids[0]!r} gives {out.shape[1:]}")
         out[i] = patch.data
     return out
 
@@ -213,8 +239,8 @@ def _read_patches(spectrogram_dir: str, song_ids: list[str], patch_len: int,
                   seed: int) -> np.ndarray:
     """One patch per song, drawn as `PatchProvider(...)(0)` draws it; each
     spectrogram is loaded, sampled and dropped before the next is read."""
-    return _stack((audio_mod.sample_patch(_load_song(spectrogram_dir, sid), patch_len, seed,
-                                          item_id=sid) for sid in song_ids), len(song_ids))
+    return _stack(song_ids, (audio_mod.sample_patch(_load_song(spectrogram_dir, sid), patch_len,
+                                                    seed, item_id=sid) for sid in song_ids))
 
 
 class PatchProvider:
@@ -228,8 +254,9 @@ class PatchProvider:
         self.specs = [_load_song(spectrogram_dir, sid) for sid in self.song_ids]
 
     def __call__(self, epoch: int) -> np.ndarray:
-        return _stack((audio_mod.sample_patch(s, self.patch_len, self.seed + epoch, item_id=sid)
-                       for sid, s in zip(self.song_ids, self.specs)), len(self.specs))
+        return _stack(self.song_ids, (
+            audio_mod.sample_patch(s, self.patch_len, self.seed + epoch, item_id=sid)
+            for sid, s in zip(self.song_ids, self.specs)))
 
 
 def _stage_train_track(cfg: PipelineConfig) -> None:
@@ -293,40 +320,33 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     _save_rows(cfg, "predictions_audio", np.concatenate([p for _, p in parts]), song_ids)
 
 
-def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], am: ArtistMap):
+def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], *parts) -> list[dict]:
+    """The artist and track embeddings of each part (index array or slice) of
+    `song_ids`, by input name; only the part's rows are gathered."""
+    am = load_artist_map(cfg.artist_map)
     emb_a, _, a_index = _load_rows(cfg, "embeddings_artist")
     emb_t, _, t_index = _load_rows(cfg, "embeddings_track")
-    missing = sorted({am.artist_of(s) for s in song_ids} - a_index.keys())
+    artists = [am.artist_of(s) for s in song_ids]
+    missing = sorted(set(artists) - a_index.keys())
     if missing:
         raise StageError(f"no artist embedding for {len(missing)} artist(s) "
                          f"({', '.join(missing)}): their biographies are missing "
                          f"from paths.documents ({cfg.documents})")
-    a_rows = np.array([a_index[am.artist_of(s)] for s in song_ids])
-    t_rows = np.array([t_index[s] for s in song_ids])
-    return {"artist": emb_a[a_rows], "track": emb_t[t_rows]}
-
-
-def _head_net(head: Head, inputs: dict[str, np.ndarray], k: int) -> NetworkSpec:
-    return head.build(inputs["artist"].shape[1], inputs["track"].shape[1], k)
-
-
-def _head_inputs(net: NetworkSpec, inputs: dict[str, np.ndarray]):
-    """Both embeddings for a fusion head; a head without branches takes the artist's."""
-    return inputs if net.branches else inputs["artist"]
+    a_rows = _row_numbers("embeddings_artist", a_index, artists)
+    t_rows = _row_numbers("embeddings_track", t_index, song_ids)
+    return [{"artist": emb_a[a_rows[p]], "track": emb_t[t_rows[p]]} for p in parts]
 
 
 def _stage_train_fusion(cfg: PipelineConfig) -> None:
     song_factors, song_ids, _ = _load_rows(cfg, "factors_songs.items")
-    inputs = _fusion_inputs(cfg, song_ids, load_artist_map(cfg.artist_map))
     seed = stage_seed(cfg.seed, "train-fusion")
     fit, val = _fit_val_split(len(song_ids), seed)
-    fit_x = {b: v[fit] for b, v in inputs.items()}
-    val_x = {b: v[val] for b, v in inputs.items()}
-    for pos, head in enumerate(HEADS.values()):
-        net = _head_net(head, inputs, song_factors.shape[1])
-        tc = dataclasses.replace(cfg.train_fusion, seed=seed + pos)
-        params, log = zoo.train_mapping(net, _head_inputs(net, fit_x), song_factors[fit],
-                                        _head_inputs(net, val_x), song_factors[val], tc)
+    fit_x, val_x = _fusion_inputs(cfg, song_ids, fit, val)
+    for head in HEADS.values():
+        tc = dataclasses.replace(cfg.train_fusion, seed=seed + head.seed_offset)
+        params, log = zoo.train_mapping(head.net(fit_x, song_factors.shape[1]),
+                                        head.features(fit_x), song_factors[fit],
+                                        head.features(val_x), song_factors[val], tc)
         matrixio.save_params(cfg.out(head.params), params)
         log.write_tsv(cfg.out(head.log))
 
@@ -345,20 +365,18 @@ def _stage_evaluate(cfg: PipelineConfig) -> None:
 
     # audio: the track network's own factor predictions
     preds, _, pred_index = _load_rows(cfg, "predictions_audio")
-    predictions = {"audio": preds[[pred_index[s] for s in test.item_ids]]}
+    predictions = {"audio": preds[_row_numbers("predictions_audio", pred_index, test.item_ids)]}
 
-    inputs = _fusion_inputs(cfg, test.item_ids, load_artist_map(cfg.artist_map))
+    inputs, = _fusion_inputs(cfg, test.item_ids, slice(None))
     for approach, head in HEADS.items():
-        net = _head_net(head, inputs, k)
         params = matrixio.load_params(_require(cfg, head.params))
-        predictions[approach] = zoo.predict_factors(net, params, _head_inputs(net, inputs))
-
-    rand_f, _ = ev.make_baseline_factors("random", test, k,
-                                         seed=stage_seed(cfg.seed, "baseline-random"))
-    predictions["random"] = rand_f
+        predictions[approach] = zoo.predict_factors(head.net(inputs, k), params,
+                                                    head.features(inputs))
+    predictions["random"] = ev.random_factors(test.n_items, k,
+                                              stage_seed(cfg.seed, "baseline-random"))
 
     ub_cfg = dataclasses.replace(cfg.wmf_songs, seed=stage_seed(cfg.seed, "baseline-upper"))
-    ub_items, ub_users = ev.make_baseline_factors("upper_bound", test, k, cfg=ub_cfg)
+    ub_items, ub_users = ev.make_baseline_factors(test, ub_cfg)
 
     runs = [(a, user_factors, f) for a, f in predictions.items()]
     runs.append(("upper-bound", ub_users, ub_items))

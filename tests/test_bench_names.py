@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from test_pipeline import staged_run  # noqa: F401  (a fixture: one tiny pipeline run)
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("audio", "evaluate", "matrixio", "nn", "pipeline", "textfeat", "wmf", "zoo")
 
@@ -126,3 +128,23 @@ def test_bench_tracer_sees_row_table_reads_and_writes(tmp_path):
     names = [s.name for s in tracer.finished()]
     assert names.count("matrixio.save") == 2 and names.count("matrixio.load") == 2
     assert tracer.counters["matrixio.save.bytes"] == tracer.counters["matrixio.load.bytes"] > 0
+
+
+def test_traced_evaluate_nests_the_upper_bound_wmf_in_make_baseline_factors(staged_run):
+    """The bench's `evaluate.make_baseline_factors.s` times the upper bound's
+    test-set WMF: in a traced `evaluate` stage the one `wmf.factorize_wmf`
+    span is a child of the one `evaluate.make_baseline_factors` span."""
+    from coldrec import pipeline
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer("t")
+    try:
+        tracing.install(tracer)
+        pipeline.run_stage(staged_run.cfg, "evaluate")
+    finally:
+        tracer.uninstall()
+    spans = tracer.finished()
+    baseline = [s for s in spans if s.name == "evaluate.make_baseline_factors"]
+    wmf = [s for s in spans if s.name == "wmf.factorize_wmf"]
+    assert len(baseline) == len(wmf) == 1
+    assert wmf[0].parent == baseline[0].id

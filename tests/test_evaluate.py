@@ -8,7 +8,7 @@ from scipy import special
 
 from coldrec.data import FeedbackMatrix
 from coldrec.evaluate import (average_precision, make_baseline_factors,
-                              map_at_k, paired_ttest, rank_items)
+                              map_at_k, paired_ttest, random_factors, rank_items)
 
 
 class TestRankItems:
@@ -239,29 +239,21 @@ class TestBaselines:
         return matrix_from_triples(entries)
 
     def test_random_unit_rows(self):
-        test = self._test_matrix()
-        f, uf = make_baseline_factors("random", test, k=8, seed=1)
-        assert uf is None
-        assert f.shape == (test.n_items, 8)
+        f = random_factors(40, k=8, seed=1)
+        assert f.shape == (40, 8)
         assert np.allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-9)
 
     def test_random_deterministic(self):
-        test = self._test_matrix()
-        f1, _ = make_baseline_factors("random", test, k=8, seed=1)
-        f2, _ = make_baseline_factors("random", test, k=8, seed=1)
-        assert np.array_equal(f1, f2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_baseline_factors("oracle", self._test_matrix(), k=4)
+        assert np.array_equal(random_factors(40, k=8, seed=1), random_factors(40, k=8, seed=1))
 
     def test_upper_bound_beats_random(self):
         from coldrec.wmf import WmfConfig
         test = self._test_matrix()
         cfg = WmfConfig(k=8, iterations=10, seed=0)
-        itf, uf = make_baseline_factors("upper_bound", test, k=8, cfg=cfg)
+        itf, uf = make_baseline_factors(test, cfg)
+        assert itf.shape == (test.n_items, 8) and uf.shape == (test.n_users, 8)
         upper = map_at_k(uf, itf, test, k=40).map_score
-        rf, _ = make_baseline_factors("random", test, k=8, seed=3)
+        rf = random_factors(test.n_items, k=8, seed=3)
         rng = np.random.default_rng(6)
         ruf = rng.normal(size=(test.n_users, 8))
         rand = map_at_k(ruf, rf, test, k=40).map_score

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from coldrec import audio, matrixio, nn, synth
+from coldrec import audio, matrixio, nn, pipeline, synth
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (PipelineConfig, load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
@@ -460,6 +460,67 @@ class TestStages:
         with pytest.raises(DataError, match=re.escape(
                 f"no spectrogram file for song {song!r} at {specs / song}.cqts")):
             run_stage(cfg, stage)
+
+    @pytest.mark.parametrize("stage", ["train-track", "extract"])
+    @pytest.mark.parametrize("cut", ["frames", "bins"])
+    def test_misshapen_spectrogram_is_data_error(self, staged_run, stage, cut, tmp_path):
+        """A training song's spectrogram cut to fewer frames than a patch, or
+        to fewer bins than the other songs', stops the stage with a DataError
+        naming the song and both shapes."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        song_ids = matrixio.load_ids(str(out / "factors_songs.items.ids"))
+        fit, _ = _fit_val_split(len(song_ids), stage_seed(staged_run.cfg.seed, "train-track"))
+        song = song_ids[fit[1]]
+        specs = tmp_path / "spectrograms"
+        shutil.copytree(staged_run.cfg.spectrogram_dir, specs)
+        data = audio.load_spectrogram(specs / f"{song}.cqts").data
+        audio.save_spectrogram(audio.Spectrogram(data[:, :10] if cut == "frames" else data[:-2]),
+                               specs / f"{song}.cqts")
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out), spectrogram_dir=str(specs))
+        message = {
+            "frames": re.escape(f"spectrogram of song {song!r} has shape (8, 10), "
+                                f"too short for a patch of shape (8, 64)"),
+            "bins": re.escape(f"spectrogram of song {song!r} gives a patch of shape (6, 64), "
+                              f"but song ") + r"'\w+' gives \(8, 64\)",
+        }[cut]
+        with pytest.raises(DataError, match=message):
+            run_stage(cfg, stage)
+
+    @pytest.mark.parametrize("table, stage", [("predictions_audio", "evaluate"),
+                                              ("embeddings_track", "train-fusion")])
+    def test_song_without_row_is_data_exit(self, staged_run, tmp_path, capsys, table, stage):
+        """A song missing from a table that `extract` writes (a test song for
+        `evaluate`, a training song for `train-fusion`) ends in one error line
+        that names the table, the song and the stage to rerun, not a KeyError."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        n_train = len(matrixio.load_ids(str(out / "factors_songs.items.ids")))
+        rows = matrixio.load_matrix(str(out / f"{table}.csmx"))["rows"]
+        ids = matrixio.load_ids(str(out / f"{table}.ids"))
+        song = ids[n_train] if stage == "evaluate" else ids[1]  # test songs follow training songs
+        keep = [r for r, i in enumerate(ids) if i != song]
+        matrixio.save_matrix(str(out / f"{table}.csmx"), {"rows": rows[keep]})
+        matrixio.save_ids(str(out / f"{table}.ids"), [ids[r] for r in keep])
+        assert main([stage, "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: row table {table!r} has no row for 1 id(s) "
+                                           f"({song}); rerun stage 'extract'\n")
+
+    def test_head_order_leaves_trained_heads_unchanged(self, staged_run, tmp_path, monkeypatch):
+        """Each head's seed is its own offset from the stage seed, not its place
+        in HEADS: training the heads in reverse order writes byte-identical
+        parameters and logs."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        writes = STAGE_TABLE["train-fusion"].writes
+        assert {rel.split("_")[0] for rel in writes} == {"params", "log"}
+        for rel in writes:
+            os.remove(out / rel)
+        monkeypatch.setattr(pipeline, "HEADS", dict(reversed(pipeline.HEADS.items())))
+        run_stage(cfg, "train-fusion")
+        for rel in writes:
+            assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
 
     def test_every_stage_runs_without_validation_artists(self, tmp_path):
         """`split.val = 0` leaves `splits/val.tsv` empty, and no stage reads it."""

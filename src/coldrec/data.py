@@ -125,10 +125,11 @@ def save_triples(m: FeedbackMatrix, path) -> None:
     """
     coo = m.counts.tocoo()
     order = np.lexsort((coo.col, coo.row))
+    users = np.array(m.user_ids, dtype=object)[coo.row[order]]
+    items = np.array(m.item_ids, dtype=object)[coo.col[order]]
     with replacing(path) as fh:
-        for idx in order:
-            u, i, c = coo.row[idx], coo.col[idx], coo.data[idx]
-            fh.write(f"{m.user_ids[u]}\t{m.item_ids[i]}\t{c}\n")
+        fh.writelines(f"{u}\t{i}\t{c}\n"
+                      for u, i, c in zip(users, items, coo.data[order].tolist()))
 
 
 def load_artist_map(path) -> ArtistMap:
@@ -189,6 +190,9 @@ def split_by_artist(
     artist -> part assignment.
     """
     r_train, r_val, r_test = ratios
+    for part, ratio in zip(PARTS, ratios):
+        if ratio < 0:
+            raise DataError(f"split ratio for {part!r} must be >= 0, got {ratio:g}")
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
     artists = sorted({am.artist_of(item) for item in m.item_ids})

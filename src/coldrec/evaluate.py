@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
 from .data import FeedbackMatrix, replacing
-from .wmf import FactorModel, WmfConfig, factorize_wmf
+from .wmf import WmfConfig, factorize_wmf
 
 DEFAULT_CUTOFF = 500
 

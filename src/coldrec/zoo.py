@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +153,21 @@ def _take(features, idx):
     return features[idx]
 
 
-def _copy_params(params):
-    return {layer: {k: v.copy() for k, v in tensors.items()} for layer, tensors in params.items()}
+def _save_params(params, fh) -> None:
+    """Overwrite the checkpoint with every tensor's bytes, in iteration order."""
+    fh.seek(0)
+    for tensors in params.values():
+        for value in tensors.values():
+            fh.write(memoryview(value).cast("B"))
+
+
+def _load_params(params, fh) -> None:
+    """Read the checkpoint back into the tensors in place, in the order it was written."""
+    fh.seek(0)
+    for layer, tensors in params.items():
+        for key, value in tensors.items():
+            if fh.readinto(memoryview(value).cast("B")) != value.nbytes:
+                raise OSError(f"best-epoch checkpoint is short at {layer}/{key}")
 
 
 # overflow surfaces as a non-finite loss, which is reported as divergence
@@ -177,51 +191,52 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     state = nn.AdamState.for_params(params, lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     log = TrainLog()
-    # the one best-epoch copy, overwritten in place when validation improves
-    best_params = _copy_params(params)
-    since_best = 0
-    for epoch in range(cfg.max_epochs):
-        feats = features(epoch) if callable(features) else features
-        n_feat = next(iter(feats.values())).shape[0] if isinstance(feats, dict) else feats.shape[0]
-        if n_feat != n:
-            raise ValueError(f"{n_feat} feature rows vs {n} target rows")
-        order = shuffle_rng.permutation(n)
-        train_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            # a step's caches stay bound until the next step's forward replaces
-            # them: freed at the end of each step instead, glibc trimmed the heap
-            # and faulted it back in (desk-train on a 2-CPU VM: 3x the page
-            # faults, train-track about 15% slower)
-            out, caches, _ = nn.net_forward(net, params, _take(feats, idx),
-                                            mode="train", seed=_batch_seed(cfg.seed, epoch, start))
-            loss, dpred = nn.cosine_loss(out, targets[idx])
-            if not math.isfinite(loss):
-                raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
-                                 f"batch offset {start}, learning rate {cfg.lr:g}")
-            # the gradients die with this call, before the next step's backward
-            nn.adam_step(params, nn.net_backward(net, params, caches, dpred), state)
-            train_loss += loss * len(idx)
-        # not held through validation; a provider's next epoch is built without this one's
-        out = caches = dpred = feats = None
-        train_loss /= n
-        val_loss = eval_loss(net, params, val_features, val_targets)
-        if not math.isfinite(val_loss):
-            raise ValueError(f"training diverged: non-finite validation loss at epoch {epoch}, "
-                             f"learning rate {cfg.lr:g}")
-        log.epochs.append((epoch, train_loss, val_loss))
-        if val_loss < log.best_val:
-            log.best_val = val_loss
-            log.best_epoch = epoch
-            for layer, tensors in params.items():
-                for key, value in tensors.items():
-                    np.copyto(best_params[layer][key], value)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-    return best_params, log
+    # the best epoch lives in an unlinked file under TMPDIR, not in a resident copy:
+    # it is written on each improving epoch and read back once, at the end
+    with tempfile.TemporaryFile() as best:
+        since_best = 0
+        for epoch in range(cfg.max_epochs):
+            feats = features(epoch) if callable(features) else features
+            n_feat = next(iter(feats.values())).shape[0] if isinstance(feats, dict) else feats.shape[0]
+            if n_feat != n:
+                raise ValueError(f"{n_feat} feature rows vs {n} target rows")
+            order = shuffle_rng.permutation(n)
+            train_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                # a step's caches stay bound until the next step's forward replaces
+                # them: freed at the end of each step instead, glibc trimmed the heap
+                # and faulted it back in (desk-train on a 2-CPU VM: 3x the page
+                # faults, train-track about 15% slower)
+                out, caches, _ = nn.net_forward(net, params, _take(feats, idx),
+                                                mode="train", seed=_batch_seed(cfg.seed, epoch, start))
+                loss, dpred = nn.cosine_loss(out, targets[idx])
+                if not math.isfinite(loss):
+                    raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
+                                     f"batch offset {start}, learning rate {cfg.lr:g}")
+                # the gradients die with this call, before the next step's backward
+                nn.adam_step(params, nn.net_backward(net, params, caches, dpred), state)
+                train_loss += loss * len(idx)
+            # not held through validation; a provider's next epoch is built without this one's
+            out = caches = dpred = feats = None
+            train_loss /= n
+            val_loss = eval_loss(net, params, val_features, val_targets)
+            if not math.isfinite(val_loss):
+                raise ValueError(f"training diverged: non-finite validation loss at epoch {epoch}, "
+                                 f"learning rate {cfg.lr:g}")
+            log.epochs.append((epoch, train_loss, val_loss))
+            if val_loss < log.best_val:
+                log.best_val = val_loss
+                log.best_epoch = epoch
+                _save_params(params, best)
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
+        state = None  # the moments go before the best epoch is read back
+        _load_params(params, best)
+    return params, log
 
 
 def _batch_seed(seed: int, epoch: int, offset: int) -> int:

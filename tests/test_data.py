@@ -82,6 +82,28 @@ class TestLoadTriples:
         assert m2.item_ids == m.item_ids
         assert (m2.counts != m.counts).nnz == 0
 
+    def test_save_writes_the_per_line_writers_bytes(self, tmp_path):
+        """One-pass formatting writes what one write per nonzero wrote, with
+        unsorted CSR indices, an empty row and non-ASCII ids."""
+        counts = sp.csr_matrix((np.array([5, 2, 7, 1, 3]), np.array([2, 0, 1, 0, 2]),
+                                np.array([0, 2, 2, 5])), shape=(3, 3))
+        assert not counts.has_sorted_indices
+        m = FeedbackMatrix(["u1", "ünï", "用户"], ["s0", "søng", "曲"], counts)
+
+        def per_line(m, path):
+            coo = m.counts.tocoo()
+            order = np.lexsort((coo.col, coo.row))
+            with open(path, "w", encoding="utf-8") as fh:
+                for idx in order:
+                    u, i, c = coo.row[idx], coo.col[idx], coo.data[idx]
+                    fh.write(f"{m.user_ids[u]}\t{m.item_ids[i]}\t{c}\n")
+
+        per_line(m, tmp_path / "want.tsv")
+        save_triples(m, tmp_path / "got.tsv")
+        got = (tmp_path / "got.tsv").read_bytes()
+        assert got == (tmp_path / "want.tsv").read_bytes()
+        assert got.decode("utf-8").splitlines()[0] == "u1\ts0\t2"
+
 
 class TestLoadArtistMap:
     def test_duplicate_item_names_line(self, tmp_path):
@@ -164,6 +186,13 @@ class TestSplit:
         m, am = _matrix_with_artists()
         with pytest.raises(DataError, match="sum to 1"):
             split_by_artist(m, am, (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("ratios, part", [((1.0, -0.1, 0.1), "val"),
+                                              ((-0.2, 0.6, 0.6), "train")])
+    def test_negative_ratio_rejected(self, ratios, part):
+        m, am = _matrix_with_artists()
+        with pytest.raises(DataError, match=rf"'{part}' must be >= 0, got -0\.\d"):
+            split_by_artist(m, am, ratios, seed=0)
 
     def test_zero_artist_partition_rejected(self):
         m, am = _matrix_with_artists(n_artists=3)

@@ -1,4 +1,5 @@
-"""Every module-level name in the library is reached from a program.
+"""Every module-level name in the library is reached from a program, and
+every name a library module imports is read in that module.
 
 A function, class or constant that only tests reach is library surface that
 no pipeline run, script or benchmark exercises; it goes, or moves into the
@@ -62,3 +63,24 @@ def test_every_module_level_name_is_reached_outside_tests():
             if total[name] - own < 1 and qualified not in ALLOWED:
                 unreached.append(qualified)
     assert not unreached, f"defined in src/coldrec but reached only from tests: {unreached}"
+
+
+def imports(tree):
+    """Each name an import statement binds, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unused = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        unused += [f"{path.stem}.{name}" for name in imports(tree) if name not in read]
+    assert not unused, f"imported but never read in their module: {unused}"

@@ -664,6 +664,16 @@ class TestCli:
                             err), err
         assert not os.path.exists(tmp_path / "out" / "splits")
 
+    def test_negative_split_ratio_is_data_exit(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        synth.write_dataset(synth.generate(tiny_spec()), data_dir)
+        cfg_path = write_config(tmp_path / "p.cfg", str(data_dir), str(tmp_path / "out"),
+                                **{"split.train": 1.0, "split.val": -0.1, "split.test": 0.1})
+        assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*'val'[^\n]*\n", err), err
+        assert not os.path.exists(tmp_path / "out" / "splits")
+
     def test_stage_error_is_data_exit(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.cfg"
         write_kv_file(spec_path, {"users": 10, "artists": 5, "songs_per_artist": 2,

@@ -1,9 +1,12 @@
+import contextlib
+import tempfile
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from coldrec import zoo
 from coldrec.nn import LayerSpec, NetworkSpec, infer_shapes, init_params, net_forward
 from coldrec.zoo import (TrainConfig, build_artist_net, build_fusion_net,
                          build_single_branch_net, build_track_net, eval_loss,
@@ -251,11 +254,11 @@ class TestTrainMapping:
                           targets[48:], cfg)
 
 
-    def test_peak_memory_holds_one_best_copy(self):
+    def test_peak_memory_holds_no_resident_best_copy(self):
         """Over improving epochs training holds the parameters, two Adam
-        moments, one best copy and one step's caches: about 4.2x the
-        parameter bytes. A whole dense weight gradient adds 1x (5.1x), and a
-        fresh best copy made while the old one is still alive adds another."""
+        moments and one step's caches: about 3.2x the parameter bytes. The
+        best epoch goes to a file; a resident best copy would add 1x (4.2x),
+        and a whole dense weight gradient another."""
         net = NetworkSpec(trunk=[LayerSpec("dense", units=1024), LayerSpec("relu"),
                                  LayerSpec("dense", units=8), LayerSpec("l2norm")],
                           input_shapes={"": (1024,)})
@@ -272,7 +275,51 @@ class TestTrainMapping:
             tracemalloc.stop()
         val = [row[2] for row in log.epochs]
         assert len(val) == 3 and all(b < a for a, b in zip(val, val[1:]))  # every epoch improves
-        assert peak < 4.5 * param_bytes, peak / param_bytes
+        assert peak < 3.6 * param_bytes, peak / param_bytes
+
+    def test_early_stopping_restores_best_epoch_bytes(self):
+        """The returned parameters, batchnorm running statistics included, are
+        byte for byte those of the same training cut off after its best epoch."""
+        rng = np.random.default_rng(5)
+        feats = {"artist": rng.normal(size=(48, 10)), "track": rng.normal(size=(48, 8))}
+        targets = rng.normal(size=(48, 4))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        fit = {k: v[:32] for k, v in feats.items()}
+        val = {k: v[32:] for k, v in feats.items()}
+        net = build_fusion_net("h1", dim_a=10, dim_t=8, k=4)
+        cfg = TrainConfig(batch_size=8, max_epochs=30, patience=3, seed=5, lr=0.01)
+        params, log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg)
+        assert 0 < log.best_epoch < log.epochs[-1][0]  # stopped early, past a better epoch
+        cfg.max_epochs = log.best_epoch + 1
+        cut, cut_log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg)
+        assert cut_log.epochs == log.epochs[:log.best_epoch + 1]
+        assert "running_mean" in params["artist/0"]
+        assert params.keys() == cut.keys()
+        for layer in params:
+            assert params[layer].keys() == cut[layer].keys()
+            for key in params[layer]:
+                assert params[layer][key].tobytes() == cut[layer][key].tobytes(), (layer, key)
+
+    @pytest.mark.parametrize("lr, outcome", [
+        (0.001, contextlib.nullcontext()),
+        (1e300, pytest.raises(ValueError, match="diverged")),
+    ], ids=["finished", "diverged"])
+    def test_checkpoint_leaves_nothing_in_tmpdir(self, lr, outcome, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        feats, targets = _toy()
+        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=3, seed=0, lr=lr)
+        with outcome:
+            train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
+                          targets[48:], cfg)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_checkpoint_names_the_tensor(self, monkeypatch):
+        monkeypatch.setattr(zoo, "_save_params", lambda params, fh: fh.write(b"\0" * 8))
+        feats, targets = _toy()
+        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0)
+        with pytest.raises(OSError, match="short at trunk/0/W"):
+            train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
+                          targets[48:], cfg)
 
 
 class TestExtraction:

@@ -19,13 +19,19 @@ def _split(line: str) -> tuple[str, str, str]:
 
 
 def parse_kv_file(path) -> dict[str, str]:
+    """The `key = value` lines of a file by key; a key given twice is a DataError."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             key, eq, value = _split(raw)
             if key and not eq:
                 raise DataError(f"{path}:{lineno}: expected `key = value`")
             if eq:
+                if key in first_line:
+                    raise DataError(f"{path}:{lineno}: key {key!r} is given again; "
+                                    f"line {first_line[key]} gives it first")
+                first_line[key] = lineno
                 values[key] = value
     return values
 

@@ -193,9 +193,11 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
 
 
 def _fit_val_split(n: int, seed: int):
+    if n < 2:
+        raise ValueError(f"{n} training row(s): early stopping needs one to fit and one to hold out")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_val = max(1, int(n * VAL_FRACTION)) if n > 1 else 0
+    n_val = max(1, int(n * VAL_FRACTION))
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
@@ -221,11 +223,15 @@ def _load_song(spectrogram_dir: str, sid: str) -> audio_mod.Spectrogram:
     return audio_mod.load_spectrogram(path)
 
 
-def _stack(song_ids: list[str], patches) -> np.ndarray:
-    """Each song's patch, from an iterator, as one (songs, bins, frames) float64
-    array; a patch unlike the first song's is a DataError naming both songs."""
+def _read_patches(spectrogram_dir: str, song_ids: list[str], patch_len: int,
+                  seed: int) -> np.ndarray:
+    """One patch per song as one (songs, bins, frames) float64 array; each
+    spectrogram is loaded, sampled and dropped before the next is read. A patch
+    unlike the first song's is a DataError naming both songs."""
     out = None
-    for i, (sid, patch) in enumerate(zip(song_ids, patches)):
+    for i, sid in enumerate(song_ids):
+        patch = audio_mod.sample_patch(_load_song(spectrogram_dir, sid), patch_len, seed,
+                                       item_id=sid)
         if out is None:
             out = np.empty((len(song_ids),) + patch.data.shape)
         elif patch.data.shape != out.shape[1:]:
@@ -235,44 +241,22 @@ def _stack(song_ids: list[str], patches) -> np.ndarray:
     return out
 
 
-def _read_patches(spectrogram_dir: str, song_ids: list[str], patch_len: int,
-                  seed: int) -> np.ndarray:
-    """One patch per song, drawn as `PatchProvider(...)(0)` draws it; each
-    spectrogram is loaded, sampled and dropped before the next is read."""
-    return _stack(song_ids, (audio_mod.sample_patch(_load_song(spectrogram_dir, sid), patch_len,
-                                                    seed, item_id=sid) for sid in song_ids))
-
-
-class PatchProvider:
-    """Per-epoch resampled spectrogram patches for a fixed list of songs,
-    whose spectrograms it holds for as long as it lives."""
-
-    def __init__(self, spectrogram_dir: str, song_ids: list[str], patch_len: int, seed: int):
-        self.song_ids = list(song_ids)
-        self.patch_len = patch_len
-        self.seed = seed
-        self.specs = [_load_song(spectrogram_dir, sid) for sid in self.song_ids]
-
-    def __call__(self, epoch: int) -> np.ndarray:
-        return _stack(self.song_ids, (
-            audio_mod.sample_patch(s, self.patch_len, self.seed + epoch, item_id=sid)
-            for sid, s in zip(self.song_ids, self.specs)))
-
-
 def _stage_train_track(cfg: PipelineConfig) -> None:
     song_factors, song_ids, _ = _load_rows(cfg, "factors_songs.items")
     seed = stage_seed(cfg.seed, "train-track")
     patch_len = cfg.patch_frames
     fit, val = _fit_val_split(len(song_ids), seed)
-    fit_provider = PatchProvider(cfg.spectrogram_dir, [song_ids[i] for i in fit], patch_len, seed)
-    # validation patches stay fixed across epochs for a comparable loss
+    fit_ids = [song_ids[i] for i in fit]
+    # validation patches stay fixed across epochs for a comparable loss; the
+    # training patches are drawn afresh each epoch
     val_x = _read_patches(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
-    bins = fit_provider.specs[0].bins
+    bins = val_x.shape[1]
     net = zoo.build_track_net(bins, patch_len, song_factors.shape[1],
                               scale=cfg.channel_scale)
     tc = dataclasses.replace(cfg.train_track, seed=seed)
-    params, log = zoo.train_mapping(net, fit_provider, song_factors[fit],
-                                    val_x, song_factors[val], tc)
+    params, log = zoo.train_mapping(
+        net, lambda epoch: _read_patches(cfg.spectrogram_dir, fit_ids, patch_len, seed + epoch),
+        song_factors[fit], val_x, song_factors[val], tc)
     matrixio.save_params(cfg.out("params_track.csmx"), params)
     log.write_tsv(cfg.out("log_track.tsv"))
     with replacing(cfg.out("track_net.json")) as fh:

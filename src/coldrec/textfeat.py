@@ -157,13 +157,10 @@ def load_documents(path) -> list[Document]:
     """One document per artist; an artist with two documents is a DataError."""
     docs: dict[str, Document] = {}
     for lineno, rec in _iter_jsonl(path):
-        try:
-            artist_id = rec["artist_id"]
-            if artist_id in docs:
-                raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
-            docs[artist_id] = Document(artist_id, rec["text"])
-        except (KeyError, TypeError):
-            raise DataError(f"{path}:{lineno}: expected artist_id and text fields") from None
+        artist_id = _checked(path, lineno, "artist_id", rec.get("artist_id"))
+        if artist_id in docs:
+            raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
+        docs[artist_id] = Document(artist_id, _checked(path, lineno, "text", rec.get("text")))
     return list(docs.values())
 
 
@@ -177,13 +174,10 @@ def load_annotations(path) -> AnnotationSet:
     """One entity list per artist; an artist listed twice is a DataError."""
     by_artist: dict[str, list[str]] = {}
     for lineno, rec in _iter_jsonl(path):
-        try:
-            artist_id = rec["artist_id"]
-            if artist_id in by_artist:
-                raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
-            by_artist[artist_id] = list(rec["entities"])
-        except (KeyError, TypeError):
-            raise DataError(f"{path}:{lineno}: expected artist_id and entities fields") from None
+        artist_id = _checked(path, lineno, "artist_id", rec.get("artist_id"))
+        if artist_id in by_artist:
+            raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
+        by_artist[artist_id] = _checked(path, lineno, "entities", rec.get("entities"), listed=True)
     return by_artist
 
 
@@ -196,15 +190,17 @@ def save_annotations(ann: AnnotationSet, path) -> None:
 def load_kb_snapshot(path) -> KbSnapshot:
     entities: dict[str, KbEntity] = {}
     for lineno, rec in _iter_jsonl(path):
-        try:
-            eid = rec["entity_id"]
-            ent = KbEntity(
-                classes=set(rec.get("classes", [])),
-                properties={k: list(v) for k, v in rec.get("properties", {}).items()},
-                categories=list(rec.get("categories", [])),
-            )
-        except (KeyError, TypeError, AttributeError):
-            raise DataError(f"{path}:{lineno}: malformed KB record") from None
+        eid = _checked(path, lineno, "entity_id", rec.get("entity_id"))
+        properties = rec.get("properties", {})
+        if not isinstance(properties, dict):
+            raise DataError(f"{path}:{lineno}: field 'properties' must be an object, "
+                            f"not {type(properties).__name__}")
+        ent = KbEntity(
+            classes=set(_checked(path, lineno, "classes", rec.get("classes", []), listed=True)),
+            properties={k: _checked(path, lineno, f"properties.{k}", v, listed=True)
+                        for k, v in properties.items()},
+            categories=_checked(path, lineno, "categories", rec.get("categories", []), listed=True),
+        )
         if eid in entities:
             raise DataError(f"{path}:{lineno}: duplicate entity_id {eid!r}")
         entities[eid] = ent
@@ -229,6 +225,24 @@ def _iter_jsonl(path):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                rec = json.loads(line)
             except json.JSONDecodeError:
                 raise DataError(f"{path}:{lineno}: invalid JSON") from None
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, rec
+
+
+def _checked(path, lineno: int, field: str, value, listed: bool = False):
+    """`value`, read for `field` on line `lineno` of `path`: a string, or with
+    `listed` a list of strings. Anything else, an absent value (None) too, is a
+    DataError naming the line and the field."""
+    if listed:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        got = "missing" if value is None else f"not {type(value).__name__}"
+        raise DataError(f"{path}:{lineno}: field {field!r} must be "
+                        f"{'a list of strings' if listed else 'a string'}, {got}")
+    return value

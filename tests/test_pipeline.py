@@ -189,6 +189,13 @@ class TestConfig:
         with pytest.raises(DataError, match=":2"):
             parse_kv_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 3\n# again\nscale = 1\nseed = 4\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:4: key 'seed' is given again; line 1 gives it first")):
+            parse_kv_file(path)
+
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         cfg_path = write_config(tmp_path / "p.cfg", "data", "out")
         cfg = load_pipeline_config(cfg_path)
@@ -376,7 +383,7 @@ class TestStages:
         artist = next(line.split("\t")[0] for line in assignment
                       if line.split("\t")[1:] == [part])
         docs = tmp_path / "documents.jsonl"
-        lines = open(staged_run.cfg.documents, encoding="utf-8").read().splitlines(keepends=True)
+        lines = Path(staged_run.cfg.documents).read_text(encoding="utf-8").splitlines(keepends=True)
         docs.write_text("".join(line for line in lines
                                 if json.loads(line)["artist_id"] != artist))
         cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out), documents=str(docs))
@@ -410,33 +417,30 @@ class TestStages:
     @pytest.mark.parametrize("stage", ["train-track", "extract"])
     def test_one_shot_patches_hold_one_spectrogram_at_a_time(self, staged_run, stage,
                                                              tmp_path, monkeypatch):
-        """`extract`, and `train-track` for its fixed validation patches, drop
-        each song's spectrogram once its patch is drawn: no earlier one is
-        alive when the next is loaded, and the artifacts are byte-identical
-        to the staged run's. Only the training songs' spectrograms are kept."""
+        """`extract`, and `train-track` for its fixed validation patches and
+        each epoch's training patches, drop each song's spectrogram once its
+        patch is drawn: no earlier one is alive when the next is loaded, and
+        the artifacts are byte-identical to the staged run's."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
         cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
-        if stage == "train-track":
-            song_ids = matrixio.load_ids(cfg.out("factors_songs.items.ids"))
-            _, val = _fit_val_split(len(song_ids), stage_seed(cfg.seed, stage))
-            one_shot = {song_ids[i] for i in val}
-        else:
-            one_shot = set(matrixio.load_ids(cfg.out("embeddings_track.ids")))
+        table = "factors_songs.items" if stage == "train-track" else "embeddings_track"
+        one_shot = set(matrixio.load_ids(cfg.out(f"{table}.ids")))  # every song the stage reads
         real_load = audio.load_spectrogram
-        alive = []  # weakrefs to the one-shot songs' spectrograms
-        held = []  # how many of them were alive at each one-shot load
+        loaded = []  # the song of each load
+        alive = []  # weakrefs to the spectrograms loaded so far
+        held = []  # how many of them were alive at each load
 
         def tracking_load(path):
             spec = real_load(path)
-            if os.path.basename(path).removesuffix(".cqts") in one_shot:
-                held.append(sum(ref() is not None for ref in alive))
-                alive.append(weakref.ref(spec))
+            loaded.append(os.path.basename(path).removesuffix(".cqts"))
+            held.append(sum(ref() is not None for ref in alive))
+            alive.append(weakref.ref(spec))
             return spec
 
         monkeypatch.setattr(audio, "load_spectrogram", tracking_load)
         run_stage(cfg, stage)
-        assert len(held) == len(one_shot) > 1
+        assert set(loaded) == one_shot and len(one_shot) > 1
         assert max(held) == 0
         for rel in STAGE_TABLE[stage].writes:
             assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
@@ -460,6 +464,19 @@ class TestStages:
         with pytest.raises(DataError, match=re.escape(
                 f"no spectrogram file for song {song!r} at {specs / song}.cqts")):
             run_stage(cfg, stage)
+
+    def test_one_training_song_is_value_error(self, staged_run, tmp_path):
+        """A single training song leaves no validation patch to read the width
+        from: `train-track` stops with early stopping's ValueError."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        rows = matrixio.load_matrix(str(out / "factors_songs.items.csmx"))["rows"]
+        ids = matrixio.load_ids(str(out / "factors_songs.items.ids"))
+        matrixio.save_matrix(str(out / "factors_songs.items.csmx"), {"rows": rows[:1]})
+        matrixio.save_ids(str(out / "factors_songs.items.ids"), ids[:1])
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        with pytest.raises(ValueError, match="early stopping"):
+            run_stage(cfg, "train-track")
 
     @pytest.mark.parametrize("stage", ["train-track", "extract"])
     @pytest.mark.parametrize("cut", ["frames", "bins"])
@@ -635,6 +652,17 @@ class TestCli:
         assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]+\n", err), err
+
+    def test_mistyped_document_field_is_data_exit(self, staged_run, tmp_path, capsys):
+        """A biography whose text is a number ends `enrich` in one error line
+        naming the line and the field, not in a traceback."""
+        docs = tmp_path / "documents.jsonl"
+        docs.write_text('{"artist_id": "a1", "text": 5}\n')
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(tmp_path / "out"), **{"paths.documents": str(docs)})
+        assert main(["enrich", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(docs))}:1: field 'text' [^\n]+\n", err), err
 
     def test_synth_and_split_round_trip(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.cfg"

@@ -212,3 +212,33 @@ class TestCodecs:
         (tmp_path / "docs.jsonl").write_text('{"artist_id": "a1", "text": "x"}\nnot json\n')
         with pytest.raises(DataError, match=":2:"):
             load_documents(tmp_path / "docs.jsonl")
+
+    @pytest.mark.parametrize("load, line, field", [
+        (load_documents, '{"artist_id": 7, "text": "x"}', "artist_id"),
+        (load_documents, '{"artist_id": "a1", "text": 5}', "text"),
+        (load_annotations, '{"artist_id": 7, "entities": []}', "artist_id"),
+        (load_annotations, '{"artist_id": "a1", "entities": "e_a1"}', "entities"),
+        (load_annotations, '{"artist_id": "a1", "entities": ["e1", 2]}', "entities"),
+        (load_kb_snapshot, '{"entity_id": 7}', "entity_id"),
+        (load_kb_snapshot, '{"entity_id": "e1", "classes": "Band"}', "classes"),
+        (load_kb_snapshot, '{"entity_id": "e1", "categories": "Rock"}', "categories"),
+        (load_kb_snapshot, '{"entity_id": "e1", "properties": "genre"}', "properties"),
+        (load_kb_snapshot, '{"entity_id": "e1", "properties": {"genre": "Rock"}}',
+         "properties.genre"),
+    ], ids=["doc-artist", "doc-text", "ann-artist", "ann-string", "ann-number", "kb-entity",
+            "kb-classes", "kb-categories", "kb-properties", "kb-property"])
+    def test_mistyped_field_names_line_and_field(self, tmp_path, load, line, field):
+        """A field of the wrong JSON type is a DataError, not a value that is
+        silently split into characters or that crashes a later stage."""
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"artist_id": "a0", "entity_id": "e0", "text": "", "entities": []}\n'
+                        + line + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:2: field {field!r} must be")):
+            load(path)
+
+    @pytest.mark.parametrize("load", [load_documents, load_annotations, load_kb_snapshot])
+    def test_missing_id_names_field(self, tmp_path, load):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"other": 1}\n')
+        with pytest.raises(DataError, match=r":1: field '\w+_id' must be a string, missing"):
+            load(path)

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import weakref
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -420,12 +421,20 @@ class TestStages:
         """`extract`, and `train-track` for its fixed validation patches and
         each epoch's training patches, drop each song's spectrogram once its
         patch is drawn: no earlier one is alive when the next is loaded, and
-        the artifacts are byte-identical to the staged run's."""
+        the artifacts are byte-identical to the staged run's. `extract` and
+        validation load each song once; each fit song is loaded once per
+        epoch run."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
         cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
-        table = "factors_songs.items" if stage == "train-track" else "embeddings_track"
-        one_shot = set(matrixio.load_ids(cfg.out(f"{table}.ids")))  # every song the stage reads
+        if stage == "train-track":
+            song_ids = matrixio.load_ids(cfg.out("factors_songs.items.ids"))
+            fit, val = _fit_val_split(len(song_ids), stage_seed(cfg.seed, stage))
+            epochs = len(Path(cfg.out("log_track.tsv")).read_text().splitlines()) - 1
+            expected = Counter({song_ids[i]: epochs for i in fit})
+            expected.update(song_ids[i] for i in val)
+        else:
+            expected = Counter(matrixio.load_ids(cfg.out("embeddings_track.ids")))
         real_load = audio.load_spectrogram
         loaded = []  # the song of each load
         alive = []  # weakrefs to the spectrograms loaded so far
@@ -440,7 +449,7 @@ class TestStages:
 
         monkeypatch.setattr(audio, "load_spectrogram", tracking_load)
         run_stage(cfg, stage)
-        assert set(loaded) == one_shot and len(one_shot) > 1
+        assert Counter(loaded) == expected and len(expected) > 1
         assert max(held) == 0
         for rel in STAGE_TABLE[stage].writes:
             assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel

@@ -37,8 +37,7 @@ class LayerSpec:
     units: int = 0               # dense
     filters: int = 0             # conv1d_time
     width: int = 0               # conv1d_time kernel width (same-padded)
-    pool: int = 0                # maxpool_time window (0 if adaptive)
-    output_steps: int = 0        # maxpool_time adaptive target (0 if windowed)
+    pool: int = 0                # maxpool_time window
     rate: float = 0.0            # dropout
 
     def __post_init__(self):
@@ -46,8 +45,8 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.kind == "dropout" and not 0.0 <= self.rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
-        if self.kind == "maxpool_time" and (self.pool <= 0) == (self.output_steps <= 0):
-            raise ValueError("maxpool_time needs exactly one of pool, output_steps")
+        if self.kind == "maxpool_time" and self.pool < 1:
+            raise ValueError("maxpool_time needs a window pool >= 1")
 
 
 @dataclass
@@ -80,12 +79,9 @@ def layer_out_shape(spec: LayerSpec, shape: tuple) -> tuple:
         if len(shape) != 2:
             raise ShapeError(f"maxpool_time expects (channels, time), got {shape}")
         c, t = shape
-        if spec.pool > 0:
-            t_out = t // spec.pool
-            if t_out < 1:
-                raise ShapeError(f"pool {spec.pool} larger than {t} frames")
-            return (c, t_out)
-        return (c, spec.output_steps)
+        if t < spec.pool:
+            raise ShapeError(f"pool {spec.pool} larger than {t} frames")
+        return (c, t // spec.pool)
     if spec.kind == "flatten":
         return (int(np.prod(shape)),)
     if spec.kind == "batchnorm":
@@ -128,41 +124,42 @@ def infer_shapes(net: NetworkSpec) -> dict[str, tuple]:
 # ---------------------------------------------------------------------------
 # Parameters
 
-def init_params(net: NetworkSpec, seed: int) -> dict[str, dict[str, np.ndarray]]:
-    """Glorot-normal weights, zero biases, identity batchnorm."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, dict[str, np.ndarray]] = {}
+def param_shapes(net: NetworkSpec) -> dict[str, dict[str, tuple]]:
+    """Every layer's tensor shapes by layer and tensor name, in ``init_params``'s order."""
     out_shapes = infer_shapes(net)
+    shapes: dict[str, dict[str, tuple]] = {}
     for name, spec in net.layer_items():
         # a layer's input is the previous layer's output, or the net input for a first layer
         branch, i = name.rsplit("/", 1)
         in_shape = (out_shapes[f"{branch}/{int(i) - 1}"] if i != "0"
                     else net.input_shapes.get("" if branch == "trunk" else branch))
         if spec.kind == "dense":
-            fan_in, fan_out = in_shape[0], spec.units
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            params[name] = {
-                "W": rng.normal(0.0, std, size=(fan_in, spec.units)),
-                "b": np.zeros(spec.units),
-            }
+            shapes[name] = {"W": (in_shape[0], spec.units), "b": (spec.units,)}
         elif spec.kind == "conv1d_time":
-            c = in_shape[0]
-            fan_in, fan_out = c * spec.width, spec.filters * spec.width
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            params[name] = {
-                "W": rng.normal(0.0, std, size=(spec.filters, c, spec.width)),
-                "b": np.zeros(spec.filters),
-            }
+            shapes[name] = {"W": (spec.filters, in_shape[0], spec.width), "b": (spec.filters,)}
         elif spec.kind == "batchnorm":
-            n = in_shape[0]
-            params[name] = {
-                "gamma": np.ones(n),
-                "beta": np.zeros(n),
-                "running_mean": np.zeros(n),
-                "running_var": np.ones(n),
-            }
+            shapes[name] = dict.fromkeys(("gamma", "beta", "running_mean", "running_var"),
+                                         (in_shape[0],))
         else:
-            params[name] = {}
+            shapes[name] = {}
+    return shapes
+
+
+def init_params(net: NetworkSpec, seed: int) -> dict[str, dict[str, np.ndarray]]:
+    """Glorot-normal weights, zero biases, identity batchnorm."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, dict[str, np.ndarray]] = {}
+    for name, shapes in param_shapes(net).items():
+        params[name] = {}
+        for key, shape in shapes.items():
+            if key == "W":
+                # fan in + fan out: a dense W is (in, out), a conv W (out, in, width)
+                std = math.sqrt(2.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+                params[name][key] = rng.normal(0.0, std, size=shape)
+            elif key in ("gamma", "running_var"):
+                params[name][key] = np.ones(shape)
+            else:
+                params[name][key] = np.zeros(shape)
     return params
 
 
@@ -307,48 +304,24 @@ def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool
     return dxp[:, :, left:left + t].transpose(1, 0, 2), grads
 
 
-def _pool_segments(t: int, out_steps: int) -> list[tuple[int, int]]:
-    # adaptive segments; may overlap / repeat when t < out_steps
-    return [(i * t // out_steps, max(-(-((i + 1) * t) // out_steps), i * t // out_steps + 1))
-            for i in range(out_steps)]
-
-
 def _pool_forward(spec: LayerSpec, x):
     b, c, t = x.shape
-    if spec.pool > 0:
-        t_out = t // spec.pool
-        if t_out < 1:
-            raise ShapeError(f"pool {spec.pool} larger than {t} frames")
-        xw = x[:, :, :t_out * spec.pool].reshape(b, c, t_out, spec.pool)
-        arg = xw.argmax(axis=3)
-        y = np.take_along_axis(xw, arg[..., None], axis=3)[..., 0]
-        # absolute time index of each window max
-        src = arg + np.arange(t_out)[None, None, :] * spec.pool
-        return y, {"src": src, "in_shape": x.shape, "disjoint": True}
-    segs = _pool_segments(t, spec.output_steps)
-    cols = []
-    src_cols = []
-    for lo, hi in segs:
-        seg = x[:, :, lo:hi]
-        arg = seg.argmax(axis=2)
-        cols.append(np.take_along_axis(seg, arg[..., None], axis=2)[..., 0])
-        src_cols.append(arg + lo)
-    y = np.stack(cols, axis=2)
-    src = np.stack(src_cols, axis=2)
-    disjoint = all(prev[1] <= nxt[0] for prev, nxt in zip(segs, segs[1:]))
-    return y, {"src": src, "in_shape": x.shape, "disjoint": disjoint}
+    t_out = t // spec.pool
+    if t_out < 1:
+        raise ShapeError(f"pool {spec.pool} larger than {t} frames")
+    xw = x[:, :, :t_out * spec.pool].reshape(b, c, t_out, spec.pool)
+    arg = xw.argmax(axis=3)
+    y = np.take_along_axis(xw, arg[..., None], axis=3)[..., 0]
+    # absolute time index of each window max
+    src = arg + np.arange(t_out)[None, None, :] * spec.pool
+    return y, {"src": src, "in_shape": x.shape}
 
 
 def _pool_backward(cache: dict, dy):
-    src = cache["src"]
     dx = np.zeros(cache["in_shape"])
-    if cache["disjoint"]:
-        # every source is distinct, so one put; + 0.0 maps -0.0 to the +0.0 a sum onto zeros gives
-        np.put_along_axis(dx, src, dy + 0.0, axis=2)
-        return dx
-    b, c, _ = src.shape
-    # repeated sources (overlapping adaptive segments) accumulate
-    np.add.at(dx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], src), dy)
+    # windows are disjoint, so every source is distinct and one put suffices;
+    # + 0.0 maps -0.0 to the +0.0 a sum onto zeros gives
+    np.put_along_axis(dx, cache["src"], dy + 0.0, axis=2)
     return dx
 
 

@@ -18,7 +18,7 @@ from .config import PipelineConfig
 from .data import (PARTS, DataError, FeedbackMatrix, aggregate_to_artist,
                    load_artist_map, load_assignment, load_triples, replacing,
                    save_split, split_by_artist)
-from .nn import NetworkSpec
+from .nn import NetworkSpec, param_shapes
 from .wmf import factorize_wmf
 
 # fraction of each trained net's rows held out for early stopping
@@ -265,9 +265,36 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
         fh.write("\n")
 
 
+def _checked_params(cfg: PipelineConfig, rel: str, net: NetworkSpec):
+    """A trained net's parameters, each tensor of the shape `net` gives it; a
+    mismatch (parameters trained on other inputs, or by an older build) is a
+    StageError naming the artifact, the tensor, both shapes and the stage to rerun."""
+    params = matrixio.load_params(_require(cfg, rel))
+    want = {f"{layer}/{key}": shape for layer, tensors in param_shapes(net).items()
+            for key, shape in tensors.items()}
+    got = {f"{layer}/{key}": t.shape for layer, tensors in params.items()
+           for key, t in tensors.items()}
+    for name in dict.fromkeys([*want, *got]):
+        if got.get(name) != want.get(name):
+            raise StageError(f"{rel} holds tensor {name} as {got.get(name, 'nothing')}, but the "
+                             f"net built from the current inputs needs "
+                             f"{want.get(name, 'nothing')}; rerun stage {_producer(rel)!r}")
+    return params
+
+
 def _track_net(cfg: PipelineConfig):
-    with open(_require(cfg, "track_net.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    rel = "track_net.json"
+    rerun = f"rerun stage {_producer(rel)!r}"
+    with open(_require(cfg, rel), encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StageError(f"{rel}: not JSON ({exc}); {rerun}") from None
+    if not isinstance(meta, dict):
+        raise StageError(f"{rel}: not a JSON object; {rerun}")
+    for key, kind in {"bins": int, "patch_len": int, "k": int, "scale": (int, float)}.items():
+        if not isinstance(meta.get(key), kind) or isinstance(meta[key], bool):
+            raise StageError(f"{rel}: key {key!r} is missing or not a number; {rerun}")
     net = zoo.build_track_net(meta["bins"], meta["patch_len"], meta["k"],
                               scale=meta["scale"])
     return net, meta
@@ -276,11 +303,9 @@ def _track_net(cfg: PipelineConfig):
 def _extract_artists(cfg: PipelineConfig) -> None:
     """Artist embeddings for every artist with a document."""
     feats, feat_ids, _ = _load_rows(cfg, "features_text")
-    params = matrixio.load_params(_require(cfg, "params_artist.csmx"))
-    # the net's output width k is the bias length of its last dense layer
-    k = next(t["b"] for t in reversed(params.values()) if "b" in t).shape[0]
-    net = zoo.build_artist_net(feats.shape[1], k)
-    emb_a, _ = zoo.extract_embeddings(net, params, feats)
+    # the net maps onto the artist factors, k = wmf.artists.k of them
+    net = zoo.build_artist_net(feats.shape[1], cfg.wmf_artists.k)
+    emb_a, _ = zoo.extract_embeddings(net, _checked_params(cfg, "params_artist.csmx", net), feats)
     _save_rows(cfg, "embeddings_artist", emb_a, feat_ids)
 
 
@@ -293,7 +318,7 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     # `train-fusion` looks up, then the test songs. One fixed eval patch each,
     # read in chunks of zoo.EVAL_BATCH songs, each one forward batch
     track_net, meta = _track_net(cfg)
-    track_params = matrixio.load_params(_require(cfg, "params_track.csmx"))
+    track_params = _checked_params(cfg, "params_track.csmx", track_net)
     _, train_ids, _ = _load_rows(cfg, "factors_songs.items")
     song_ids = train_ids + _load_split(cfg, "test").item_ids
     seed = stage_seed(cfg.seed, "extract")
@@ -353,9 +378,9 @@ def _stage_evaluate(cfg: PipelineConfig) -> None:
 
     inputs, = _fusion_inputs(cfg, test.item_ids, slice(None))
     for approach, head in HEADS.items():
-        params = matrixio.load_params(_require(cfg, head.params))
-        predictions[approach] = zoo.predict_factors(head.net(inputs, k), params,
-                                                    head.features(inputs))
+        net = head.net(inputs, k)
+        predictions[approach] = zoo.predict_factors(
+            net, _checked_params(cfg, head.params, net), head.features(inputs))
     predictions["random"] = ev.random_factors(test.n_items, k,
                                               stage_seed(cfg.seed, "baseline-random"))
 

@@ -19,7 +19,6 @@ FUSION_DROPOUT = 0.7
 TRACK_DROPOUT = 0.5
 TRACK_WIDTH = 4  # conv kernel width in frames
 TRACK_POOL = 4
-TRACK_FINAL_STEPS = 4
 # rows per eval-mode forward; `pipeline` reads extract's patches in chunks of this size
 EVAL_BATCH = 256
 
@@ -73,8 +72,9 @@ def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0) -> Netwo
     """Time-axis CNN over spectrogram patches.
 
     Four conv layers with widths scaled from 256/512/1024/1024, max-pool 4
-    after the first three, then a final pool down to 4 time steps so the
-    flattened embedding is 4x the last filter count.
+    after the first three, then one max-pool window over every frame the
+    pyramid leaves (``frames // 64``), so the flattened embedding is the last
+    filter count.
     """
     if bins < 1 or frames < 1:
         raise ValueError("bins and frames must be >= 1")
@@ -96,7 +96,7 @@ def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0) -> Netwo
         if layer_idx < 3:
             trunk.append(LayerSpec("maxpool_time", pool=TRACK_POOL))
     trunk += [
-        LayerSpec("maxpool_time", output_steps=TRACK_FINAL_STEPS),
+        LayerSpec("maxpool_time", pool=frames // TRACK_POOL**3),
         LayerSpec("flatten"),
         LayerSpec("dense", units=k),
         LayerSpec("l2norm"),

@@ -131,9 +131,9 @@ def test_gradient_check_all_layer_kinds_and_composed_nets():
         "maxpool": ([LayerSpec("conv1d_time", filters=3, width=3),
                      LayerSpec("maxpool_time", pool=2),
                      LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 8), 3),
-        "adaptive_pool": ([LayerSpec("conv1d_time", filters=3, width=3),
-                           LayerSpec("maxpool_time", output_steps=3),
-                           LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 7), 3),
+        "whole_clip_pool": ([LayerSpec("conv1d_time", filters=3, width=3),
+                             LayerSpec("maxpool_time", pool=7),
+                             LayerSpec("flatten"), LayerSpec("dense", units=4)], (2, 7), 3),
         "dropout": ([LayerSpec("dropout", rate=0.5), LayerSpec("dense", units=4)], (8,), 4),
         "batchnorm": ([LayerSpec("batchnorm"),
                        LayerSpec("dense", units=3)], (5,), 5),
@@ -319,10 +319,10 @@ def test_reference_dimensions_at_full_scale():
 
     track = zoo.build_track_net(bins=96, frames=323, k=200, scale=1.0)
     shapes = infer_shapes(track)
-    assert shapes[f"trunk/{track.embed_tap % len(track.trunk)}"] == (4096,)
+    assert shapes[f"trunk/{track.embed_tap % len(track.trunk)}"] == (1024,)
 
-    fusion = zoo.build_fusion_net("lin", dim_a=2048, dim_t=4096, k=200)
-    assert infer_shapes(fusion)["trunk/0"] == (6144,)
+    fusion = zoo.build_fusion_net("lin", dim_a=2048, dim_t=1024, k=200)
+    assert infer_shapes(fusion)["trunk/0"] == (3072,)
 
 
 # ---------------------------------------------------------------------------

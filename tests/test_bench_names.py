@@ -26,9 +26,10 @@ def load_tracing():
 
 
 def test_desk_config_is_the_same_in_script_acceptance_suite_and_bench(tmp_path):
-    """`bench/workloads.REFERENCE_MAP` is the MAP table that
-    scripts/run_synthetic_experiment.py prints, and the acceptance suite runs
-    the same config: the three copies agree on every value but paths and seed."""
+    """The bench's desk config is the one scripts/run_synthetic_experiment.py
+    and the acceptance suite run: the three copies agree on every value but
+    paths and seed. (`bench/workloads.REFERENCE_MAP` pins this config's MAP
+    table at seed 3 for `bench/run.py --full-epochs`; it is not checked here.)"""
     from coldrec.config import parse_kv_file, write_kv_file
 
     from test_acceptance import _write_pipeline_config

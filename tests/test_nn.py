@@ -44,20 +44,6 @@ class TestLayerForward:
         assert y.shape == (1, 1, 2)
         assert np.array_equal(y, [[[2.0, 5.0]]])
 
-    def test_adaptive_pool_to_four(self):
-        spec = LayerSpec("maxpool_time", output_steps=4)
-        x = np.array([[[1.0, 5.0, 2.0, 3.0, 4.0]]])
-        y, _ = layer_forward(spec, {}, x)
-        assert y.shape == (1, 1, 4)
-        # segments of 5 -> [0,2) [1,3) [2,4) [3,5)
-        assert np.array_equal(y, [[[5.0, 5.0, 3.0, 4.0]]])
-
-    def test_adaptive_pool_repeats_when_short(self):
-        spec = LayerSpec("maxpool_time", output_steps=4)
-        x = np.array([[[7.0]]])
-        y, _ = layer_forward(spec, {}, x)
-        assert np.array_equal(y, [[[7.0, 7.0, 7.0, 7.0]]])
-
     def test_l2norm_triangle(self):
         y, _ = layer_forward(LayerSpec("l2norm"), {}, np.array([[3.0, 4.0]]))
         assert np.allclose(y, [[0.6, 0.8]])
@@ -178,7 +164,7 @@ def fd_layer_check(spec, in_shape, batch=3, seed=0, mode="train", h=1e-6):
     (LayerSpec("conv1d_time", filters=3, width=4), (2, 12)),
     (LayerSpec("conv1d_time", filters=3, width=3), (2, 12)),
     (LayerSpec("maxpool_time", pool=3), (2, 10)),
-    (LayerSpec("maxpool_time", output_steps=4), (2, 7)),
+    (LayerSpec("maxpool_time", pool=7), (2, 7)),  # one window over the whole clip
     (LayerSpec("relu"), (5,)),
     (LayerSpec("dropout", rate=0.5), (8,)),
     (LayerSpec("batchnorm"), (5,)),
@@ -228,7 +214,7 @@ class TestPoolBackward:
     @pytest.mark.parametrize("spec,t", [
         (LayerSpec("maxpool_time", pool=4), 96),
         (LayerSpec("maxpool_time", pool=3), 10),          # the last frame is in no window
-        (LayerSpec("maxpool_time", output_steps=4), 8),   # disjoint adaptive segments
+        (LayerSpec("maxpool_time", pool=8), 8),           # one window over the whole clip
     ])
     def test_disjoint_windows_bit_identical_to_scatter_add(self, spec, t):
         rng = np.random.default_rng(t)
@@ -240,22 +226,6 @@ class TestPoolBackward:
         # bytes, so a -0.0 where the sum onto zeros gives +0.0 fails
         assert dx.tobytes() == _scatter_add_reference(cache, dy).tobytes()
         assert not np.signbit(dx[0, 0]).any()
-
-    @pytest.mark.parametrize("t", [1, 2, 3, 7])
-    def test_overlapping_segments_accumulate(self, t):
-        """With output_steps > T (and at T = 7, where segments share an edge
-        frame) one input frame is the max of several outputs, and its
-        gradient is their sum."""
-        spec = LayerSpec("maxpool_time", output_steps=4)
-        rng = np.random.default_rng(t)
-        x = rng.normal(size=(2, 3, t))
-        _, cache = layer_forward(spec, {}, x)
-        dy = rng.normal(size=(2, 3, 4))
-        dx, _ = layer_backward(spec, {}, cache, dy)
-        assert np.array_equal(dx, _scatter_add_reference(cache, dy))
-        assert np.allclose(dx.sum(axis=2), dy.sum(axis=2))
-        if t == 1:
-            assert np.allclose(dx[..., 0], dy.sum(axis=2))
 
 
 class TestNetComposition:

@@ -352,6 +352,66 @@ class TestStages:
                 "in sections ['tfidf']; rerun stage 'vectorize'")):
             run_stage(cfg, "train-artist")
 
+    @pytest.mark.parametrize("rel, producer", [("params_track.csmx", "train-track"),
+                                               ("params_artist.csmx", "train-artist")])
+    def test_stale_params_stop_extract(self, staged_run, tmp_path, capsys, rel, producer):
+        """Parameters whose last dense layer reads 4x the columns the net built
+        today gives it (an older build's track net, whose final pool copied each
+        frame 4 times) end in one error line naming the artifact, the tensor,
+        both shapes and the stage to rerun, not in a numpy error."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        params = matrixio.load_params(str(out / rel))
+        layer = [name for name, tensors in params.items() if "W" in tensors][-1]
+        rows, k = params[layer]["W"].shape
+        params[layer]["W"] = np.repeat(params[layer]["W"], 4, axis=0)
+        matrixio.save_params(str(out / rel), params)
+        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {rel} holds tensor {layer}/W as {(4 * rows, k)}, but the net built from "
+            f"the current inputs needs {(rows, k)}; rerun stage {producer!r}\n")
+
+    def test_heads_on_stale_track_embeddings_stop_evaluate(self, staged_run, tmp_path, capsys):
+        """Fusion heads trained on an older build's track embeddings (each column
+        copied 4 times), evaluated after `extract` reran, end in one error line
+        naming the head's artifact and `train-fusion`, not in a numpy error."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        table = out / "embeddings_track.csmx"
+        current = table.read_bytes()
+        emb_t = matrixio.load_matrix(str(table))["rows"]
+        matrixio.save_matrix(str(table), {"rows": np.repeat(emb_t, 4, axis=1)})
+        run_stage(cfg, "train-fusion")
+        table.write_bytes(current)
+        dim_a = matrixio.load_matrix(str(out / "embeddings_artist.csmx"))["rows"].shape[1]
+        dim_t, k = emb_t.shape[1], cfg.wmf_songs.k
+        assert main(["evaluate", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: params_fusion_lin.csmx holds tensor trunk/1/W as {(dim_a + 4 * dim_t, k)}, "
+            f"but the net built from the current inputs needs {(dim_a + dim_t, k)}; "
+            f"rerun stage 'train-fusion'\n")
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"bins": 8}\n', "key 'patch_len' is missing or not a number"),
+        ('{"bins": 8, "patch_len": "64", "k": 8, "scale": 0.015625}\n',
+         "key 'patch_len' is missing or not a number"),
+        ("[8, 64, 8, 0.015625]\n", "not a JSON object"),
+        ('{"bins": 8,', re.escape("not JSON (Expecting property name enclosed in double "
+                                  "quotes: line 1 column 12 (char 11))")),
+    ])
+    def test_malformed_track_net_json_is_data_exit(self, staged_run, tmp_path, capsys,
+                                                   text, problem):
+        """A `track_net.json` that is not JSON, not a JSON object, or lacks one of
+        its numbers ends in one error line naming the file, the key and
+        `train-track`, not in a KeyError traceback."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        (out / "track_net.json").write_text(text)
+        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        assert re.fullmatch(f"error: track_net.json: {problem}; rerun stage 'train-track'\n",
+                            capsys.readouterr().err)
+
     def test_test_user_without_training_plays_is_skipped(self, staged_run, tmp_path):
         """A test user with no training plays has no user factor: every
         approach leaves them out and counts them as skipped."""
@@ -607,6 +667,18 @@ class TestArtifacts:
             test_ids = list(dict.fromkeys(line.split("\t")[1] for line in fh))
         for name in ("embeddings_track", "predictions_audio"):
             assert matrixio.load_ids(pipeline_run.out(f"{name}.ids")) == train_ids + test_ids
+
+    def test_track_embedding_is_one_column_per_last_conv_filter(self, pipeline_run):
+        """The track net's final pool takes every frame its pyramid leaves, so
+        `embeddings_track` holds one column per filter of the last conv, none a
+        copy of another. Only filters that no song activates share a column:
+        zero throughout."""
+        net, _ = pipeline._track_net(pipeline_run)
+        filters = [layer.filters for layer in net.trunk if layer.kind == "conv1d_time"][-1]
+        emb = matrixio.load_matrix(pipeline_run.out("embeddings_track.csmx"))["rows"]
+        assert emb.shape[1] == filters
+        live = emb[:, emb.any(axis=0)]
+        assert np.unique(live, axis=1).shape[1] == live.shape[1]
 
     def test_report_covers_all_approaches(self, pipeline_run):
         with open(pipeline_run.out("report.json"), encoding="utf-8") as fh:

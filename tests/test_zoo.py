@@ -39,19 +39,24 @@ class TestArtistNet:
 
 
 class TestTrackNet:
-    def test_flatten_width_full_scale(self):
-        net = build_track_net(bins=96, frames=323, k=200, scale=1.0)
-        shapes = infer_shapes(net)
-        flat = [shapes[f"trunk/{i}"]
-                for i, layer in enumerate(net.trunk) if layer.kind == "flatten"]
-        assert flat == [(4096,)]
+    # the pyramid leaves 1, 1, 2 and 5 frames; the final pool takes them all
+    PATCH_LENGTHS = [64, 96, 150, 323]
 
-    def test_flatten_width_reduced_scale(self):
-        net = build_track_net(bins=32, frames=180, k=16, scale=0.125)
+    @pytest.mark.parametrize("frames", PATCH_LENGTHS)
+    def test_flatten_width_full_scale(self, frames):
+        net = build_track_net(bins=96, frames=frames, k=200, scale=1.0)
         shapes = infer_shapes(net)
         flat = [shapes[f"trunk/{i}"]
                 for i, layer in enumerate(net.trunk) if layer.kind == "flatten"]
-        assert flat == [(512,)]
+        assert flat == [(1024,)]
+
+    @pytest.mark.parametrize("frames", PATCH_LENGTHS)
+    def test_flatten_width_reduced_scale(self, frames):
+        net = build_track_net(bins=32, frames=frames, k=16, scale=0.125)
+        shapes = infer_shapes(net)
+        flat = [shapes[f"trunk/{i}"]
+                for i, layer in enumerate(net.trunk) if layer.kind == "flatten"]
+        assert flat == [(128,)]
 
     def test_filter_progression(self):
         net = build_track_net(bins=96, frames=323, k=200, scale=1.0)

@@ -7,7 +7,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class DataError(ValueError):
@@ -31,28 +30,36 @@ def replacing(path, mode: str = "w"):
         raise
 
 
-@dataclass
 class FeedbackMatrix:
-    """Sparse user x item play-count matrix.
+    """Sparse user x item play-count matrix, held as numpy CSR arrays.
 
+    Row u's nonzeros are the columns ``indices[indptr[u]:indptr[u + 1]]``, in
+    ascending order, with play counts ``counts[indptr[u]:indptr[u + 1]]``.
     Stored counts are always >= 1; a zero count is simply absent. Row/column
     indices are dense, 0-based, and aligned with ``user_ids`` / ``item_ids``.
     """
 
-    user_ids: list[str]
-    item_ids: list[str]
-    counts: sp.csr_matrix  # int64, shape (len(user_ids), len(item_ids))
-
-    def __post_init__(self):
-        self.counts = sp.csr_matrix(self.counts, dtype=np.int64)
-        self.counts.eliminate_zeros()
-        if self.counts.shape != (len(self.user_ids), len(self.item_ids)):
-            raise DataError(
-                f"count matrix shape {self.counts.shape} does not match "
-                f"{len(self.user_ids)} users x {len(self.item_ids)} items"
-            )
-        if self.counts.nnz and self.counts.data.min() < 1:
+    def __init__(self, user_ids: list[str], item_ids: list[str], rows, cols, counts):
+        """Build the matrix from (row, column, count) entries: duplicate
+        entries sum, sums of zero are dropped and each row's columns are sorted."""
+        self.user_ids, self.item_ids = user_ids, item_ids
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        shape = (int(rows.max(initial=-1)) + 1, int(cols.max(initial=-1)) + 1)
+        if (shape[0] > self.n_users or shape[1] > self.n_items
+                or rows.min(initial=0) < 0 or cols.min(initial=0) < 0):
+            raise DataError(f"count matrix shape {shape} does not match "
+                            f"{self.n_users} users x {self.n_items} items")
+        keys, at = np.unique(rows * self.n_items + cols, return_inverse=True)
+        summed = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(summed, at, np.asarray(counts).astype(np.int64))
+        nonzero = summed != 0
+        keys, self.counts = keys[nonzero], summed[nonzero]
+        if self.counts.min(initial=1) < 1:
             raise DataError("feedback counts must be >= 1")
+        rows, self.indices = np.divmod(keys, max(self.n_items, 1))
+        self.indptr = np.zeros(self.n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n_users), out=self.indptr[1:])
 
     @property
     def n_users(self) -> int:
@@ -61,6 +68,31 @@ class FeedbackMatrix:
     @property
     def n_items(self) -> int:
         return len(self.item_ids)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (rows, cols, counts) of every nonzero in row-major order."""
+        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+        return rows, self.indices, self.counts
+
+    def select(self, rows=slice(None), cols=slice(None)) -> FeedbackMatrix:
+        """The submatrix of the given users and items (distinct indices, or a
+        slice), in the order given."""
+        row_sel = np.arange(self.n_users)[rows]
+        col_sel = np.arange(self.n_items)[cols]
+        row_at = np.full(self.n_users, -1)
+        row_at[row_sel] = np.arange(len(row_sel))
+        col_at = np.full(self.n_items, -1)
+        col_at[col_sel] = np.arange(len(col_sel))
+        r, c, counts = self.entries()
+        r, c = row_at[r], col_at[c]
+        keep = (r >= 0) & (c >= 0)
+        return FeedbackMatrix([self.user_ids[u] for u in row_sel],
+                              [self.item_ids[i] for i in col_sel], r[keep], c[keep], counts[keep])
+
+    def transpose(self) -> FeedbackMatrix:
+        """The item x user matrix of the same counts: one CSR row per item."""
+        rows, cols, counts = self.entries()
+        return FeedbackMatrix(self.item_ids, self.user_ids, cols, rows, counts)
 
 
 @dataclass
@@ -100,6 +132,8 @@ def load_triples(path) -> FeedbackMatrix:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
             user, item, count_s = parts
+            if not user or not item:
+                raise DataError(f"{path}:{lineno}: empty {'user' if not user else 'item'} id")
             try:
                 count = int(count_s)
             except ValueError:
@@ -111,10 +145,7 @@ def load_triples(path) -> FeedbackMatrix:
             counts.append(count)
     if not counts:
         raise DataError(f"{path}: empty triples file")
-    # the COO -> CSR conversion sums duplicate (user, item) pairs
-    mat = sp.csr_matrix((np.array(counts, dtype=np.int64), (rows, cols)),
-                        shape=(len(user_index), len(item_index)))
-    return FeedbackMatrix(list(user_index), list(item_index), mat)
+    return FeedbackMatrix(list(user_index), list(item_index), rows, cols, counts)
 
 
 def save_triples(m: FeedbackMatrix, path) -> None:
@@ -123,13 +154,11 @@ def save_triples(m: FeedbackMatrix, path) -> None:
     load_triples reads back the same counts and user order; items come back
     in their first appearance in the file, which can differ from ``item_ids``.
     """
-    coo = m.counts.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    users = np.array(m.user_ids, dtype=object)[coo.row[order]]
-    items = np.array(m.item_ids, dtype=object)[coo.col[order]]
+    rows, cols, counts = m.entries()
+    users = np.array(m.user_ids, dtype=object)[rows]
+    items = np.array(m.item_ids, dtype=object)[cols]
     with replacing(path) as fh:
-        fh.writelines(f"{u}\t{i}\t{c}\n"
-                      for u, i, c in zip(users, items, coo.data[order].tolist()))
+        fh.writelines(f"{u}\t{i}\t{c}\n" for u, i, c in zip(users, items, counts.tolist()))
 
 
 def load_artist_map(path) -> ArtistMap:
@@ -166,13 +195,8 @@ def aggregate_to_artist(m: FeedbackMatrix, am: ArtistMap) -> FeedbackMatrix:
     for i, item in enumerate(m.item_ids):
         artist = am.artist_of(item)
         col_to_artist[i] = artist_index.setdefault(artist, len(artist_index))
-    n_artists = len(artist_index)
-    # item -> artist aggregation as a sparse 0/1 matrix product
-    agg = sp.csr_matrix(
-        (np.ones(m.n_items, dtype=np.int64), (np.arange(m.n_items), col_to_artist)),
-        shape=(m.n_items, n_artists),
-    )
-    return FeedbackMatrix(list(m.user_ids), list(artist_index), m.counts @ agg)
+    rows, cols, counts = m.entries()
+    return FeedbackMatrix(list(m.user_ids), list(artist_index), rows, col_to_artist[cols], counts)
 
 
 def split_by_artist(
@@ -216,9 +240,8 @@ def split_by_artist(
         assignment[artists[idx]] = part
     parts = {}
     for part in PARTS:
-        cols = [i for i, item in enumerate(m.item_ids) if assignment[am.artist_of(item)] == part]
-        sub = m.counts[:, cols] if cols else sp.csr_matrix((m.n_users, 0), dtype=np.int64)
-        parts[part] = FeedbackMatrix(list(m.user_ids), [m.item_ids[i] for i in cols], sub)
+        parts[part] = m.select(cols=[i for i, item in enumerate(m.item_ids)
+                                     if assignment[am.artist_of(item)] == part])
     return parts, assignment
 
 

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .data import FeedbackMatrix, replacing
 from .wmf import WmfConfig, factorize_wmf
@@ -84,11 +83,10 @@ def map_at_k(user_factors: np.ndarray, item_factors: np.ndarray,
         raise ValueError("cutoff must be >= 1")
     if user_factors.shape[0] != test.n_users or item_factors.shape[0] != test.n_items:
         raise ValueError("factor rows do not match the test matrix")
-    csr = test.counts.tocsr()
     ap_by_user: dict[str, float] = {}
     skipped = 0
     for u in range(test.n_users):
-        relevant = set(csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist())
+        relevant = set(test.indices[test.indptr[u]:test.indptr[u + 1]].tolist())
         if not relevant:
             skipped += 1
             continue
@@ -101,7 +99,12 @@ def map_at_k(user_factors: np.ndarray, item_factors: np.ndarray,
 
 
 def paired_ttest(ap_a, ap_b) -> TTestResult:
-    """Two-sided paired t-test on aligned per-user AP vectors."""
+    """Two-sided paired t-test on aligned per-user AP vectors.
+
+    scipy is imported here, not with the module: no stage calls this.
+    """
+    from scipy.special import betainc
+
     a = np.asarray(ap_a, dtype=np.float64)
     b = np.asarray(ap_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

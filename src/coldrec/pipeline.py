@@ -367,8 +367,7 @@ def _stage_evaluate(cfg: PipelineConfig) -> None:
     keep = [r for r, u in enumerate(test.user_ids) if u in user_index]
     n_cold_users = test.n_users - len(keep)
     if n_cold_users:
-        test = FeedbackMatrix([test.user_ids[r] for r in keep], test.item_ids,
-                              test.counts[keep])
+        test = test.select(rows=keep)
     user_factors = users[[user_index[u] for u in test.user_ids]]
     k = user_factors.shape[1]
 

@@ -101,8 +101,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
 
 
 def _sample_plays(rng, user_ids, song_ids, user_f, song_f, spec: SyntheticSpec) -> FeedbackMatrix:
-    import scipy.sparse as sp
-
     scores = user_f @ song_f.T
     # standardize per user, then tilt play probability toward high scores
     mu = scores.mean(axis=1, keepdims=True)
@@ -118,7 +116,8 @@ def _sample_plays(rng, user_ids, song_ids, user_f, song_f, spec: SyntheticSpec) 
     for u in np.flatnonzero(~hits.any(axis=1)):
         best = int(np.argmax(z[u]))
         counts[u, best] = 1
-    return FeedbackMatrix(list(user_ids), list(song_ids), sp.csr_matrix(counts))
+    rows, cols = np.nonzero(counts)
+    return FeedbackMatrix(list(user_ids), list(song_ids), rows, cols, counts[rows, cols])
 
 
 def _make_documents(rng, artist_ids, text_f, spec: SyntheticSpec):

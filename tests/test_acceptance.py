@@ -15,7 +15,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy import integrate, special
 
 from coldrec import evaluate as ev
@@ -26,6 +25,7 @@ from coldrec.nn import LayerSpec, NetworkSpec, infer_shapes, init_params
 from coldrec.pipeline import STAGES, run_stage
 from coldrec.wmf import WmfConfig, als_objective, factorize_wmf
 
+from feedback_oracle import feedback, to_dense
 from gradcheck import gradient_check
 from test_wmf import gradient_descent_oracle, random_matrix
 
@@ -102,7 +102,7 @@ def test_als_matches_gradient_descent_oracle():
     als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
     _, _, gd_obj = gradient_descent_oracle(
         model.user_factors, model.item_factors,
-        m.counts.toarray().astype(float), cfg.alpha, cfg.lam)
+        to_dense(m).astype(float), cfg.alpha, cfg.lam)
     assert als_obj == pytest.approx(gd_obj, rel=1e-5)
     assert time.monotonic() - started < 5.0
 
@@ -178,8 +178,6 @@ def _ap_oracle(ranked, relevant, k):
 
 
 def test_ranking_metric_matches_exhaustive_enumeration():
-    from coldrec.data import FeedbackMatrix
-
     for n_items in range(1, 6):
         items = list(range(n_items))
         for r in range(1, min(3, n_items) + 1):
@@ -199,16 +197,15 @@ def test_ranking_metric_matches_exhaustive_enumeration():
         for u in range(n_users):
             n_rel = int(rng.integers(1, min(3, n_items) + 1))
             dense[u, rng.choice(n_items, size=n_rel, replace=False)] = 1
-        test = FeedbackMatrix([f"u{u}" for u in range(n_users)],
-                              [f"i{i}" for i in range(n_items)], sp.csr_matrix(dense))
+        test = feedback(dense, [f"u{u}" for u in range(n_users)],
+                        [f"i{i}" for i in range(n_items)])
         uf = rng.normal(size=(n_users, 3))
         itf = rng.normal(size=(n_items, 3))
         k = int(rng.integers(1, n_items + 1))
         report = ev.map_at_k(uf, itf, test, k=k)
-        csr = test.counts.tocsr()
         expected = np.mean([
             _ap_oracle(ev.rank_items(uf[u], itf, k).tolist(),
-                       set(csr.indices[csr.indptr[u]:csr.indptr[u + 1]].tolist()), k)
+                       set(np.flatnonzero(dense[u]).tolist()), k)
             for u in range(n_users)
         ])
         assert abs(report.map_score - expected) < 1e-12

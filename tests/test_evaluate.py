@@ -2,13 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy import integrate
 from scipy import special
 
-from coldrec.data import FeedbackMatrix
 from coldrec.evaluate import (average_precision, make_baseline_factors,
                               map_at_k, paired_ttest, random_factors, rank_items)
+from feedback_oracle import feedback, to_dense
 
 
 class TestRankItems:
@@ -60,18 +59,13 @@ class TestAveragePrecision:
             average_precision([0], set(), 5)
 
 
-def matrix_from_triples(triples):
-    users, items, rows, cols, counts = [], [], [], [], []
+def matrix_from_triples(triples, extra_users=()):
+    users = list(dict.fromkeys([u for u, _, _ in triples] + list(extra_users)))
+    items = list(dict.fromkeys(i for _, i, _ in triples))
+    dense = np.zeros((len(users), len(items)), dtype=np.int64)
     for u, i, c in triples:
-        if u not in users:
-            users.append(u)
-        if i not in items:
-            items.append(i)
-        rows.append(users.index(u))
-        cols.append(items.index(i))
-        counts.append(int(c))
-    return FeedbackMatrix(users, items, sp.csr_matrix((counts, (rows, cols)),
-                                                      shape=(len(users), len(items))))
+        dense[users.index(u), items.index(i)] += int(c)
+    return feedback(dense, users, items)
 
 
 def ap_oracle(ranked, relevant, k):
@@ -106,7 +100,7 @@ class TestExhaustiveEnumeration:
         report = map_at_k(uf, itf, test, k=3)
         want = np.mean([
             ap_oracle(rank_items(uf[u], itf, 3).tolist(),
-                      set(test.counts.tocsr()[u].indices.tolist()), 3)
+                      set(np.flatnonzero(to_dense(test)[u]).tolist()), 3)
             for u in range(test.n_users)
         ])
         assert report.map_score == pytest.approx(want, abs=1e-12)
@@ -122,9 +116,8 @@ class TestMapAtK:
         # u3 never appears, so only matrices built with them explicitly can
         # produce empty rows; rebuild with an extra all-zero user
         entries = [("u1", "a", 1.0), ("u2", "b", 1.0)]
-        m = matrix_from_triples(entries)
-        m2 = FeedbackMatrix(user_ids=m.user_ids + ["u3"], item_ids=m.item_ids,
-                            counts=_vstack_zero_row(m.counts))
+        m2 = matrix_from_triples(entries, extra_users=["u3"])
+        assert m2.user_ids == ["u1", "u2", "u3"]
         report = map_at_k(np.ones((3, 2)), np.ones((2, 2)), m2, k=2)
         assert report.n_skipped == 1
         assert report.n_users == 2
@@ -169,12 +162,6 @@ class TestMapAtK:
         mean, sd = np.mean(sims), np.std(sims, ddof=1)
         se = np.sqrt(sd**2 / len(sims) + report.standard_error()**2)
         assert abs(report.map_score - mean) < 4 * se + 0.02
-
-
-def _vstack_zero_row(csr):
-    from scipy import sparse
-    zero = sparse.csr_matrix((1, csr.shape[1]), dtype=csr.dtype)
-    return sparse.vstack([csr, zero]).tocsr()
 
 
 class TestPairedTTest:

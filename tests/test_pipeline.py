@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -14,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import coldrec
 from coldrec import audio, matrixio, nn, pipeline, synth
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (PipelineConfig, load_pipeline_config, load_synthetic_spec,
@@ -23,6 +26,7 @@ from coldrec.pipeline import (APPROACHES, STAGE_TABLE, STAGES, StageError, _fit_
                               run_stage, stage_seed)
 from coldrec.wmf import WmfConfig
 from coldrec.zoo import TrainConfig
+from feedback_oracle import to_dense
 
 TINY = dict(n_users=40, n_artists=12, songs_per_artist=4, latent_dim=8,
             bins=8, frames=70, n_text_terms=30, doc_tokens=60,
@@ -132,14 +136,14 @@ class TestSynth:
 
     def test_every_user_has_a_play(self):
         data = synth.generate(tiny_spec())
-        plays = np.asarray(data.feedback.counts.sum(axis=1)).ravel()
+        plays = to_dense(data.feedback).sum(axis=1)
         assert (plays >= 1).all()
 
     def test_scores_correlate_with_plays(self):
         from scipy import stats
         data = synth.generate(tiny_spec(n_users=80))
         scores = data.user_factors @ data.song_factors.T
-        counts = data.feedback.counts.toarray()
+        counts = to_dense(data.feedback)
         rho = stats.spearmanr(scores.ravel(), counts.ravel()).statistic
         assert rho > 0.1
 
@@ -733,6 +737,49 @@ class TestCli:
         assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]+\n", err), err
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["user", "item"])
+    def test_empty_id_in_triples_is_data_exit(self, staged_run, tmp_path, capsys, field):
+        """A play line with an empty user or item id ends `split` in one error
+        line naming the file and the line, before any artifact is written."""
+        lines = Path(staged_run.cfg.triples).read_text(encoding="utf-8").splitlines(True)
+        parts = lines[6].split("\t")
+        parts[field] = ""
+        lines[6] = "\t".join(parts)
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("".join(lines), encoding="utf-8")
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(tmp_path / "out"), **{"paths.triples": str(triples)})
+        assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        name = ("user", "item")[field]
+        assert err == f"error: {triples}:7: empty {name} id\n"
+        assert not os.path.exists(tmp_path / "out" / "splits")
+
+    def test_stages_run_without_scipy(self, staged_run, tmp_path):
+        """A fresh process that imports the CLI and runs every stage of a tiny
+        dataset loads no scipy module, at import or after the last stage."""
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(tmp_path / "out"))
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import coldrec.cli\n"
+            "print('scipy after import:', scipy_modules())\n"
+            "for stage in coldrec.cli.STAGES:\n"
+            f"    assert coldrec.cli.main([stage, '--config', {str(cfg_path)!r}]) == 0, stage\n"
+            "print('scipy after stages:', scipy_modules())\n"
+        )
+        src = os.path.dirname(os.path.dirname(coldrec.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert [line for line in run.stdout.splitlines() if line.startswith("scipy")] == [
+            "scipy after import: []", "scipy after stages: []"]
+        assert os.path.exists(tmp_path / "out" / "report.json")
 
     def test_mistyped_document_field_is_data_exit(self, staged_run, tmp_path, capsys):
         """A biography whose text is a number ends `enrich` in one error line

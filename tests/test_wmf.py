@@ -2,22 +2,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from coldrec.data import FeedbackMatrix
 from coldrec.evaluate import rank_items
 from coldrec.wmf import (INIT_SCALE, FactorModel, WmfConfig, _half_sweep, als_objective,
                          factorize_wmf, solve_row)
+from feedback_oracle import feedback, to_dense
 
 
 def random_matrix(n_users, n_items, seed=0, density=0.5):
     rng = np.random.default_rng(seed)
     dense = (rng.random((n_users, n_items)) < density) * rng.integers(1, 6, (n_users, n_items))
     dense[0, 0] = max(dense[0, 0], 1)
-    return FeedbackMatrix([f"u{i}" for i in range(n_users)],
-                          [f"s{i}" for i in range(n_items)],
-                          sp.csr_matrix(dense))
+    return feedback(dense)
 
 
 def brute_objective(x, y, dense, alpha, lam):
@@ -39,13 +37,21 @@ def row_system(y, indices, counts, alpha, lam):
 
 
 def solve(y, indices, counts, alpha, lam):
-    return solve_row(*row_system(y, indices, counts, alpha, lam))
+    """One row's solution: its system solved by the library as a stack of one."""
+    a, b = row_system(y, indices, counts, alpha, lam)
+    return solve_row(a[None], b[None])[0]
+
+
+def spd_stack(rng, n, k):
+    m = rng.normal(size=(n, k, k + 2))
+    return m @ m.transpose(0, 2, 1) + 0.1 * np.eye(k), rng.normal(size=(n, k))
 
 
 def reference_factorize(m, cfg):
     """Reference ALS with all work per row: every row gathers its factors, casts its
-    counts, rebuilds Y^T Y and lam*I and forms its own system, and the item rows
-    are transposed again on every sweep. Returns the factors and the sweeps run."""
+    counts, rebuilds Y^T Y and lam*I, forms its own system and solves it alone, the
+    item rows are rebuilt from the dense counts on every sweep, and the objective
+    comes from the dense X Y^T. Returns the factors and the sweeps run."""
     rng = np.random.default_rng(cfg.seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
@@ -56,17 +62,14 @@ def reference_factorize(m, cfg):
             if lo == hi:
                 target[r] = np.zeros(cfg.k)
                 continue
-            a, b = row_system(other, rows.indices[lo:hi], rows.data[lo:hi], cfg.alpha, cfg.lam)
-            _, target[r], info = lapack.dposv(a, b)
-            assert info == 0
+            target[r] = solve(other, rows.indices[lo:hi], rows.counts[lo:hi], cfg.alpha, cfg.lam)
 
-    csc = m.counts.tocsc()
+    dense = to_dense(m)
     prev_obj = None
     for sweep in range(1, cfg.iterations + 1):
-        half_sweep(x, y, m.counts.tocsr())
-        half_sweep(y, x, csc.T.tocsr())
+        half_sweep(x, y, m)
+        half_sweep(y, x, feedback(dense.T))
         if cfg.early_stop_tol is not None:
-            dense = m.counts.toarray()
             pred = x @ y.T
             obj = (float(np.sum((1.0 + cfg.alpha * dense) * ((dense > 0) - pred) ** 2))
                    + cfg.lam * (float(np.sum(x * x)) + float(np.sum(y * y))))
@@ -84,17 +87,14 @@ def assert_matches_reference(m, cfg):
     return sweeps
 
 
-def unsort_columns(counts):
-    """The same matrix with each row's columns reversed, as a summed product may leave it."""
-    order = np.concatenate([np.arange(hi - 1, lo - 1, -1)
-                            for lo, hi in zip(counts.indptr, counts.indptr[1:])])
-    return sp.csr_matrix((counts.data[order], counts.indices[order], counts.indptr),
-                         shape=counts.shape)
-
-
-def feedback(dense):
+def unsorted_feedback(dense):
+    """The matrix of ``dense`` built from its entries in reverse order, each row's
+    columns descending, as a summed product may leave them."""
+    rows, cols = np.nonzero(dense)
+    rows, cols = rows[::-1], cols[::-1]
     return FeedbackMatrix([f"u{i}" for i in range(dense.shape[0])],
-                          [f"s{i}" for i in range(dense.shape[1])], sp.csr_matrix(dense))
+                          [f"s{i}" for i in range(dense.shape[1])],
+                          rows, cols, dense[rows, cols])
 
 
 def equal_nnz_rows(rng):
@@ -132,8 +132,23 @@ class TestSolveRow:
     def test_scalar_closed_form(self):
         # k=1, one item y=1, count=1, alpha=1: x = c/(c + lam) with c = 2
         lam = 1e-9
-        x = solve_row(np.array([[2.0 + lam]]), np.array([2.0]))
-        assert x[0] == pytest.approx(2.0 / (2.0 + lam), rel=1e-9)
+        x = solve_row(np.array([[[2.0 + lam]]]), np.array([[2.0]]))
+        assert x[0, 0] == pytest.approx(2.0 / (2.0 + lam), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_stack_matches_lapack_dposv(self, k):
+        a, b = spd_stack(np.random.default_rng(k), 40, k)
+        expected = np.stack([lapack.dposv(a_r, b_r)[1] for a_r, b_r in zip(a, b)])
+        x = solve_row(a, b)
+        assert np.abs(x - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_row_alone_has_its_bits_in_a_stack(self, k):
+        a, b = spd_stack(np.random.default_rng(10 + k), 300, k)
+        stacked = solve_row(a, b)
+        for r in (0, 1, 137, 299):
+            assert np.array_equal(solve_row(a[r:r + 1], b[r:r + 1])[0], stacked[r])
+        assert np.array_equal(solve_row(a[100:200], b[100:200]), stacked[100:200])
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(5)
@@ -162,19 +177,25 @@ class TestHalfSweep:
     def test_empty_row_is_zero(self):
         y = np.random.default_rng(0).normal(size=(5, 3))
         target = np.full((3, 3), 7.0)
-        rows = sp.csr_matrix(np.array([[0, 2, 0, 0, 1], [0, 0, 0, 0, 0], [3, 0, 0, 0, 0]]))
+        rows = feedback(np.array([[0, 2, 0, 0, 1], [0, 0, 0, 0, 0], [3, 0, 0, 0, 0]]))
         _half_sweep(target, y, rows, 10.0, 0.1, 1, "user")
         assert np.array_equal(target[1], np.zeros(3))
         assert np.array_equal(target[0], solve(y, [1, 4], [2, 1], 10.0, 0.1))
         assert np.array_equal(target[2], solve(y, [0], [3], 10.0, 0.1))
 
+    def test_matrix_without_plays_gives_zero_factors(self):
+        m = feedback(np.zeros((3, 4), dtype=np.int64))
+        model = factorize_wmf(m, WmfConfig(k=2, alpha=40.0, lam=0.1, iterations=3, seed=0))
+        assert not model.user_factors.any() and not model.item_factors.any()
+
     def test_one_solve_per_nonempty_row(self):
         m = feedback(empty_rows(np.random.default_rng(3)))
         cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, seed=0, early_stop_tol=None)
-        nonempty = sum(np.count_nonzero(m.counts.getnnz(axis=axis)) for axis in (0, 1))
+        dense = to_dense(m)
+        nonempty = sum(np.count_nonzero(dense.any(axis=axis)) for axis in (0, 1))
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
             factorize_wmf(m, cfg)
-        assert spy.call_count == cfg.iterations * nonempty
+        assert sum(len(call.args[1]) for call in spy.call_args_list) == cfg.iterations * nonempty
 
     def test_not_positive_definite_names_row(self):
         # k = 16 over two items: every user system is lam*I plus rank <= 2
@@ -184,11 +205,35 @@ class TestHalfSweep:
                                              r"raise lambda or lower k$"):
             factorize_wmf(m, WmfConfig(k=16, alpha=40.0, lam=1e-20, seed=0))
 
+    def test_not_positive_definite_row_inside_a_chunk_is_named(self, monkeypatch):
+        # chunks of 3 rows over 7 one-nonzero rows; with alpha < 0 only row 4,
+        # the middle of the second chunk, has a negative system (5 - 9 + lam)
+        monkeypatch.setattr("coldrec.wmf.SOLVE_CHUNK_BYTES", 3 * 8 * 1 * 2)
+        dense = np.zeros((7, 5), dtype=np.int64)
+        dense[np.arange(7), np.arange(7) % 5] = 1
+        dense[4, 4] = 9
+        with pytest.raises(ValueError, match=r"^ALS system of user row 4 is not positive definite "
+                                             r"in sweep 2 \(alpha -1, lambda 0\.1\)"):
+            _half_sweep(np.zeros((7, 1)), np.ones((5, 1)), feedback(dense), -1.0, 0.1,
+                        sweep=2, side="user")
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 10])
+    def test_chunks_leave_the_bits(self, monkeypatch, rows_per_chunk):
+        m = feedback(long_rows(np.random.default_rng(2)))
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, seed=1, early_stop_tol=None)
+        whole = factorize_wmf(m, cfg)
+        monkeypatch.setattr("coldrec.wmf.SOLVE_CHUNK_BYTES", rows_per_chunk * 8 * 4 * 5)
+        with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
+            chunked = factorize_wmf(m, cfg)
+        assert max(len(call.args[1]) for call in spy.call_args_list) == rows_per_chunk
+        assert np.array_equal(chunked.user_factors, whole.user_factors)
+        assert np.array_equal(chunked.item_factors, whole.item_factors)
+
 
 # direct calls run outside factorize_wmf's errstate, so overflow warns here
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestHalfSweepGuard:
-    rows = sp.csr_matrix(np.array([[0, 1]]))
+    rows = feedback(np.array([[0, 1]]))
 
     @pytest.mark.parametrize("y", [
         np.array([[np.nan], [1.0]]),
@@ -203,26 +248,25 @@ class TestHalfSweepGuard:
 
     def test_overflowing_confidence_rejected(self):
         with pytest.raises(ValueError, match=r"alpha 1e\+308, lambda 0\.1"):
-            _half_sweep(np.zeros((1, 1)), np.array([[2.0], [2.0]]), self.rows * 10,
+            _half_sweep(np.zeros((1, 1)), np.array([[2.0], [2.0]]), feedback(np.array([[0, 10]])),
                         1e308, 0.1, sweep=1, side="user")
 
     def test_overflowing_output_rejected(self):
         # every row system is finite (diagonal 4e307), but its right-hand
         # side, ten entries of 1e308 * 0.2, overflows
         with pytest.raises(ValueError, match="sweep 1"):
-            _half_sweep(np.zeros((1, 1)), np.full((10, 1), 0.2), sp.csr_matrix(np.ones((1, 10))),
+            _half_sweep(np.zeros((1, 1)), np.full((10, 1), 0.2), feedback(np.ones((1, 10), int)),
                         1e308, 0.1, sweep=1, side="user")
 
 
 class TestObjective:
     def test_all_zero(self):
-        m = FeedbackMatrix(["u"], ["s"], sp.csr_matrix(np.array([[1]])))
-        m.counts = sp.csr_matrix((1, 1), dtype=np.int64)
+        m = feedback(np.zeros((1, 1), int))
         model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)))
         assert als_objective(model, m, alpha=40, lam=0.1) == 0.0
 
     def test_single_entry(self):
-        m = FeedbackMatrix(["u"], ["s"], sp.csr_matrix([[1]]))
+        m = feedback([[1]])
         model = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)))
         # c = 41, p = 1, prediction 0 -> 41
         assert als_objective(model, m, alpha=40, lam=0.1) == pytest.approx(41.0)
@@ -233,7 +277,7 @@ class TestObjective:
         x = rng.normal(size=(3, 2))
         y = rng.normal(size=(3, 2))
         model = FactorModel(x, y)
-        expected = brute_objective(x, y, m.counts.toarray(), 10.0, 0.3)
+        expected = brute_objective(x, y, to_dense(m), 10.0, 0.3)
         assert als_objective(model, m, 10.0, 0.3) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n_users, n_items, density, seed", [
@@ -252,7 +296,7 @@ class TestObjective:
             rng = np.random.default_rng(seed)
             model = FactorModel(rng.normal(size=(n_users, 4)), rng.normal(size=(n_items, 4)))
         x, y = model.user_factors, model.item_factors
-        dense = m.counts.toarray()
+        dense = to_dense(m)
         pred = x @ y.T
         expected = (float(np.sum((1.0 + alpha * dense) * ((dense > 0) - pred) ** 2))
                     + lam * (float(np.sum(x * x)) + float(np.sum(y * y))))
@@ -289,11 +333,10 @@ class TestFactorize:
     @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
     def test_bit_identical_to_per_row_formula(self, n_users, n_items, density, seed, unsorted):
         m = random_matrix(n_users, n_items, seed=seed, density=density)
-        dense = m.counts.toarray()
+        dense = to_dense(m)
         dense[-1, :] = 0  # an empty user row
         dense[:, -1] = 0  # an empty item column
-        counts = sp.csr_matrix(dense)
-        m = FeedbackMatrix(m.user_ids, m.item_ids, unsort_columns(counts) if unsorted else counts)
+        m = unsorted_feedback(dense) if unsorted else feedback(dense)
         for k in (4, 16):
             cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4, seed=seed, early_stop_tol=None)
             assert_matches_reference(m, cfg)
@@ -307,9 +350,8 @@ class TestFactorize:
     def test_bit_identical_on_row_groups(self, make, unsorted):
         """Row shapes that group unusually: one large group, groups of one nonzero,
         groups of one long row, and empty rows in both halves."""
-        counts = sp.csr_matrix(make(np.random.default_rng(7)))
-        m = feedback(counts.toarray())
-        m.counts = unsort_columns(counts) if unsorted else counts
+        dense = make(np.random.default_rng(7))
+        m = unsorted_feedback(dense) if unsorted else feedback(dense)
         cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3, seed=5, early_stop_tol=None)
         assert_matches_reference(m, cfg)
 
@@ -325,6 +367,35 @@ class TestFactorize:
             x, _, _ = reference_factorize(m, WmfConfig(iterations=other, early_stop_tol=None,
                                                        **settings))
             assert not np.array_equal(stopped, x)
+
+    @pytest.mark.parametrize("make", [equal_nnz_rows, single_nonzero_rows, long_rows, empty_rows],
+                             ids=["equal-nnz", "single-nonzero", "over-100-nonzeros", "empty"])
+    def test_early_stopping_sweep_matches_reference_on_row_groups(self, make):
+        m = feedback(make(np.random.default_rng(7)))
+        cfg = WmfConfig(k=16, alpha=40.0, lam=10.0, iterations=60, seed=5, early_stop_tol=1e-2)
+        sweeps = assert_matches_reference(m, cfg)
+        assert 1 < sweeps < cfg.iterations
+
+    def test_objective_read_off_the_solves_matches_als_objective(self):
+        """After each item half-sweep, sum over nonzeros of (1 + alpha*count)
+        - sum_r b_r . y_r + lam*|X|^2, read off the solves, is the objective."""
+        m = random_matrix(30, 20, seed=4, density=0.3)
+        cfg = WmfConfig(k=8, alpha=40.0, lam=0.5, iterations=6, seed=2, early_stop_tol=None)
+        seen = []
+
+        def spy(target, other, rows, alpha, lam, sweep, side):
+            fit = _half_sweep(target, other, rows, alpha, lam, sweep, side)
+            if side == "item":
+                read_off = (float(np.sum(1.0 + alpha * to_dense(m)[to_dense(m) > 0])) - fit
+                            + lam * float(np.sum(other * other)))
+                seen.append((read_off, als_objective(FactorModel(other, target), m, alpha, lam)))
+            return fit
+
+        with mock.patch("coldrec.wmf._half_sweep", side_effect=spy):
+            factorize_wmf(m, cfg)
+        assert len(seen) == cfg.iterations
+        for read_off, exact in seen:
+            assert read_off == pytest.approx(exact, rel=1e-12)
 
     def test_objective_monotone_over_sweeps(self):
         m = random_matrix(6, 8, seed=2)
@@ -348,7 +419,7 @@ class TestFactorize:
 
     def test_zero_interaction_user_gets_zero_row(self):
         dense = np.array([[2, 3], [0, 0]])
-        m = FeedbackMatrix(["u0", "u1"], ["s0", "s1"], sp.csr_matrix(dense))
+        m = feedback(dense)
         model = factorize_wmf(m, WmfConfig(k=2, alpha=10, lam=0.1, iterations=3, seed=0))
         assert np.array_equal(model.user_factors[1], np.zeros(2))
 
@@ -357,11 +428,10 @@ class TestFactorize:
         m = random_matrix(5, 7, seed=6)
         cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=10, seed=1)
         model = factorize_wmf(m, cfg)
-        dense = m.counts.toarray()
+        dense = to_dense(m)
         u = 0
-        row_counts = m.counts.getrow(u)
-        solved = solve(model.item_factors, row_counts.indices,
-                       row_counts.data, cfg.alpha, cfg.lam)
+        lo, hi = m.indptr[u], m.indptr[u + 1]
+        solved = solve(model.item_factors, m.indices[lo:hi], m.counts[lo:hi], cfg.alpha, cfg.lam)
 
         def partial(row):
             conf = 1.0 + cfg.alpha * dense[u]
@@ -434,7 +504,7 @@ class TestGradientDescentOracle:
         als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
         _, _, gd_obj = gradient_descent_oracle(
             model.user_factors, model.item_factors,
-            m.counts.toarray().astype(float), cfg.alpha, cfg.lam)
+            to_dense(m).astype(float), cfg.alpha, cfg.lam)
         assert als_obj == pytest.approx(gd_obj, rel=1e-5)
 
     def test_oracle_detects_suboptimal_factors(self):
@@ -447,5 +517,5 @@ class TestGradientDescentOracle:
             FactorModel(bad_users, model.item_factors), m, cfg.alpha, cfg.lam)
         _, _, gd_obj = gradient_descent_oracle(
             bad_users, model.item_factors,
-            m.counts.toarray().astype(float), cfg.alpha, cfg.lam)
+            to_dense(m).astype(float), cfg.alpha, cfg.lam)
         assert (bad_obj - gd_obj) / gd_obj > 1e-2

@@ -9,12 +9,12 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from coldrec.data import FeedbackMatrix, replacing, save_split, save_triples
+from coldrec.data import replacing, save_split, save_triples
 from coldrec.evaluate import EvalReport
 from coldrec.textfeat import Document, save_documents
 from coldrec.zoo import TrainLog
+from feedback_oracle import feedback
 
 
 class _FailsWhenFormatted(str):
@@ -30,7 +30,7 @@ class _FloatFailsWhenFormatted(float):
 
 
 def _matrix(user_ids):
-    return FeedbackMatrix(list(user_ids), ["s1"], sp.csr_matrix(np.array([[1], [2]])))
+    return feedback(np.array([[1], [2]]), list(user_ids), ["s1"])
 
 
 def _split(last_part):

@@ -54,10 +54,15 @@ class FeedbackMatrix:
         summed = np.zeros(len(keys), dtype=np.int64)
         np.add.at(summed, at, np.asarray(counts).astype(np.int64))
         nonzero = summed != 0
-        keys, self.counts = keys[nonzero], summed[nonzero]
-        if self.counts.min(initial=1) < 1:
+        keys, counts = keys[nonzero], summed[nonzero]
+        if counts.min(initial=1) < 1:
             raise DataError("feedback counts must be >= 1")
-        rows, self.indices = np.divmod(keys, max(self.n_items, 1))
+        rows, indices = np.divmod(keys, max(self.n_items, 1))
+        self._hold(rows, indices, counts)
+
+    def _hold(self, rows, indices, counts) -> None:
+        """Hold entries given in row-major order, free of duplicates and zeros."""
+        self.indices, self.counts = indices, counts
         self.indptr = np.zeros(self.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n_users), out=self.indptr[1:])
 
@@ -86,8 +91,14 @@ class FeedbackMatrix:
         r, c, counts = self.entries()
         r, c = row_at[r], col_at[c]
         keep = (r >= 0) & (c >= 0)
-        return FeedbackMatrix([self.user_ids[u] for u in row_sel],
-                              [self.item_ids[i] for i in col_sel], r[keep], c[keep], counts[keep])
+        r, c, counts = r[keep], c[keep], counts[keep]
+        # distinct indices keep the entries distinct and nonzero: only their order changes
+        order = np.argsort(r * len(col_sel) + c, kind="stable")
+        sub = FeedbackMatrix.__new__(FeedbackMatrix)
+        sub.user_ids = [self.user_ids[u] for u in row_sel]
+        sub.item_ids = [self.item_ids[i] for i in col_sel]
+        sub._hold(r[order], c[order], counts[order])
+        return sub
 
     def transpose(self) -> FeedbackMatrix:
         """The item x user matrix of the same counts: one CSR row per item."""

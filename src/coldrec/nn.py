@@ -452,6 +452,14 @@ def cosine_loss(pred: np.ndarray, target: np.ndarray):
 
 @dataclass
 class AdamState:
+    """Adam's step count and moments, per trained tensor.
+
+    The moments are held pre-divided by one minus their decay rate:
+    ``m`` holds M = m/(1-b1) and ``v`` holds V = v/(1-b2), where m and v
+    are Kingma & Ba's first and second moment estimates. So M = b1*M + g and
+    V = b2*V + g*g, with no (1-b) multiply per element.
+    """
+
     m: dict[str, dict[str, np.ndarray]]
     v: dict[str, dict[str, np.ndarray]]
     t: int = 0
@@ -486,43 +494,48 @@ def adam_step(params, grads, state: AdamState) -> None:
     """One Adam update, in place over every gradient tensor, a block at a time (``_blocks``).
 
     A factored gradient's block is one GEMM, ``x.T[lo:hi] @ dy``, formed just before its
-    update; its rows come out bit-identical to those of ``x.T @ dy``. Each element sees the
-    float operations of ``m = m*b1 + (1-b1)*g; v = v*b2 + (1-b2)*g*g;
-    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order.
+    update; its rows come out bit-identical to those of ``x.T @ dy``. With the scaled
+    moments of ``AdamState``, each element sees ten float operations, in this order::
+
+        M *= b1;  M += g;  s = g*g;  V *= b2;  V += s
+        s = sqrt(V);  s += eps';  s = M/s;  s *= lr';  p -= s
+
+    with c2 = (1-b2)/(1-b2**t), lr' = lr*(1-b1)/((1-b1**t)*sqrt(c2)) and
+    eps' = eps/sqrt(c2). In exact arithmetic this is Kingma & Ba's
+    ``p -= lr*m_hat/(sqrt(v_hat) + eps)``; in floats it differs in the last bits.
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    root_c2 = math.sqrt((1 - b2) / (1 - b2**state.t))
+    lr = state.lr * (1 - b1) / ((1 - b1**state.t) * root_c2)
+    eps = ADAM_EPS / root_c2
     for layer, tensors in grads.items():
         for key, g in tensors.items():
             p = params[layer][key]
             if not p.flags.c_contiguous:
                 raise ValueError(f"Adam updates {layer}/{key} in place, so it must be C-contiguous")
             blocks = _blocks(g)
-            scratch = np.empty((3, max((hi - lo for lo, hi in blocks), default=0)))
+            scratch = np.empty(max((hi - lo for lo, hi in blocks), default=0))
             flat = (p.reshape(-1), state.m[layer][key].reshape(-1),
                     state.v[layer][key].reshape(-1))
             g_flat = None if isinstance(g, FactoredGrad) else g.reshape(-1)
             for lo, hi in blocks:
                 pc, mc, vc = (a[lo:hi] for a in flat)
-                s, u, gc = scratch[:, :hi - lo]
+                s = scratch[:hi - lo]
                 if g_flat is not None:
                     gc = g_flat[lo:hi]
                 else:
+                    # formed in the scratch, which s = g*g then overwrites: g is not read after it
                     units = g.shape[1]
-                    np.matmul(g.x.T[lo // units:hi // units], g.dy, out=gc.reshape(-1, units))
-                np.multiply(1 - b1, gc, out=s)
+                    np.matmul(g.x.T[lo // units:hi // units], g.dy, out=s.reshape(-1, units))
+                    gc = s
                 mc *= b1
-                mc += s
-                np.multiply(1 - b2, gc, out=s)
-                s *= gc
+                mc += gc
+                np.multiply(gc, gc, out=s)
                 vc *= b2
                 vc += s
-                np.divide(vc, bc2, out=s)
-                np.sqrt(s, out=s)
-                s += ADAM_EPS
-                np.divide(mc, bc1, out=u)
-                u *= state.lr
-                u /= s
-                pc -= u
+                np.sqrt(vc, out=s)
+                s += eps
+                np.divide(mc, s, out=s)
+                s *= lr
+                pc -= s

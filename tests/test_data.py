@@ -147,6 +147,13 @@ class TestFeedbackMatrix:
         assert np.array_equal(to_dense(sub), dense[np.ix_(rows, cols)])
         assert np.array_equal(to_dense(m.select(rows=rows)), dense[rows])
         assert np.array_equal(to_dense(m.select(cols=cols)), dense[:, cols])
+        # the CSR arrays the entry constructor builds for the same submatrix
+        for got, part in ((sub, dense[np.ix_(rows, cols)]), (m.select(rows=rows), dense[rows]),
+                          (m.select(cols=cols), dense[:, cols])):
+            want = feedback(part, got.user_ids, got.item_ids)
+            for field in ("indptr", "indices", "counts"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+                assert getattr(got, field).dtype == getattr(want, field).dtype, field
 
     @settings(max_examples=40, deadline=None)
     @given(entries=entry_lists)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -377,21 +378,56 @@ class TestAdam:
                              for k, x in ts.items()} for layer, ts in params.items()}
             grads["trunk/4"]["W"][::7] = 0.0
             adam_step(params, grads, state)
-            # the per-tensor update as written before blocking, float order and all
+            # the per-tensor update on scaled moments, float order and all
             b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
-            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            root_c2 = math.sqrt((1 - b2) / (1 - b2**t))
+            lr = 0.01 * (1 - b1) / ((1 - b1**t) * root_c2)
             for layer, tensors in grads.items():
                 for key, g in tensors.items():
                     mk, vk = m[layer][key], v[layer][key]
                     mk *= b1
-                    mk += (1 - b1) * g
+                    mk += g
                     vk *= b2
-                    vk += (1 - b2) * g * g
-                    oracle[layer][key] -= 0.01 * (mk / bc1) / (np.sqrt(vk / bc2) + nn.ADAM_EPS)
+                    vk += g * g
+                    oracle[layer][key] -= mk / (np.sqrt(vk) + nn.ADAM_EPS / root_c2) * lr
             for layer in params:
                 assert np.array_equal(params[layer]["W"], oracle[layer]["W"]), (t, layer)
                 assert np.array_equal(state.m[layer]["W"], m[layer]["W"]), (t, layer)
                 assert np.array_equal(state.v[layer]["W"], v[layer]["W"]), (t, layer)
+
+    def test_matches_textbook_adam_over_200_steps(self):
+        """Against unscaled float64 Adam (Kingma & Ba 2015, Algorithm 1) on gradients
+        from 1e-6 to 1e3 with exact zeros, one tensor factored."""
+        rng = np.random.default_rng(5)
+        shapes = {"trunk/0": (3, ADAM_CHUNK + 7), "trunk/1": (300,), "trunk/2": (70, 40)}
+        params = {layer: {"W": rng.normal(size=s)} for layer, s in shapes.items()}
+        start = {layer: ts["W"].copy() for layer, ts in params.items()}
+        book = {layer: ts["W"].copy() for layer, ts in params.items()}
+        m = {layer: np.zeros(s) for layer, s in shapes.items()}
+        v = {layer: np.zeros(s) for layer, s in shapes.items()}
+        lr, b1, b2, eps = 0.01, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+        state = AdamState.for_params(params, lr=lr)
+        for t in range(1, 201):
+            grads = {}
+            for layer, s in shapes.items():
+                g = rng.normal(size=s) * 10.0**rng.uniform(-6, 3, s)
+                g[rng.random(s) < 0.1] = 0.0
+                grads[layer] = {"W": g}
+            x, dy = rng.normal(size=(8, 70)), rng.normal(size=(8, 40)) * 10.0**rng.uniform(-3, 1)
+            grads["trunk/2"]["W"] = nn.FactoredGrad(x, dy)
+            adam_step(params, grads, state)
+            for layer in shapes:
+                g = np.asarray(grads[layer]["W"])
+                m[layer] = b1 * m[layer] + (1 - b1) * g
+                v[layer] = b2 * v[layer] + (1 - b2) * g * g
+                m_hat, v_hat = m[layer] / (1 - b1**t), v[layer] / (1 - b2**t)
+                book[layer] = book[layer] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for layer in shapes:
+            moved = np.abs(book[layer] - start[layer]).max()
+            assert np.abs(params[layer]["W"] - book[layer]).max() <= 1e-12 * moved, layer
+            for scaled, keep, want in ((state.m, 1 - b1, m), (state.v, 1 - b2, v)):
+                got = scaled[layer]["W"] * keep
+                assert np.abs(got - want[layer]).max() <= 1e-13 * np.abs(want[layer]).max(), layer
 
     @pytest.mark.parametrize("rows,units,batch", [
         # every dense weight the zoo trains on desk-train (seeds 3 and 7) and

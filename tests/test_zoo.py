@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from coldrec import zoo
+from coldrec import nn, zoo
 from coldrec.nn import LayerSpec, NetworkSpec, infer_shapes, init_params, net_forward
 from coldrec.zoo import (TrainConfig, build_artist_net, build_fusion_net,
                          build_single_branch_net, build_track_net, eval_loss,
@@ -249,6 +249,35 @@ class TestTrainMapping:
         cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10, seed=0)
         train_mapping(net, provider, targets, base[:8], targets[:8], cfg)
         assert len(built) == 3
+
+    def test_same_log_as_textbook_adam(self, monkeypatch):
+        """A small artist-shaped net trains to the same log with the library's
+        Adam as with Kingma & Ba's per-tensor update on unscaled moments."""
+        def textbook_adam(params, grads, state):
+            state.t += 1
+            b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+            for layer, tensors in grads.items():
+                for key, g in tensors.items():
+                    g = np.asarray(g)
+                    m, v = state.m[layer][key], state.v[layer][key]
+                    m[...] = b1 * m + (1 - b1) * g
+                    v[...] = b2 * v + (1 - b2) * g * g
+                    m_hat, v_hat = m / (1 - b1**state.t), v / (1 - b2**state.t)
+                    params[layer][key] -= state.lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+
+        rng = np.random.default_rng(8)
+        feats = np.abs(rng.normal(size=(80, 40))) * (rng.random((80, 40)) < 0.3)
+        targets = feats @ rng.normal(size=(40, 8))
+        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+        monkeypatch.setattr(zoo, "ARTIST_HIDDEN", 96)
+        net = build_artist_net(vocab_size=40, k=8)
+        cfg = TrainConfig(batch_size=16, max_epochs=60, patience=3, seed=3, lr=0.01)
+        _, log = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg)
+        monkeypatch.setattr(nn, "adam_step", textbook_adam)
+        _, book = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg)
+        assert 0 < log.best_epoch < log.epochs[-1][0] < cfg.max_epochs - 1  # stopped early
+        assert (log.best_epoch, len(log.epochs)) == (book.best_epoch, len(book.epochs))
+        assert np.allclose(log.epochs, book.epochs, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_nonpositive_epoch_cap_rejected(self, epochs):

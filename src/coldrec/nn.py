@@ -195,14 +195,18 @@ class FactoredGrad:
 
 def layer_forward(spec: LayerSpec, params: dict, x, mode: str = "train",
                   rng: np.random.Generator | None = None):
-    """Apply one layer to a batched input; returns (output, cache)."""
+    """Apply one layer to a batched input; returns (output, cache).
+
+    In eval mode, which no backward pass follows, conv1d_time and maxpool_time
+    return an empty cache.
+    """
     if spec.kind == "dense":
         y = x @ params["W"] + params["b"]
         return y, {"x": x}
     if spec.kind == "conv1d_time":
-        return _conv_forward(spec, params, x)
+        return _conv_forward(spec, params, x, mode)
     if spec.kind == "maxpool_time":
-        return _pool_forward(spec, x)
+        return _pool_forward(spec, x, mode)
     if spec.kind == "relu":
         mask = x > 0
         return x * mask, {"mask": mask}
@@ -238,7 +242,7 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool
     if spec.kind == "conv1d_time":
         return _conv_backward(spec, params, cache, dy, skip_dx)
     if spec.kind == "maxpool_time":
-        return _pool_backward(cache, dy), {}
+        return _pool_backward(spec, cache, dy), {}
     if spec.kind == "relu":
         return dy * cache["mask"], {}
     if spec.kind == "dropout":
@@ -263,65 +267,74 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
-def _conv_forward(spec: LayerSpec, params: dict, x):
+def _conv_forward(spec: LayerSpec, params: dict, x, mode: str):
     # x: (B, C, T); correlation along time only, all channels mixed; the
     # output keeps T steps (zero padding, the extra one on the right).
-    # The padded input is unrolled once, channel-major, into
-    # cols[dt, c, b*T + t] = xp[b, c, t + dt], and each tap is one GEMM
-    # (Chellapilla, Puri & Simard 2006). Every GEMM here and in _conv_backward
-    # gets its operands in the orientation and memory order that numpy's
-    # einsum over one tap hands to matmul (a strided view, not a copy, when
-    # T == 1), so its sums round as that einsum's do (tests/conv_oracle.py).
+    # The padded input is unrolled once into the column matrix
+    # cols[c*width + dt, b*T + t] = xp[b, c, t + dt], and the layer is one
+    # GEMM over channels x taps (Chellapilla, Puri & Simard 2006), so its sums
+    # round in BLAS's (channel, tap) order (tests/conv_oracle.py).
     w, b = params["W"], params["b"]
     bsz, c, t = x.shape
     total = spec.width - 1
     left = total // 2
     xp = np.pad(x, ((0, 0), (0, 0), (left, total - left)))
-    cols = sliding_window_view(xp, t, axis=2).transpose(2, 1, 0, 3).reshape(spec.width, c, bsz * t)
-    y = np.zeros((spec.filters, bsz * t))
-    for dt in range(spec.width):
-        y += w[:, :, dt] @ cols[dt]
+    windows = sliding_window_view(xp, t, axis=2).transpose(1, 2, 0, 3)  # (C, width, B, T)
+    # copied even at T = 1, where a reshape alone would hand BLAS a strided
+    # view, which rounds unlike the contiguous matrix
+    cols = np.ascontiguousarray(windows).reshape(c * spec.width, bsz * t)
+    y = w.reshape(spec.filters, -1) @ cols
     y += b[:, None]
-    return np.ascontiguousarray(y.reshape(spec.filters, bsz, t).transpose(1, 0, 2)), {"cols": cols}
+    y = np.ascontiguousarray(y.reshape(spec.filters, bsz, t).transpose(1, 0, 2))
+    # in eval mode the unrolled input is freed here, so the next layer can reuse its memory
+    return y, ({"cols": cols} if mode == "train" else {})
 
 
 def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool):
     w, cols = params["W"], cache["cols"]
     bsz, f, t = dy.shape
-    dy_t = dy.transpose(0, 2, 1).reshape(bsz * t, f)
-    dw = np.zeros_like(w)
-    for dt in range(spec.width):
-        dw[:, :, dt] = (cols[dt] @ dy_t).T
-    grads = {"W": dw, "b": dy.sum(axis=(0, 2))}
+    dy_f = dy.transpose(1, 0, 2).reshape(f, bsz * t)
+    grads = {"W": (dy_f @ cols.T).reshape(w.shape), "b": dy.sum(axis=(0, 2))}
     if skip_dx:
         return None, grads
-    # the input gradient, channel-major and padded, summed onto zeros in tap order
-    dy_f = dy.transpose(1, 0, 2).reshape(f, bsz * t)
-    dxp = np.zeros((cols.shape[1], bsz, t + spec.width - 1))
+    # col2im: each tap's rows of W2.T @ dy_f summed onto the padded input gradient in tap order
+    dcols = (w.reshape(f, -1).T @ dy_f).reshape(-1, spec.width, bsz, t)
+    dxp = np.zeros((dcols.shape[0], bsz, t + spec.width - 1))
     for dt in range(spec.width):
-        dxp[:, :, dt:dt + t] += (w[:, :, dt].T @ dy_f).reshape(-1, bsz, t)
+        dxp[:, :, dt:dt + t] += dcols[:, dt]
     left = (spec.width - 1) // 2
     return dxp[:, :, left:left + t].transpose(1, 0, 2), grads
 
 
-def _pool_forward(spec: LayerSpec, x):
+def _pool_forward(spec: LayerSpec, x, mode: str):
     b, c, t = x.shape
     t_out = t // spec.pool
     if t_out < 1:
         raise ShapeError(f"pool {spec.pool} larger than {t} frames")
     xw = x[:, :, :t_out * spec.pool].reshape(b, c, t_out, spec.pool)
-    arg = xw.argmax(axis=3)
-    y = np.take_along_axis(xw, arg[..., None], axis=3)[..., 0]
-    # absolute time index of each window max
-    src = arg + np.arange(t_out)[None, None, :] * spec.pool
-    return y, {"src": src, "in_shape": x.shape}
+    # a running max over the window's strided columns; on equal values
+    # np.maximum returns its second operand, the earlier frame's value
+    y = xw[..., 0].copy()
+    if mode == "eval":
+        for k in range(1, spec.pool):
+            np.maximum(xw[..., k], y, out=y)
+        return y, {}
+    # window-local index of each window's first maximum: a frame takes it
+    # only if it is strictly greater than every frame before it
+    arg = np.zeros(y.shape, np.min_scalar_type(spec.pool - 1))
+    for k in range(1, spec.pool):
+        np.copyto(arg, k, where=xw[..., k] > y)
+        np.maximum(xw[..., k], y, out=y)
+    return y, {"arg": arg, "in_shape": x.shape}
 
 
-def _pool_backward(cache: dict, dy):
+def _pool_backward(spec: LayerSpec, cache: dict, dy):
     dx = np.zeros(cache["in_shape"])
-    # windows are disjoint, so every source is distinct and one put suffices;
-    # + 0.0 maps -0.0 to the +0.0 a sum onto zeros gives
-    np.put_along_axis(dx, cache["src"], dy + 0.0, axis=2)
+    b, c, t_out = dy.shape
+    dxw = dx[:, :, :t_out * spec.pool].reshape(b, c, t_out, spec.pool)
+    # windows are disjoint, so each gradient lands on its own frame and one put
+    # suffices; + 0.0 maps -0.0 to the +0.0 a sum onto zeros gives
+    np.put_along_axis(dxw, cache["arg"][..., None], dy[..., None] + 0.0, axis=3)
     return dx
 
 

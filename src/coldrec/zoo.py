@@ -192,7 +192,8 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     log = TrainLog()
     # the best epoch lives in an unlinked file under TMPDIR, not in a resident copy:
-    # it is written on each improving epoch and read back once, at the end
+    # it is written on each improving epoch but the last and read back once, at
+    # the end, unless the last epoch run was the best
     with tempfile.TemporaryFile() as best:
         since_best = 0
         for epoch in range(cfg.max_epochs):
@@ -228,14 +229,16 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
             if val_loss < log.best_val:
                 log.best_val = val_loss
                 log.best_epoch = epoch
-                _save_params(params, best)
+                if epoch < cfg.max_epochs - 1:
+                    _save_params(params, best)
                 since_best = 0
             else:
                 since_best += 1
                 if since_best >= cfg.patience:
                     break
-        state = None  # the moments go before the best epoch is read back
-        _load_params(params, best)
+        if log.best_epoch != epoch:
+            state = None  # the moments go before the best epoch is read back
+            _load_params(params, best)
     return params, log
 
 

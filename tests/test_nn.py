@@ -185,8 +185,9 @@ def test_batchnorm_eval_mode_gradient():
 @pytest.mark.parametrize("t", [1, 6, 24, 96])
 @pytest.mark.parametrize("batch", [1, 7, 32, 202, 256])
 def test_conv_matches_per_tap_einsum(batch, t, width):
-    """Forward, dW, db and dx agree with one einsum per tap; at T = 1 every
-    tap but the centre one reads only padding."""
+    """Forward, dW, db and dx equal the loop-built unroll's GEMMs exactly, and
+    one einsum per tap to rounding; at T = 1 every tap but the centre one
+    reads only padding."""
     rng = np.random.default_rng([batch, t, width])
     spec = LayerSpec("conv1d_time", filters=12, width=width)
     params = {"W": rng.normal(size=(12, 8, width)), "b": rng.normal(size=12)}
@@ -194,20 +195,37 @@ def test_conv_matches_per_tap_einsum(batch, t, width):
     dy = rng.normal(size=(batch, 12, t))
     y, cache = layer_forward(spec, params, x)
     dx, grads = layer_backward(spec, params, cache, dy)
+    got = (y, grads["W"], grads["b"], dx)
+    # exact: the same GEMMs on the same column matrix round alike
+    y_gemm, cols = conv_oracle.gemm_forward(params["W"], params["b"], x)
+    dx_gemm, dw_gemm, db_gemm = conv_oracle.gemm_backward(params["W"], cols, dy)
+    for g, ref in zip(got, (y_gemm, dw_gemm, db_gemm, dx_gemm)):
+        np.testing.assert_array_equal(g, ref, strict=True)
+    # the per-tap einsum sums in tap order, not BLAS's (channel, tap) order;
+    # relative to each array's largest entry, since cancelling sums carry an
+    # absolute rounding error, not a relative one
     y_ref, xp = conv_oracle.conv_forward(params["W"], params["b"], x)
     dx_ref, dw_ref, db_ref = conv_oracle.conv_backward(params["W"], xp, dy)
-    # exact: the GEMMs take their operands as the einsum does, so every sum
-    # rounds alike. Only the sign of a zero may differ: at B*T = 1 the einsum
-    # gives a padding tap's weight gradient as a product, dy * 0.0, and the
-    # GEMM as a sum onto +0.0.
-    for got, ref in ((y, y_ref), (grads["W"], dw_ref), (grads["b"], db_ref), (dx, dx_ref)):
-        np.testing.assert_array_equal(got, ref, strict=True)
+    for g, ref in zip(got, (y_ref, dw_ref, db_ref, dx_ref)):
+        np.testing.assert_allclose(g, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
 
-def _scatter_add_reference(cache, dy):
+def test_conv_eval_forward_equals_train_and_keeps_no_cache():
+    rng = np.random.default_rng(4)
+    spec = LayerSpec("conv1d_time", filters=12, width=4)
+    params = {"W": rng.normal(size=(12, 8, 4)), "b": rng.normal(size=12)}
+    x = rng.normal(size=(7, 8, 24))
+    y_train, _ = layer_forward(spec, params, x, mode="train")
+    y_eval, cache = layer_forward(spec, params, x, mode="eval")
+    assert y_eval.tobytes() == y_train.tobytes()
+    assert cache == {}
+
+
+def _scatter_add_reference(cache, dy, pool):
     dx = np.zeros(cache["in_shape"])
-    b, c, _ = dy.shape
-    np.add.at(dx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], cache["src"]), dy)
+    b, c, t_out = dy.shape
+    src = cache["arg"] + np.arange(t_out) * pool  # window-local -> absolute frame
+    np.add.at(dx, (np.arange(b)[:, None, None], np.arange(c)[None, :, None], src), dy)
     return dx
 
 
@@ -220,13 +238,69 @@ class TestPoolBackward:
     def test_disjoint_windows_bit_identical_to_scatter_add(self, spec, t):
         rng = np.random.default_rng(t)
         _, cache = layer_forward(spec, {}, rng.normal(size=(5, 3, t)))
-        dy = rng.normal(size=(5, 3, cache["src"].shape[2]))
+        dy = rng.normal(size=(5, 3, cache["arg"].shape[2]))
         dy[0, 0, :] = -0.0
         dy[1, 2, 0] = -0.0
         dx, _ = layer_backward(spec, {}, cache, dy)
         # bytes, so a -0.0 where the sum onto zeros gives +0.0 fails
-        assert dx.tobytes() == _scatter_add_reference(cache, dy).tobytes()
+        assert dx.tobytes() == _scatter_add_reference(cache, dy, spec.pool).tobytes()
         assert not np.signbit(dx[0, 0]).any()
+
+
+def _tied_input(rng, shape):
+    """Small integers, so windows hold many equal maxima, with zeros of either sign."""
+    x = rng.integers(-2, 2, size=shape).astype(np.float64)
+    return np.where(x == 0, np.where(rng.random(shape) < 0.5, -0.0, 0.0), x)
+
+
+class TestPoolFirstMax:
+    """The pool keeps np.argmax's rule: of tied maxima, the first frame wins."""
+
+    CASES = [(LayerSpec("maxpool_time", pool=4), 96), (LayerSpec("maxpool_time", pool=3), 10),
+             (LayerSpec("maxpool_time", pool=8), 8), (LayerSpec("maxpool_time", pool=1), 5)]
+
+    @pytest.mark.parametrize("spec,t", CASES)
+    def test_index_and_value_of_first_max(self, spec, t):
+        x = _tied_input(np.random.default_rng([7, t]), (6, 4, t))
+        y, cache = layer_forward(spec, {}, x)
+        t_out = t // spec.pool
+        xw = x[:, :, :t_out * spec.pool].reshape(6, 4, t_out, spec.pool)
+        first = xw.argmax(axis=3)
+        np.testing.assert_array_equal(cache["arg"], first)
+        # bytes, so a +0.0 taken where the first zero is -0.0 fails
+        assert y.tobytes() == np.take_along_axis(xw, first[..., None], axis=3)[..., 0].tobytes()
+
+    def test_signed_zero_ties(self):
+        spec = LayerSpec("maxpool_time", pool=4)
+        x = np.array([[[-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -1.0, -0.0, 0.0, -2.0]]])
+        y, cache = layer_forward(spec, {}, x)
+        assert cache["arg"].tolist() == [[[0, 0, 1]]]
+        assert np.signbit(y).tolist() == [[[True, False, True]]]
+        dx, _ = layer_backward(spec, {}, cache, np.array([[[1.0, 2.0, 3.0]]]))
+        assert dx.tolist() == [[[1.0, 0, 0, 0, 2.0, 0, 0, 0, 0, 3.0, 0, 0]]]
+
+    @pytest.mark.parametrize("spec,t", CASES)
+    def test_eval_values_equal_train_values(self, spec, t):
+        x = _tied_input(np.random.default_rng([8, t]), (6, 4, t))
+        y_train, _ = layer_forward(spec, {}, x, mode="train")
+        y_eval, cache = layer_forward(spec, {}, x, mode="eval")
+        assert y_eval.tobytes() == y_train.tobytes()
+        assert cache == {}
+
+    @pytest.mark.parametrize("spec,t", CASES)
+    def test_gradient_lands_on_first_max(self, spec, t):
+        rng = np.random.default_rng([9, t])
+        x = _tied_input(rng, (6, 4, t))
+        _, cache = layer_forward(spec, {}, x)
+        t_out = t // spec.pool
+        dy = rng.normal(size=(6, 4, t_out))
+        dx, _ = layer_backward(spec, {}, cache, dy)
+        first = x[:, :, :t_out * spec.pool].reshape(6, 4, t_out, spec.pool).argmax(axis=3)
+        want = np.zeros_like(x)
+        want[:, :, :t_out * spec.pool].reshape(6, 4, t_out, spec.pool)[
+            np.arange(6)[:, None, None], np.arange(4)[None, :, None],
+            np.arange(t_out)[None, None, :], first] = dy
+        assert dx.tobytes() == want.tobytes()
 
 
 class TestNetComposition:

@@ -349,11 +349,53 @@ class TestTrainMapping:
 
     def test_short_checkpoint_names_the_tensor(self, monkeypatch):
         monkeypatch.setattr(zoo, "_save_params", lambda params, fh: fh.write(b"\0" * 8))
+        # epoch 0 is the best and epoch 1 is not, so the checkpoint is read back
+        losses = iter([1.0, 2.0])
+        monkeypatch.setattr(zoo, "eval_loss", lambda *a: next(losses))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1, seed=0)
         with pytest.raises(OSError, match="short at trunk/0/W"):
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
                           targets[48:], cfg)
+
+    @pytest.mark.parametrize("val_losses, saves, loads", [
+        ([3.0, 2.0, 1.0], 2, 0),        # the capped last epoch is the best: no write, no read
+        ([3.0, 1.0, 2.0], 2, 1),        # the best epoch is read back
+        ([3.0, 2.0, 2.5, 1.5], 2, 0),   # improves again on the last epoch
+        ([1.0], 0, 0),                  # one epoch
+        ([2.0, 1.0, 3.0, 4.0], 2, 1),   # stopped by patience
+    ], ids=["last-best", "middle-best", "late-best", "one-epoch", "patience"])
+    def test_checkpoint_io_only_when_read(self, monkeypatch, val_losses, saves, loads):
+        """The last epoch's checkpoint is never written, and the checkpoint is read
+        back only when a later epoch ran; the returned parameters are always the
+        best epoch's bytes."""
+        calls = {"save": 0, "load": 0}
+        snapshots = []
+        losses = iter(val_losses)
+
+        def eval_loss(net, params, *rest):
+            snapshots.append({l: {k: v.copy() for k, v in ts.items()} for l, ts in params.items()})
+            return next(losses)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(zoo, "eval_loss", eval_loss)
+        monkeypatch.setattr(zoo, "_save_params", counted("save", zoo._save_params))
+        monkeypatch.setattr(zoo, "_load_params", counted("load", zoo._load_params))
+        feats, targets = _toy()
+        cfg = TrainConfig(batch_size=16, max_epochs=len(val_losses), patience=2, seed=0)
+        params, log = train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
+                                    targets[48:], cfg)
+        assert len(log.epochs) == len(val_losses)
+        assert calls == {"save": saves, "load": loads}
+        best = snapshots[log.best_epoch]
+        for layer, tensors in params.items():
+            for key, value in tensors.items():
+                assert value.tobytes() == best[layer][key].tobytes(), (layer, key)
 
 
 class TestExtraction:

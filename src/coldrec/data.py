@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,17 +105,12 @@ class FeedbackMatrix:
         return FeedbackMatrix(self.item_ids, self.user_ids, cols, rows, counts)
 
 
-@dataclass
-class ArtistMap:
-    """Total map from item identifier to artist identifier."""
-
-    item_to_artist: dict[str, str]
-
-    def artist_of(self, item: str) -> str:
-        try:
-            return self.item_to_artist[item]
-        except KeyError:
-            raise DataError(f"item {item!r} has no artist mapping") from None
+def artist_of(mapping: dict[str, str], item: str) -> str:
+    """The artist of ``item`` in an item -> artist map; a missing item is a DataError."""
+    try:
+        return mapping[item]
+    except KeyError:
+        raise DataError(f"item {item!r} has no artist mapping") from None
 
 
 # the parts of an artist-disjoint split, in the order artists are dealt to them
@@ -172,7 +166,7 @@ def save_triples(m: FeedbackMatrix, path) -> None:
         fh.writelines(f"{u}\t{i}\t{c}\n" for u, i, c in zip(users, items, counts.tolist()))
 
 
-def load_artist_map(path) -> ArtistMap:
+def load_artist_map(path) -> dict[str, str]:
     """Read an `item<TAB>artist` TSV; an item listed twice is a DataError."""
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -186,16 +180,16 @@ def load_artist_map(path) -> ArtistMap:
             if parts[0] in mapping:
                 raise DataError(f"{path}:{lineno}: duplicate item {parts[0]!r}")
             mapping[parts[0]] = parts[1]
-    return ArtistMap(mapping)
+    return mapping
 
 
-def save_artist_map(am: ArtistMap, path) -> None:
+def save_artist_map(am: dict[str, str], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for item, artist in am.item_to_artist.items():
+        for item, artist in am.items():
             fh.write(f"{item}\t{artist}\n")
 
 
-def aggregate_to_artist(m: FeedbackMatrix, am: ArtistMap) -> FeedbackMatrix:
+def aggregate_to_artist(m: FeedbackMatrix, am: dict[str, str]) -> FeedbackMatrix:
     """Sum each user's play counts over every artist's songs.
 
     Result rows are the users of ``m``; columns are the distinct artists of
@@ -204,7 +198,7 @@ def aggregate_to_artist(m: FeedbackMatrix, am: ArtistMap) -> FeedbackMatrix:
     artist_index: dict[str, int] = {}
     col_to_artist = np.empty(m.n_items, dtype=np.int64)
     for i, item in enumerate(m.item_ids):
-        artist = am.artist_of(item)
+        artist = artist_of(am, item)
         col_to_artist[i] = artist_index.setdefault(artist, len(artist_index))
     rows, cols, counts = m.entries()
     return FeedbackMatrix(list(m.user_ids), list(artist_index), rows, col_to_artist[cols], counts)
@@ -212,7 +206,7 @@ def aggregate_to_artist(m: FeedbackMatrix, am: ArtistMap) -> FeedbackMatrix:
 
 def split_by_artist(
     m: FeedbackMatrix,
-    am: ArtistMap,
+    am: dict[str, str],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> tuple[dict[str, FeedbackMatrix], dict[str, str]]:
@@ -230,7 +224,7 @@ def split_by_artist(
             raise DataError(f"split ratio for {part!r} must be >= 0, got {ratio:g}")
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    artists = sorted({am.artist_of(item) for item in m.item_ids})
+    artists = sorted({artist_of(am, item) for item in m.item_ids})
     n = len(artists)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -252,7 +246,7 @@ def split_by_artist(
     parts = {}
     for part in PARTS:
         parts[part] = m.select(cols=[i for i, item in enumerate(m.item_ids)
-                                     if assignment[am.artist_of(item)] == part])
+                                     if assignment[artist_of(am, item)] == part])
     return parts, assignment
 
 

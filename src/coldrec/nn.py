@@ -197,14 +197,15 @@ def layer_forward(spec: LayerSpec, params: dict, x, mode: str = "train",
                   rng: np.random.Generator | None = None):
     """Apply one layer to a batched input; returns (output, cache).
 
-    In eval mode, which no backward pass follows, conv1d_time and maxpool_time
-    return an empty cache.
+    The cache is what ``layer_backward`` reads after a train-mode forward. No
+    backward follows an eval-mode forward, so ``net_forward`` drops its caches,
+    and maxpool_time returns an empty one rather than track its maxima.
     """
     if spec.kind == "dense":
         y = x @ params["W"] + params["b"]
         return y, {"x": x}
     if spec.kind == "conv1d_time":
-        return _conv_forward(spec, params, x, mode)
+        return _conv_forward(spec, params, x)
     if spec.kind == "maxpool_time":
         return _pool_forward(spec, x, mode)
     if spec.kind == "relu":
@@ -267,7 +268,7 @@ def layer_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
-def _conv_forward(spec: LayerSpec, params: dict, x, mode: str):
+def _conv_forward(spec: LayerSpec, params: dict, x):
     # x: (B, C, T); correlation along time only, all channels mixed; the
     # output keeps T steps (zero padding, the extra one on the right).
     # The padded input is unrolled once into the column matrix
@@ -286,8 +287,7 @@ def _conv_forward(spec: LayerSpec, params: dict, x, mode: str):
     y = w.reshape(spec.filters, -1) @ cols
     y += b[:, None]
     y = np.ascontiguousarray(y.reshape(spec.filters, bsz, t).transpose(1, 0, 2))
-    # in eval mode the unrolled input is freed here, so the next layer can reuse its memory
-    return y, ({"cols": cols} if mode == "train" else {})
+    return y, {"cols": cols}
 
 
 def _conv_backward(spec: LayerSpec, params: dict, cache: dict, dy, skip_dx: bool):
@@ -339,30 +339,25 @@ def _pool_backward(spec: LayerSpec, cache: dict, dy):
 
 
 def _bn_forward(params: dict, x, mode: str):
-    gamma, beta = params["gamma"], params["beta"]
     if mode == "train":
         mu = x.mean(axis=0)
         var = x.var(axis=0)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mu) * inv
         params["running_mean"] = BN_MOMENTUM * params["running_mean"] + (1 - BN_MOMENTUM) * mu
         params["running_var"] = BN_MOMENTUM * params["running_var"] + (1 - BN_MOMENTUM) * var
-        return gamma * xhat + beta, {"xhat": xhat, "inv": inv, "x": x, "mu": mu, "mode": "train"}
-    inv = 1.0 / np.sqrt(params["running_var"] + BN_EPS)
-    xhat = (x - params["running_mean"]) * inv
-    return gamma * xhat + beta, {"xhat": xhat, "inv": inv, "mode": "eval"}
+    else:
+        mu, var = params["running_mean"], params["running_var"]
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mu) * inv
+    return params["gamma"] * xhat + params["beta"], {"xhat": xhat, "inv": inv}
 
 
 def _bn_backward(params: dict, cache: dict, dy, skip_dx: bool):
-    gamma = params["gamma"]
     xhat, inv = cache["xhat"], cache["inv"]
     grads = {"gamma": np.sum(dy * xhat, axis=0), "beta": np.sum(dy, axis=0)}
     if skip_dx:
         return None, grads
-    if cache["mode"] == "eval":
-        return dy * gamma * inv, grads
     n = dy.shape[0]
-    dxhat = dy * gamma
+    dxhat = dy * params["gamma"]
     dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * np.sum(dxhat * xhat, axis=0))
     return dx, grads
 
@@ -379,32 +374,36 @@ def _layer_rngs(net: NetworkSpec, seed: int) -> dict[str, np.random.Generator]:
 
 
 def net_forward(net: NetworkSpec, params, inputs, mode: str = "train", seed: int = 0):
-    """Run the whole network; returns (output, caches, activations).
+    """Run the whole network; returns (output, caches, embedding).
 
     ``inputs`` is a (B, ...) array, or a dict keyed by branch name for
-    branched networks. Activations are recorded per layer name so the
-    embedding tap can be read back.
+    branched networks. ``embedding`` is the output of trunk layer
+    ``net.embed_tap``. Caches are kept in train mode only: in eval mode each
+    layer's cache dies with its call, and of its output only the tap's
+    outlives the next layer.
     """
     rngs = _layer_rngs(net, seed) if mode == "train" else {}
     caches: dict[str, dict] = {}
-    acts: dict[str, np.ndarray] = {}
+
+    def run(name, spec, x):
+        y, cache = layer_forward(spec, params.get(name, {}), x, mode, rngs.get(name))
+        if mode == "train":
+            caches[name] = cache
+        return y
+
     branch_out = []
     for branch, layers in net.branches.items():
         x = np.asarray(inputs[branch], dtype=np.float64)
         for i, spec in enumerate(layers):
-            name = f"{branch}/{i}"
-            x, caches[name] = layer_forward(spec, params.get(name, {}), x, mode, rngs.get(name))
-            acts[name] = x
+            x = run(f"{branch}/{i}", spec, x)
         branch_out.append(x)
-    if net.branches:
-        x = branch_out
-    else:
-        x = np.asarray(inputs, dtype=np.float64)
+    x = branch_out if net.branches else np.asarray(inputs, dtype=np.float64)
+    tap = net.embed_tap % len(net.trunk)
     for i, spec in enumerate(net.trunk):
-        name = f"trunk/{i}"
-        x, caches[name] = layer_forward(spec, params.get(name, {}), x, mode, rngs.get(name))
-        acts[name] = x
-    return x, caches, acts
+        x = run(f"trunk/{i}", spec, x)
+        if i == tap:
+            embedding = x
+    return x, caches, embedding
 
 
 def _lowest_trained(prefix: str, layers: list[LayerSpec], params) -> int:

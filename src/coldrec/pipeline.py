@@ -15,7 +15,7 @@ from . import audio as audio_mod
 from . import evaluate as ev
 from . import matrixio, textfeat, zoo
 from .config import PipelineConfig
-from .data import (PARTS, DataError, FeedbackMatrix, aggregate_to_artist,
+from .data import (PARTS, DataError, FeedbackMatrix, aggregate_to_artist, artist_of,
                    load_artist_map, load_assignment, load_triples, replacing,
                    save_split, split_by_artist)
 from .nn import NetworkSpec, param_shapes
@@ -335,7 +335,7 @@ def _fusion_inputs(cfg: PipelineConfig, song_ids: list[str], *parts) -> list[dic
     am = load_artist_map(cfg.artist_map)
     emb_a, _, a_index = _load_rows(cfg, "embeddings_artist")
     emb_t, _, t_index = _load_rows(cfg, "embeddings_track")
-    artists = [am.artist_of(s) for s in song_ids]
+    artists = [artist_of(am, s) for s in song_ids]
     missing = sorted(set(artists) - a_index.keys())
     if missing:
         raise StageError(f"no artist embedding for {len(missing)} artist(s) "

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import audio as audio_mod
 from . import textfeat
-from .data import ArtistMap, FeedbackMatrix, save_artist_map, save_triples
+from .data import FeedbackMatrix, save_artist_map, save_triples
 from .textfeat import AnnotationSet, Document, KbEntity, KbSnapshot
 
 
@@ -47,7 +47,7 @@ class SyntheticSpec:
 @dataclass
 class SyntheticData:
     feedback: FeedbackMatrix
-    artist_map: ArtistMap
+    artist_map: dict[str, str]
     documents: list[Document]
     annotations: AnnotationSet
     kb: KbSnapshot
@@ -81,7 +81,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     user_ids = [f"u{j:04d}" for j in range(spec.n_users)]
 
     feedback = _sample_plays(rng, user_ids, song_ids, user_f, song_f, spec)
-    artist_map = ArtistMap(dict(song_artist))
 
     documents = _make_documents(rng, artist_ids, artist_f[:, text_coords], spec)
     kb, annotations = _make_kb(artist_ids, artist_f[:, text_coords])
@@ -89,7 +88,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     specs = _make_spectrograms(rng, song_ids, song_f[:, audio_coords], spec)
     return SyntheticData(
         feedback=feedback,
-        artist_map=artist_map,
+        artist_map=song_artist,
         documents=documents,
         annotations=annotations,
         kb=kb,

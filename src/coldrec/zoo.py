@@ -19,7 +19,8 @@ FUSION_DROPOUT = 0.7
 TRACK_DROPOUT = 0.5
 TRACK_WIDTH = 4  # conv kernel width in frames
 TRACK_POOL = 4
-# rows per eval-mode forward; `pipeline` reads extract's patches in chunks of this size
+# rows per eval-mode forward (validation, extraction and prediction); `pipeline`
+# reads extract's patches in chunks of this size
 EVAL_BATCH = 256
 
 
@@ -247,8 +248,7 @@ def _batch_seed(seed: int, epoch: int, offset: int) -> int:
 
 
 def eval_loss(net: NetworkSpec, params, features, targets: np.ndarray) -> float:
-    out, _, _ = nn.net_forward(net, params, features, mode="eval")
-    return nn.cosine_loss(out, targets)[0]
+    return nn.cosine_loss(predict_factors(net, params, features), targets)[0]
 
 
 def extract_embeddings(net: NetworkSpec, params, features,
@@ -258,12 +258,10 @@ def extract_embeddings(net: NetworkSpec, params, features,
     One forward per batch yields both: rows are flattened embeddings and
     unit-norm predicted factors. ``features`` holds at least one row.
     """
-    tap = f"trunk/{net.embed_tap % len(net.trunk)}"
     embeddings, outputs = [], []
-    for idx in _batches(features, batch_size):
-        out, _, acts = nn.net_forward(net, params, _take(features, idx), mode="eval")
-        a = acts[tap]
-        embeddings.append(a.reshape(a.shape[0], -1))
+    for rows in _batches(features, batch_size):
+        out, _, emb = nn.net_forward(net, params, _take(features, rows), mode="eval")
+        embeddings.append(emb.reshape(emb.shape[0], -1))
         outputs.append(out)
     return np.concatenate(embeddings), np.concatenate(outputs)
 
@@ -275,6 +273,7 @@ def predict_factors(net: NetworkSpec, params, features,
 
 
 def _batches(features, batch_size: int):
+    """Slices of at most ``batch_size`` rows, so a batch is a view of ``features``."""
     n = next(iter(features.values())).shape[0] if isinstance(features, dict) else features.shape[0]
     for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
+        yield slice(start, start + batch_size)

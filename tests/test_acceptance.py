@@ -369,7 +369,7 @@ def test_splits_are_artist_disjoint_over_100_trials():
         parts, _ = split_by_artist(data.feedback, data.artist_map,
                                    (0.6, 0.2, 0.2), seed=trial)
         artist_sets = {
-            part: {data.artist_map.artist_of(s) for s in parts[part].item_ids}
+            part: {data.artist_map[s] for s in parts[part].item_ids}
             for part in PARTS
         }
         for a, b in itertools.combinations(PARTS, 2):

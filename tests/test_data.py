@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldrec.data import (PARTS, ArtistMap, DataError, FeedbackMatrix,
-                          aggregate_to_artist, load_artist_map, load_triples, save_triples,
+from coldrec.data import (PARTS, DataError, FeedbackMatrix,
+                          aggregate_to_artist, artist_of, load_artist_map, load_triples, save_triples,
                           split_by_artist)
 from feedback_oracle import feedback, to_dense
 
@@ -186,17 +186,25 @@ class TestLoadArtistMap:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: duplicate item 's1'")):
             load_artist_map(path)
 
+    def test_plain_dict_and_missing_item_named(self, tmp_path):
+        path = write_lines(tmp_path, "m.tsv", ["s2\ta1", "s1\ta2"])
+        am = load_artist_map(path)
+        assert type(am) is dict and list(am.items()) == [("s2", "a1"), ("s1", "a2")]
+        assert artist_of(am, "s1") == "a2"
+        with pytest.raises(DataError, match="^item 's3' has no artist mapping$"):
+            artist_of(am, "s3")
+
 
 class TestAggregate:
     def test_same_artist_sums(self):
         m = feedback([[2, 3]], ["u"], ["s1", "s2"])
-        r = aggregate_to_artist(m, ArtistMap({"s1": "a", "s2": "a"}))
+        r = aggregate_to_artist(m, {"s1": "a", "s2": "a"})
         assert r.item_ids == ["a"]
         assert to_dense(r)[0, 0] == 5
 
     def test_one_song_per_artist_is_identity(self):
         m = feedback([[1, 0], [0, 4]], ["u1", "u2"], ["s1", "s2"])
-        r = aggregate_to_artist(m, ArtistMap({"s1": "a1", "s2": "a2"}))
+        r = aggregate_to_artist(m, {"s1": "a1", "s2": "a2"})
         assert np.array_equal(to_dense(r), to_dense(m))
 
     def test_matches_brute_force(self):
@@ -206,7 +214,7 @@ class TestAggregate:
         songs = [f"s{i}" for i in range(4)]
         artists = {"s0": "a0", "s1": "a0", "s2": "a1", "s3": "a1"}
         m = feedback(dense, users, songs)
-        r = aggregate_to_artist(m, ArtistMap(artists))
+        r = aggregate_to_artist(m, artists)
         expected = np.zeros((3, 2), dtype=np.int64)
         for u in range(3):
             for s in range(4):
@@ -216,20 +224,20 @@ class TestAggregate:
     def test_missing_artist_errors(self):
         m = feedback([[1]], ["u"], ["s1"])
         with pytest.raises(DataError, match="s1"):
-            aggregate_to_artist(m, ArtistMap({}))
+            aggregate_to_artist(m, {})
 
     def test_preserves_total_plays(self):
         rng = np.random.default_rng(3)
         dense = rng.integers(0, 5, size=(4, 6))
         m = feedback(dense)
-        am = ArtistMap({f"s{i}": f"a{i % 2}" for i in range(6)})
+        am = {f"s{i}": f"a{i % 2}" for i in range(6)}
         assert aggregate_to_artist(m, am).counts.sum() == dense.sum()
 
 
 def _matrix_with_artists(n_artists=10, songs_per=2, n_users=4, seed=0):
     rng = np.random.default_rng(seed)
     songs = [f"a{a}_s{s}" for a in range(n_artists) for s in range(songs_per)]
-    am = ArtistMap({s: s.split("_")[0] for s in songs})
+    am = {s: s.split("_")[0] for s in songs}
     dense = rng.integers(0, 3, size=(n_users, len(songs)))
     dense[0, 0] = 1  # never fully empty
     m = feedback(dense, item_ids=songs)

@@ -132,7 +132,7 @@ class TestSynth:
         data = synth.generate(tiny_spec())
         for sid in data.feedback.item_ids:
             assert sid in data.spectrograms
-            assert data.artist_map.artist_of(sid) in {d.artist_id for d in data.documents}
+            assert data.artist_map[sid] in {d.artist_id for d in data.documents}
 
     def test_every_user_has_a_play(self):
         data = synth.generate(tiny_spec())

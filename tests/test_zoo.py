@@ -441,3 +441,45 @@ class TestExtraction:
         whole, _ = extract_embeddings(net, params, x, batch_size=17)
         chunked, _ = extract_embeddings(net, params, x, batch_size=5)
         assert np.max(np.abs(whole - chunked)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["artist", "track", "fusion-lin", "fusion-h1", "sememb"])
+    def test_eval_loss_equals_one_forward_loss(self, name):
+        """Validation runs the batched eval path; at up to EVAL_BATCH rows that
+        is one forward, with the same loss bit for bit."""
+        from test_nn import zoo_nets
+
+        net, small = zoo_nets()[name]
+        rng = np.random.default_rng(8)
+        inputs = ({k: rng.normal(size=(zoo.EVAL_BATCH,) + v.shape[1:]) for k, v in small.items()}
+                  if isinstance(small, dict)
+                  else np.abs(rng.normal(size=(zoo.EVAL_BATCH,) + small.shape[1:])))
+        params = init_params(net, 2)
+        targets = rng.normal(size=(zoo.EVAL_BATCH, 8))
+        for rows in (slice(0, 5), slice(None)):
+            x = ({k: v[rows] for k, v in inputs.items()} if isinstance(inputs, dict)
+                 else inputs[rows])
+            out, _, _ = net_forward(net, params, x, mode="eval")
+            assert eval_loss(net, params, x, targets[rows]) == nn.cosine_loss(out, targets[rows])[0]
+
+    def test_inference_peak_is_one_batch_forward(self):
+        """On the desk track net, embedding or validating 768 patches (three
+        batches) peaks within 1.1x of one 256-patch eval forward: a batch is a
+        view of the inputs, and no forward keeps a cache or an activation but
+        the tap."""
+        net = build_track_net(bins=32, frames=96, k=16, scale=0.125)
+        params = init_params(net, 0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(3 * zoo.EVAL_BATCH, 32, 96))
+        targets = rng.normal(size=(len(x), 16))
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(net_forward, net, params, x[:zoo.EVAL_BATCH], "eval")
+        assert peak(extract_embeddings, net, params, x) <= 1.1 * one
+        assert peak(eval_loss, net, params, x, targets) <= 1.1 * one

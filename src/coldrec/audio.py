@@ -39,14 +39,8 @@ class Spectrogram:
         return self.data.shape[1]
 
 
-@dataclass
-class Patch:
-    data: np.ndarray  # (bins, length) float32
-    start: int
-
-
-def sample_patch(s: Spectrogram, length: int, seed: int, item_id: str = "") -> Patch:
-    """Uniformly sample one contiguous length-frame patch.
+def sample_patch(s: Spectrogram, length: int, seed: int, item_id: str = "") -> np.ndarray:
+    """Uniformly sample one contiguous length-frame patch, a (bins, length) float32 array.
 
     Deterministic per (item_id, seed): the start position is drawn from a
     generator keyed on both.
@@ -56,7 +50,7 @@ def sample_patch(s: Spectrogram, length: int, seed: int, item_id: str = "") -> P
                         f"too short for a patch of shape {(s.bins, length)}")
     rng = np.random.default_rng([seed, _id_key(item_id)])
     start = int(rng.integers(0, s.frames - length + 1))
-    return Patch(s.data[:, start:start + length].copy(), start)
+    return s.data[:, start:start + length].copy()
 
 
 def _id_key(item_id: str) -> int:

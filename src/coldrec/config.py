@@ -7,7 +7,7 @@ import os
 import re
 from dataclasses import MISSING, dataclass, field
 
-from .data import DataError
+from .data import PARTS, DataError
 from .wmf import WmfConfig
 from .zoo import TrainConfig
 
@@ -128,7 +128,7 @@ _PATH_KEYS = {"paths.triples": "triples", "paths.artist_map": "artist_map",
               "paths.kb": "kb", "paths.spectrograms": "spectrogram_dir", "paths.out": "out_dir"}
 _PIPELINE_KEYS = {"seed": "seed", "eval.k": "eval_k", "scale": "channel_scale",
                   "text.vocab_cap": "vocab_cap", "audio.patch_frames": "patch_frames"}
-_SPLIT_KEYS = ("split.train", "split.val", "split.test")
+_SPLIT_KEYS = tuple(f"split.{part}" for part in PARTS)
 _WMF_KEYS = {"k": "k", "alpha": "alpha", "lambda": "lam", "iterations": "iterations"}
 _TRAIN_KEYS = {"batch": "batch_size", "epochs": "max_epochs", "patience": "patience", "lr": "lr"}
 _SYNTH_KEYS = {"users": "n_users", "artists": "n_artists", "songs_per_artist": "songs_per_artist",
@@ -150,9 +150,16 @@ def load_pipeline_config(path, out_override=None, seed_override=None) -> Pipelin
     if seed_override is not None:
         settings["seed"] = seed_override
     seed = settings["seed"]
+    if settings["eval_k"] < 1:
+        raise DataError(f"{path}: eval.k: cutoff must be >= 1, got {settings['eval_k']}")
 
     def nested(cls, table, prefix):
-        return cls(**r.fields(cls, table, prefix), seed=seed)
+        value = cls(**r.fields(cls, table, prefix), seed=seed)
+        try:
+            value.validate()
+        except ValueError as exc:
+            raise DataError(f"{path}: {prefix}*: {exc}") from None
+        return value
 
     cfg = PipelineConfig(
         **paths,

@@ -10,8 +10,6 @@ import numpy as np
 from .data import FeedbackMatrix, replacing
 from .wmf import WmfConfig, factorize_wmf
 
-DEFAULT_CUTOFF = 500
-
 
 @dataclass
 class EvalReport:
@@ -74,7 +72,7 @@ def average_precision(ranked, relevant: set, k: int) -> float:
 
 
 def map_at_k(user_factors: np.ndarray, item_factors: np.ndarray,
-             test: FeedbackMatrix, k: int = DEFAULT_CUTOFF) -> EvalReport:
+             test: FeedbackMatrix, k: int) -> EvalReport:
     """MAP over users of ``test``; users with no relevant items are skipped.
 
     Factor rows must align with the user/item order of the test matrix.

@@ -233,12 +233,18 @@ def _read_patches(spectrogram_dir: str, song_ids: list[str], patch_len: int,
         patch = audio_mod.sample_patch(_load_song(spectrogram_dir, sid), patch_len, seed,
                                        item_id=sid)
         if out is None:
-            out = np.empty((len(song_ids),) + patch.data.shape)
-        elif patch.data.shape != out.shape[1:]:
+            out = np.empty((len(song_ids),) + patch.shape)
+        elif patch.shape != out.shape[1:]:
             raise DataError(f"spectrogram of song {sid!r} gives a patch of shape "
-                            f"{patch.data.shape}, but song {song_ids[0]!r} gives {out.shape[1:]}")
-        out[i] = patch.data
+                            f"{patch.shape}, but song {song_ids[0]!r} gives {out.shape[1:]}")
+        out[i] = patch
     return out
+
+
+def _track_net(cfg: PipelineConfig, bins: int, k: int) -> NetworkSpec:
+    """The track CNN over patches of `bins` rows and `audio.patch_frames` frames, mapping
+    onto `k` song factors; `train-track` trains it and `extract` runs it."""
+    return zoo.build_track_net(bins, cfg.patch_frames, k, scale=cfg.channel_scale)
 
 
 def _stage_train_track(cfg: PipelineConfig) -> None:
@@ -250,19 +256,13 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
     # validation patches stay fixed across epochs for a comparable loss; the
     # training patches are drawn afresh each epoch
     val_x = _read_patches(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
-    bins = val_x.shape[1]
-    net = zoo.build_track_net(bins, patch_len, song_factors.shape[1],
-                              scale=cfg.channel_scale)
+    net = _track_net(cfg, val_x.shape[1], song_factors.shape[1])
     tc = dataclasses.replace(cfg.train_track, seed=seed)
     params, log = zoo.train_mapping(
         net, lambda epoch: _read_patches(cfg.spectrogram_dir, fit_ids, patch_len, seed + epoch),
         song_factors[fit], val_x, song_factors[val], tc)
     matrixio.save_params(cfg.out("params_track.csmx"), params)
     log.write_tsv(cfg.out("log_track.tsv"))
-    with replacing(cfg.out("track_net.json")) as fh:
-        json.dump({"bins": bins, "patch_len": patch_len,
-                   "k": song_factors.shape[1], "scale": cfg.channel_scale}, fh)
-        fh.write("\n")
 
 
 def _checked_params(cfg: PipelineConfig, rel: str, net: NetworkSpec):
@@ -282,29 +282,11 @@ def _checked_params(cfg: PipelineConfig, rel: str, net: NetworkSpec):
     return params
 
 
-def _track_net(cfg: PipelineConfig):
-    rel = "track_net.json"
-    rerun = f"rerun stage {_producer(rel)!r}"
-    with open(_require(cfg, rel), encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StageError(f"{rel}: not JSON ({exc}); {rerun}") from None
-    if not isinstance(meta, dict):
-        raise StageError(f"{rel}: not a JSON object; {rerun}")
-    for key, kind in {"bins": int, "patch_len": int, "k": int, "scale": (int, float)}.items():
-        if not isinstance(meta.get(key), kind) or isinstance(meta[key], bool):
-            raise StageError(f"{rel}: key {key!r} is missing or not a number; {rerun}")
-    net = zoo.build_track_net(meta["bins"], meta["patch_len"], meta["k"],
-                              scale=meta["scale"])
-    return net, meta
-
-
 def _extract_artists(cfg: PipelineConfig) -> None:
     """Artist embeddings for every artist with a document."""
     feats, feat_ids, _ = _load_rows(cfg, "features_text")
-    # the net maps onto the artist factors, k = wmf.artists.k of them
-    net = zoo.build_artist_net(feats.shape[1], cfg.wmf_artists.k)
+    artist_factors, _, _ = _load_rows(cfg, "factors_artists.items")
+    net = zoo.build_artist_net(feats.shape[1], artist_factors.shape[1])
     emb_a, _ = zoo.extract_embeddings(net, _checked_params(cfg, "params_artist.csmx", net), feats)
     _save_rows(cfg, "embeddings_artist", emb_a, feat_ids)
 
@@ -317,14 +299,21 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     # audio approach) for the songs later stages read: the training songs
     # `train-fusion` looks up, then the test songs. One fixed eval patch each,
     # read in chunks of zoo.EVAL_BATCH songs, each one forward batch
-    track_net, meta = _track_net(cfg)
-    track_params = _checked_params(cfg, "params_track.csmx", track_net)
-    _, train_ids, _ = _load_rows(cfg, "factors_songs.items")
+    song_factors, train_ids, _ = _load_rows(cfg, "factors_songs.items")
     song_ids = train_ids + _load_split(cfg, "test").item_ids
     seed = stage_seed(cfg.seed, "extract")
-    parts = [zoo.extract_embeddings(track_net, track_params, _read_patches(
-                 cfg.spectrogram_dir, song_ids[lo:lo + zoo.EVAL_BATCH], meta["patch_len"], seed))
-             for lo in range(0, len(song_ids), zoo.EVAL_BATCH)]
+
+    def patches(lo: int) -> np.ndarray:
+        return _read_patches(cfg.spectrogram_dir, song_ids[lo:lo + zoo.EVAL_BATCH],
+                             cfg.patch_frames, seed)
+
+    first = patches(0)  # its bins build the net
+    net = _track_net(cfg, first.shape[1], song_factors.shape[1])
+    params = _checked_params(cfg, "params_track.csmx", net)
+    parts = [zoo.extract_embeddings(net, params, first)]
+    del first  # one chunk of patches at a time
+    parts += [zoo.extract_embeddings(net, params, patches(lo))
+              for lo in range(zoo.EVAL_BATCH, len(song_ids), zoo.EVAL_BATCH)]
     _save_rows(cfg, "embeddings_track", np.concatenate([e for e, _ in parts]), song_ids)
     _save_rows(cfg, "predictions_audio", np.concatenate([p for _, p in parts]), song_ids)
 
@@ -421,8 +410,7 @@ STAGE_TABLE = {
     "enrich": Stage(_stage_enrich, ("enriched_docs.jsonl",)),
     "vectorize": Stage(_stage_vectorize, ("vocab.json",) + _table("features_text")),
     "train-artist": Stage(_stage_train_artist, ("params_artist.csmx", "log_artist.tsv")),
-    "train-track": Stage(_stage_train_track, ("params_track.csmx", "log_track.tsv",
-                                              "track_net.json")),
+    "train-track": Stage(_stage_train_track, ("params_track.csmx", "log_track.tsv")),
     "extract": Stage(_stage_extract,
                      _table("embeddings_artist", "embeddings_track", "predictions_audio")),
     "train-fusion": Stage(_stage_train_fusion,

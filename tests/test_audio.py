@@ -13,37 +13,47 @@ def make_spec(bins=8, frames=100, seed=0):
     return Spectrogram(rng.random((bins, frames)).astype(np.float32))
 
 
+def frame_indexed(bins=8, frames=100):
+    """A spectrogram whose every value is its frame index, so a patch's first
+    value is its start frame."""
+    return Spectrogram(np.tile(np.arange(frames, dtype=np.float32), (bins, 1)))
+
+
+def start_of(patch) -> int:
+    return int(patch[0, 0])
+
+
 class TestSamplePatch:
     def test_exact_length_forces_start_zero(self):
-        s = make_spec(frames=50)
+        s = frame_indexed(frames=50)
         patch = sample_patch(s, 50, seed=3)
-        assert patch.start == 0
-        assert np.array_equal(patch.data, s.data)
+        assert start_of(patch) == 0 and patch.dtype == np.float32
+        assert np.array_equal(patch, s.data)
 
     def test_start_within_bounds(self):
-        s = make_spec(frames=1000)
+        s = frame_indexed(frames=1000)
         for seed in range(20):
-            patch = sample_patch(s, 323, seed=seed)
-            assert 0 <= patch.start <= 677
+            assert 0 <= start_of(sample_patch(s, 323, seed=seed)) <= 677
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             sample_patch(make_spec(frames=100), 323, seed=0)
 
     def test_patch_is_contiguous_slice(self):
-        s = make_spec(frames=200, seed=5)
+        s = frame_indexed(frames=200)
         patch = sample_patch(s, 64, seed=9, item_id="song7")
-        assert np.array_equal(patch.data, s.data[:, patch.start:patch.start + 64])
+        start = start_of(patch)
+        assert np.array_equal(patch, s.data[:, start:start + 64])
 
     def test_deterministic_per_item_and_seed(self):
-        s = make_spec(frames=400)
+        s = frame_indexed(frames=400)
         p1 = sample_patch(s, 100, seed=7, item_id="x")
         p2 = sample_patch(s, 100, seed=7, item_id="x")
-        assert p1.start == p2.start
+        assert np.array_equal(p1, p2)
 
     def test_different_items_differ_eventually(self):
-        s = make_spec(frames=4000)
-        starts = {sample_patch(s, 100, seed=7, item_id=f"i{j}").start for j in range(20)}
+        s = frame_indexed(frames=4000)
+        starts = {start_of(sample_patch(s, 100, seed=7, item_id=f"i{j}")) for j in range(20)}
         assert len(starts) > 1
 
 

@@ -125,7 +125,7 @@ class TestMapAtK:
     def test_row_mismatch_rejected(self):
         test = self._matrix()
         with pytest.raises(ValueError):
-            map_at_k(np.ones((1, 2)), np.ones((test.n_items, 2)), test)
+            map_at_k(np.ones((1, 2)), np.ones((test.n_items, 2)), test, k=3)
 
     def test_perfect_factors_give_map_one(self):
         test = self._matrix()

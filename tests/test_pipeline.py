@@ -257,6 +257,21 @@ class TestConfig:
         with pytest.raises(DataError, match=re.escape(f"{path}: unknown key(s) {key!r}")):
             load(path)
 
+    @pytest.mark.parametrize("key, problem", [
+        ("eval.k", "eval.k: cutoff must be >= 1, got 0"),
+        ("wmf.songs.k", "wmf.songs.*: k must be >= 1"),
+        ("wmf.artists.lambda", "wmf.artists.*: lambda must be > 0"),
+        ("train.artist.patience", "train.artist.*: patience must be >= 1"),
+        ("train.track.lr", "train.track.*: learning rate must be > 0, got 0.0"),
+        ("train.fusion.batch", "train.fusion.*: batch size must be >= 1"),
+    ])
+    def test_out_of_range_value_stops_config_load(self, tmp_path, capsys, key, problem):
+        """A value out of its range stops every stage at config load, with one
+        error line naming the file and the key or key group, not stages later."""
+        path = write_config(tmp_path / "p.cfg", "data", "out", **{key: 0})
+        assert main(["split", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+
     def test_synthetic_spec_file(self, tmp_path):
         path = tmp_path / "s.cfg"
         write_kv_file(path, {"users": 10, "artists": 4, "latent_dim": 6, "seed": 5})
@@ -396,25 +411,50 @@ class TestStages:
             f"but the net built from the current inputs needs {(dim_a + dim_t, k)}; "
             f"rerun stage 'train-fusion'\n")
 
-    @pytest.mark.parametrize("text, problem", [
-        ('{"bins": 8}\n', "key 'patch_len' is missing or not a number"),
-        ('{"bins": 8, "patch_len": "64", "k": 8, "scale": 0.015625}\n',
-         "key 'patch_len' is missing or not a number"),
-        ("[8, 64, 8, 0.015625]\n", "not a JSON object"),
-        ('{"bins": 8,', re.escape("not JSON (Expecting property name enclosed in double "
-                                  "quotes: line 1 column 12 (char 11))")),
+    @pytest.mark.parametrize("case, tensor, trained, needed", [
+        ("scale", "trunk/0/W", (4, 8, 4), (8, 8, 4)),
+        ("bins", "trunk/0/W", (4, 8, 4), (4, 16, 4)),
+        ("song-k", "trunk/17/W", (16, 8), (16, 4)),
+        ("artist-k", None, None, None),
     ])
-    def test_malformed_track_net_json_is_data_exit(self, staged_run, tmp_path, capsys,
-                                                   text, problem):
-        """A `track_net.json` that is not JSON, not a JSON object, or lacks one of
-        its numbers ends in one error line naming the file, the key and
-        `train-track`, not in a KeyError traceback."""
+    def test_extract_builds_each_net_from_its_training_inputs(self, staged_run, tmp_path, capsys,
+                                                             case, tensor, trained, needed):
+        """`extract` builds the track and artist nets from the inputs that trained
+        them. Another `scale`, spectrograms with other bins, or song factors refit
+        with another k end in one error line naming the track parameters, the
+        tensor, both shapes and `train-track`, and `extract` passes once that
+        stage reruns. `wmf.artists.k` changed without a refit leaves the artifacts
+        agreeing with each other, so `extract` runs and writes the same tables."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
-        (out / "track_net.json").write_text(text)
-        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
-        assert re.fullmatch(f"error: track_net.json: {problem}; rerun stage 'train-track'\n",
-                            capsys.readouterr().err)
+        specs = tmp_path / "spectrograms"
+        extra = {"scale": {"scale": 1 / 32}, "bins": {"paths.spectrograms": str(specs)},
+                 "song-k": {"wmf.songs.k": 4}, "artist-k": {"wmf.artists.k": 4}}[case]
+        if case == "bins":
+            specs.mkdir()
+            for path in Path(staged_run.cfg.spectrogram_dir).iterdir():
+                data = audio.load_spectrogram(path).data
+                audio.save_spectrogram(audio.Spectrogram(np.repeat(data, 2, axis=0)),
+                                       specs / path.name)
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(out), **extra)
+
+        def run(stage):
+            return main([stage, "--config", str(cfg_path)])
+
+        if case == "song-k":
+            assert run("factorize-songs") == EXIT_OK
+        if tensor is None:
+            assert run("extract") == EXIT_OK
+            for rel in STAGE_TABLE["extract"].writes:
+                assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
+            return
+        assert run("extract") == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: params_track.csmx holds tensor {tensor} as {trained}, but the net built "
+            f"from the current inputs needs {needed}; rerun stage 'train-track'\n")
+        assert run("train-track") == EXIT_OK
+        assert run("extract") == EXIT_OK
 
     def test_test_user_without_training_plays_is_skipped(self, staged_run, tmp_path):
         """A test user with no training plays has no user factor: every
@@ -677,7 +717,7 @@ class TestArtifacts:
         `embeddings_track` holds one column per filter of the last conv, none a
         copy of another. Only filters that no song activates share a column:
         zero throughout."""
-        net, _ = pipeline._track_net(pipeline_run)
+        net = pipeline._track_net(pipeline_run, TINY["bins"], pipeline_run.wmf_songs.k)
         filters = [layer.filters for layer in net.trunk if layer.kind == "conv1d_time"][-1]
         emb = matrixio.load_matrix(pipeline_run.out("embeddings_track.csmx"))["rows"]
         assert emb.shape[1] == filters

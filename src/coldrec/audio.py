@@ -13,6 +13,7 @@ from .data import DataError
 MAGIC = b"CQTS"
 VERSION = 1
 
+# written into every file header; the loader parses them and ignores them
 DEFAULT_SAMPLE_RATE = 22050
 DEFAULT_HOP = 1024
 
@@ -20,8 +21,6 @@ DEFAULT_HOP = 1024
 @dataclass
 class Spectrogram:
     data: np.ndarray  # (bins, frames) float32
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-    hop: int = DEFAULT_HOP
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -89,7 +88,7 @@ def save_spectrogram(s: Spectrogram, path) -> None:
     payload = np.ascontiguousarray(s.data, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IIIII", VERSION, s.bins, s.frames, s.sample_rate, s.hop))
+        fh.write(struct.pack("<IIIII", VERSION, *s.data.shape, DEFAULT_SAMPLE_RATE, DEFAULT_HOP))
         fh.write(payload.tobytes())
 
 
@@ -101,7 +100,7 @@ def load_spectrogram(path) -> Spectrogram:
     header = raw[4:24]
     if len(header) < 20:
         raise DataError(f"{path}: truncated header")
-    version, bins, frames, sample_rate, hop = struct.unpack("<IIIII", header)
+    version, bins, frames, _sample_rate, _hop = struct.unpack("<IIIII", header)
     if version != VERSION:
         raise DataError(f"{path}: unsupported version {version}")
     payload = raw[24:]
@@ -109,4 +108,4 @@ def load_spectrogram(path) -> Spectrogram:
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(bins, frames)
-    return Spectrogram(data.copy(), sample_rate, hop)
+    return Spectrogram(data.copy())

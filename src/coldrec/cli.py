@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import load_pipeline_config, load_synthetic_spec
@@ -48,8 +49,9 @@ def main(argv=None) -> int:
             write_dataset(generate(spec), args.out)
             print(f"synthetic dataset written to {args.out}")
         else:
-            cfg = load_pipeline_config(args.config, out_override=args.out,
-                                       seed_override=args.seed)
+            cfg = load_pipeline_config(args.config)
+            cfg = dataclasses.replace(cfg, out_dir=args.out or cfg.out_dir,
+                                      seed=cfg.seed if args.seed is None else args.seed)
             run_stage(cfg, args.command)
             print(f"stage {args.command} done -> {cfg.out_dir}")
     except (DataError, StageError, OSError, ValueError) as exc:

@@ -7,9 +7,11 @@ import os
 import re
 from dataclasses import MISSING, dataclass, field
 
-from .data import PARTS, DataError
+from .data import PARTS, DataError, check_ratios
+from .evaluate import check_cutoff
+from .textfeat import check_vocab_cap
 from .wmf import WmfConfig
-from .zoo import TrainConfig
+from .zoo import TrainConfig, check_patch_frames, check_scale
 
 
 def _split(line: str) -> tuple[str, str, str]:
@@ -139,33 +141,38 @@ _SYNTH_KEYS = {"users": "n_users", "artists": "n_artists", "songs_per_artist": "
                "templates": "n_templates", "seed": "seed"}
 
 
-def load_pipeline_config(path, out_override=None, seed_override=None) -> PipelineConfig:
+def _in_range(path, key: str, check, *args) -> None:
+    """Run `check(*args)`, the function that guards `key`'s value where it is
+    used; its ValueError becomes one DataError naming the file and the key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise DataError(f"{path}: {key}: {exc}") from None
+
+
+def load_pipeline_config(path) -> PipelineConfig:
     r = _Reader(parse_kv_file(path), path)
     base = os.path.dirname(os.path.abspath(path))
     paths = {name: os.path.join(base, value) if value else value
              for name, value in r.fields(PipelineConfig, _PATH_KEYS).items()}
-    if out_override:
-        paths["out_dir"] = out_override
     settings = r.fields(PipelineConfig, _PIPELINE_KEYS)
-    if seed_override is not None:
-        settings["seed"] = seed_override
-    seed = settings["seed"]
-    if settings["eval_k"] < 1:
-        raise DataError(f"{path}: eval.k: cutoff must be >= 1, got {settings['eval_k']}")
+    split_ratios = tuple(r.get(key, default, float) for key, default
+                         in zip(_SPLIT_KEYS, PipelineConfig.split_ratios))
+    _in_range(path, "eval.k", check_cutoff, settings["eval_k"])
+    _in_range(path, "scale", check_scale, settings["channel_scale"])
+    _in_range(path, "audio.patch_frames", check_patch_frames, settings["patch_frames"])
+    _in_range(path, "text.vocab_cap", check_vocab_cap, settings["vocab_cap"])
+    _in_range(path, "split.*", check_ratios, split_ratios)
 
     def nested(cls, table, prefix):
-        value = cls(**r.fields(cls, table, prefix), seed=seed)
-        try:
-            value.validate()
-        except ValueError as exc:
-            raise DataError(f"{path}: {prefix}*: {exc}") from None
+        value = cls(**r.fields(cls, table, prefix))
+        _in_range(path, f"{prefix}*", value.validate)
         return value
 
     cfg = PipelineConfig(
         **paths,
         **settings,
-        split_ratios=tuple(r.get(key, default, float) for key, default
-                           in zip(_SPLIT_KEYS, PipelineConfig.split_ratios)),
+        split_ratios=split_ratios,
         wmf_songs=nested(WmfConfig, _WMF_KEYS, "wmf.songs."),
         wmf_artists=nested(WmfConfig, _WMF_KEYS, "wmf.artists."),
         train_artist=nested(TrainConfig, _TRAIN_KEYS, "train.artist."),
@@ -182,5 +189,8 @@ def load_synthetic_spec(path):
     r = _Reader(parse_kv_file(path), path)
     spec = SyntheticSpec(**r.fields(SyntheticSpec, _SYNTH_KEYS))
     r.reject_unknown()
-    spec.validate()
+    try:
+        spec.validate(key={name: key for key, name in _SYNTH_KEYS.items()}.get)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return spec

@@ -53,15 +53,10 @@ class FeedbackMatrix:
         summed = np.zeros(len(keys), dtype=np.int64)
         np.add.at(summed, at, np.asarray(counts).astype(np.int64))
         nonzero = summed != 0
-        keys, counts = keys[nonzero], summed[nonzero]
-        if counts.min(initial=1) < 1:
+        keys, self.counts = keys[nonzero], summed[nonzero]
+        if self.counts.min(initial=1) < 1:
             raise DataError("feedback counts must be >= 1")
-        rows, indices = np.divmod(keys, max(self.n_items, 1))
-        self._hold(rows, indices, counts)
-
-    def _hold(self, rows, indices, counts) -> None:
-        """Hold entries given in row-major order, free of duplicates and zeros."""
-        self.indices, self.counts = indices, counts
+        rows, self.indices = np.divmod(keys, max(self.n_items, 1))
         self.indptr = np.zeros(self.n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.n_users), out=self.indptr[1:])
 
@@ -90,14 +85,8 @@ class FeedbackMatrix:
         r, c, counts = self.entries()
         r, c = row_at[r], col_at[c]
         keep = (r >= 0) & (c >= 0)
-        r, c, counts = r[keep], c[keep], counts[keep]
-        # distinct indices keep the entries distinct and nonzero: only their order changes
-        order = np.argsort(r * len(col_sel) + c, kind="stable")
-        sub = FeedbackMatrix.__new__(FeedbackMatrix)
-        sub.user_ids = [self.user_ids[u] for u in row_sel]
-        sub.item_ids = [self.item_ids[i] for i in col_sel]
-        sub._hold(r[order], c[order], counts[order])
-        return sub
+        return FeedbackMatrix([self.user_ids[u] for u in row_sel],
+                              [self.item_ids[i] for i in col_sel], r[keep], c[keep], counts[keep])
 
     def transpose(self) -> FeedbackMatrix:
         """The item x user matrix of the same counts: one CSR row per item."""
@@ -204,6 +193,15 @@ def aggregate_to_artist(m: FeedbackMatrix, am: dict[str, str]) -> FeedbackMatrix
     return FeedbackMatrix(list(m.user_ids), list(artist_index), rows, col_to_artist[cols], counts)
 
 
+def check_ratios(ratios: tuple[float, float, float]) -> None:
+    """Split ratios, one per part of `PARTS`, must be >= 0 and sum to 1."""
+    for part, ratio in zip(PARTS, ratios):
+        if ratio < 0:
+            raise DataError(f"split ratio for {part!r} must be >= 0, got {ratio:g}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise DataError(f"split ratios must sum to 1, got {ratios}")
+
+
 def split_by_artist(
     m: FeedbackMatrix,
     am: dict[str, str],
@@ -218,12 +216,8 @@ def split_by_artist(
     the parts. Returns the part matrices keyed by `PARTS` and the
     artist -> part assignment.
     """
+    check_ratios(ratios)
     r_train, r_val, r_test = ratios
-    for part, ratio in zip(PARTS, ratios):
-        if ratio < 0:
-            raise DataError(f"split ratio for {part!r} must be >= 0, got {ratio:g}")
-    if abs(r_train + r_val + r_test - 1.0) > 1e-9:
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
     artists = sorted({artist_of(am, item) for item in m.item_ids})
     n = len(artists)
     rng = np.random.default_rng(seed)

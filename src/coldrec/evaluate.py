@@ -71,14 +71,18 @@ def average_precision(ranked, relevant: set, k: int) -> float:
     return total / min(len(relevant), k)
 
 
+def check_cutoff(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"cutoff must be >= 1, got {k}")
+
+
 def map_at_k(user_factors: np.ndarray, item_factors: np.ndarray,
              test: FeedbackMatrix, k: int) -> EvalReport:
     """MAP over users of ``test``; users with no relevant items are skipped.
 
     Factor rows must align with the user/item order of the test matrix.
     """
-    if k < 1:
-        raise ValueError("cutoff must be >= 1")
+    check_cutoff(k)
     if user_factors.shape[0] != test.n_users or item_factors.shape[0] != test.n_items:
         raise ValueError("factor rows do not match the test matrix")
     ap_by_user: dict[str, float] = {}

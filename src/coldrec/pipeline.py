@@ -170,17 +170,15 @@ def _stage_enrich(cfg: PipelineConfig) -> None:
     docs = textfeat.load_documents(cfg.documents)
     ann = textfeat.load_annotations(cfg.annotations)
     kb = textfeat.load_kb_snapshot(cfg.kb)
-    enriched = []
-    for doc in docs:
-        entities = textfeat.filter_entities(ann.get(doc.artist_id, []), kb)
-        enriched.append(textfeat.enrich_document(doc, entities, kb))
+    enriched = {artist: textfeat.enrich_document(text, ann.get(artist, []), kb)
+                for artist, text in docs.items()}
     textfeat.save_documents(enriched, cfg.out("enriched_docs.jsonl"))
 
 
 def _stage_vectorize(cfg: PipelineConfig) -> None:
     docs = textfeat.load_documents(_require(cfg, "enriched_docs.jsonl"))
     assignment = load_assignment(_require(cfg, "splits/artist_assignment.tsv"))
-    train_docs = [d for d in docs if assignment.get(d.artist_id) == "train"]
+    train_docs = [text for artist, text in docs.items() if assignment.get(artist) == "train"]
     if not train_docs:
         raise StageError("no training-artist documents to build a vocabulary from")
     vocab = textfeat.build_vocab(train_docs, cfg.vocab_cap)
@@ -188,8 +186,8 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
         json.dump({"terms": vocab.terms, "df": vocab.doc_freq.tolist(),
                    "n_docs": vocab.n_docs}, fh)
         fh.write("\n")
-    features = textfeat.tfidf_matrix(docs, vocab)
-    _save_rows(cfg, "features_text", features, [d.artist_id for d in docs])
+    features = textfeat.tfidf_matrix(list(docs.values()), vocab)
+    _save_rows(cfg, "features_text", features, list(docs))
 
 
 def _fit_val_split(n: int, seed: int):

@@ -15,7 +15,7 @@ import numpy as np
 from . import audio as audio_mod
 from . import textfeat
 from .data import FeedbackMatrix, save_artist_map, save_triples
-from .textfeat import AnnotationSet, Document, KbEntity, KbSnapshot
+from .textfeat import AnnotationSet, KbEntity, KbSnapshot
 
 
 @dataclass
@@ -35,20 +35,27 @@ class SyntheticSpec:
     n_templates: int = 8
     seed: int = 0
 
-    def validate(self):
+    def validate(self, key=str):
+        """A ValueError for the first field out of range, named ``key(field)``."""
+        def check(name, ok, bound):
+            if not ok:
+                raise ValueError(f"{key(name)}: must be {bound}, got {getattr(self, name)}")
+
         for name in ("n_users", "n_artists", "songs_per_artist", "latent_dim",
                      "bins", "frames", "n_text_terms", "doc_tokens", "n_templates"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.latent_dim % 2:
-            raise ValueError("latent_dim must be even (split across modalities)")
+            check(name, getattr(self, name) >= 1, ">= 1")
+        check("latent_dim", self.latent_dim % 2 == 0, "even (split across modalities)")
+        check("density", 0 < self.density <= 1, "in (0, 1]")
+        check("text_noise", 0 <= self.text_noise <= 1, "in [0, 1]")
+        check("mean_extra_plays", self.mean_extra_plays >= 0, ">= 0")
+        check("seed", self.seed >= 0, ">= 0")
 
 
 @dataclass
 class SyntheticData:
     feedback: FeedbackMatrix
     artist_map: dict[str, str]
-    documents: list[Document]
+    documents: dict[str, str]  # artist id -> biography text
     annotations: AnnotationSet
     kb: KbSnapshot
     spectrograms: dict[str, audio_mod.Spectrogram]
@@ -124,7 +131,7 @@ def _make_documents(rng, artist_ids, text_f, spec: SyntheticSpec):
     half = text_f.shape[1]
     readout = np.abs(rng.normal(size=(spec.n_text_terms, half)))
     terms = [f"word{t:03d}" for t in range(spec.n_text_terms)]
-    docs = []
+    docs = {}
     for j, aid in enumerate(artist_ids):
         intensity = np.exp(readout @ text_f[j] / np.sqrt(half))
         signal = intensity / intensity.sum()
@@ -133,7 +140,7 @@ def _make_documents(rng, artist_ids, text_f, spec: SyntheticSpec):
         tokens = []
         for t, c in enumerate(counts):
             tokens.extend([terms[t]] * int(c))
-        docs.append(Document(aid, " ".join(tokens)))
+        docs[aid] = " ".join(tokens)
     return docs
 
 

@@ -31,12 +31,6 @@ DEFAULT_PROPERTY_MAP: dict[str, list[str]] = {
 
 
 @dataclass
-class Document:
-    artist_id: str
-    text: str
-
-
-@dataclass
 class KbEntity:
     classes: set[str]
     properties: dict[str, list[str]]
@@ -64,62 +58,43 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if len(t) >= 2]
 
 
-def filter_entities(entities: list[str], kb: KbSnapshot) -> list[str]:
-    """Keep music-domain entities, preserving order and dropping duplicates."""
-    kept: list[str] = []
-    seen: set[str] = set()
-    for eid in entities:
-        if eid in seen:
-            continue
-        ent = kb.get(eid)
-        if ent is None or not (ent.classes & MUSIC_CLASSES):
-            continue
-        seen.add(eid)
-        kept.append(eid)
-    return kept
-
-
 def _join_value(value: str) -> str:
     return "_".join(value.split())
 
 
-def enrich_document(doc: Document, entities: list[str], kb: KbSnapshot) -> Document:
+def enrich_document(text: str, entities: list[str], kb: KbSnapshot) -> str:
     """Append KB property values (per `DEFAULT_PROPERTY_MAP`) and categories
-    of the linked entities.
+    of the linked entities, in link order.
 
-    Values are whitespace-joined with underscores so each one tokenizes as a
-    single term. ``entities`` is expected to be pre-filtered.
+    A repeated link counts once, and a link to an entity missing from ``kb``
+    or outside `MUSIC_CLASSES` is dropped. Values are whitespace-joined with
+    underscores so each one tokenizes as a single term.
     """
     appended: list[str] = []
-    for eid in entities:
+    for eid in dict.fromkeys(entities):
         ent = kb.get(eid)
-        if ent is None:
+        if ent is None or not (ent.classes & MUSIC_CLASSES):
             continue
-        prop_names: list[str] = []
-        for cls, names in DEFAULT_PROPERTY_MAP.items():
-            if cls in ent.classes:
-                for name in names:
-                    if name not in prop_names:
-                        prop_names.append(name)
-        for name in prop_names:
-            for value in ent.properties.get(name, []):
-                appended.append(_join_value(value))
-        for cat in ent.categories:
-            appended.append(_join_value(cat))
-    if not appended:
-        return doc
-    return Document(doc.artist_id, doc.text + " " + " ".join(appended))
+        prop_names = dict.fromkeys(name for cls, names in DEFAULT_PROPERTY_MAP.items()
+                                   if cls in ent.classes for name in names)
+        appended += [_join_value(v) for name in prop_names for v in ent.properties.get(name, [])]
+        appended += [_join_value(cat) for cat in ent.categories]
+    return " ".join([text, *appended])
 
 
-def build_vocab(corpus: list[Document], cap: int) -> Vocabulary:
-    """Top-``cap`` terms by document frequency, ties broken lexicographically."""
+def check_vocab_cap(cap: int) -> None:
     if cap < 1:
-        raise ValueError("vocabulary cap must be >= 1")
+        raise ValueError(f"vocabulary cap must be >= 1, got {cap}")
+
+
+def build_vocab(corpus: list[str], cap: int) -> Vocabulary:
+    """Top-``cap`` terms by document frequency, ties broken lexicographically."""
+    check_vocab_cap(cap)
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
     df: Counter[str] = Counter()
-    for doc in corpus:
-        df.update(set(tokenize(doc.text)))
+    for text in corpus:
+        df.update(set(tokenize(text)))
     ranked = sorted(df, key=lambda t: (-df[t], t))[:cap]
     return Vocabulary(
         terms=ranked,
@@ -129,14 +104,14 @@ def build_vocab(corpus: list[Document], cap: int) -> Vocabulary:
     )
 
 
-def tfidf_transform(doc: Document, vocab: Vocabulary) -> np.ndarray:
+def tfidf_transform(text: str, vocab: Vocabulary) -> np.ndarray:
     """tf-idf vector over the vocabulary, L2-normalized.
 
     weight(t) = tf(t) * (ln((1+N)/(1+df(t))) + 1); a document with no
     in-vocabulary terms maps to the zero vector.
     """
     vec = np.zeros(vocab.size)
-    for term, tf in Counter(tokenize(doc.text)).items():
+    for term, tf in Counter(tokenize(text)).items():
         idx = vocab.index.get(term)
         if idx is not None:
             vec[idx] = tf * (math.log((1 + vocab.n_docs) / (1 + vocab.doc_freq[idx])) + 1.0)
@@ -146,28 +121,29 @@ def tfidf_transform(doc: Document, vocab: Vocabulary) -> np.ndarray:
     return vec
 
 
-def tfidf_matrix(docs: list[Document], vocab: Vocabulary) -> np.ndarray:
-    return np.stack([tfidf_transform(d, vocab) for d in docs]) if docs else np.zeros((0, vocab.size))
+def tfidf_matrix(texts: list[str], vocab: Vocabulary) -> np.ndarray:
+    return np.stack([tfidf_transform(t, vocab) for t in texts]) if texts else np.zeros((0, vocab.size))
 
 
 # ---------------------------------------------------------------------------
 # JSON-lines codecs
 
-def load_documents(path) -> list[Document]:
-    """One document per artist; an artist with two documents is a DataError."""
-    docs: dict[str, Document] = {}
+def load_documents(path) -> dict[str, str]:
+    """Each artist's biography text by artist id, in file order; an artist with
+    two documents is a DataError."""
+    docs: dict[str, str] = {}
     for lineno, rec in _iter_jsonl(path):
         artist_id = _checked(path, lineno, "artist_id", rec.get("artist_id"))
         if artist_id in docs:
             raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
-        docs[artist_id] = Document(artist_id, _checked(path, lineno, "text", rec.get("text")))
-    return list(docs.values())
+        docs[artist_id] = _checked(path, lineno, "text", rec.get("text"))
+    return docs
 
 
-def save_documents(docs: list[Document], path) -> None:
+def save_documents(docs: dict[str, str], path) -> None:
     with replacing(path) as fh:
-        for d in docs:
-            fh.write(json.dumps({"artist_id": d.artist_id, "text": d.text}) + "\n")
+        for artist_id, text in docs.items():
+            fh.write(json.dumps({"artist_id": artist_id, "text": text}) + "\n")
 
 
 def load_annotations(path) -> AnnotationSet:

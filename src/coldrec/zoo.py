@@ -69,6 +69,17 @@ def build_artist_net(vocab_size: int, k: int) -> NetworkSpec:
     return NetworkSpec(trunk=trunk, input_shapes={"": (vocab_size,)}, embed_tap=tap)
 
 
+def check_scale(scale: float) -> None:
+    if not 0 < scale <= 1:
+        raise ValueError(f"scale must be in (0, 1], got {scale:g}")
+
+
+def check_patch_frames(frames: int) -> None:
+    if frames // TRACK_POOL**3 < 1:
+        raise ValueError(f"patch of {frames} frames is too short for the pooling pyramid "
+                         f"(needs >= {TRACK_POOL**3})")
+
+
 def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0) -> NetworkSpec:
     """Time-axis CNN over spectrogram patches.
 
@@ -77,15 +88,10 @@ def build_track_net(bins: int, frames: int, k: int, scale: float = 1.0) -> Netwo
     pyramid leaves (``frames // 64``), so the flattened embedding is the last
     filter count.
     """
-    if bins < 1 or frames < 1:
-        raise ValueError("bins and frames must be >= 1")
-    if not 0 < scale <= 1:
-        raise ValueError("scale must be in (0, 1]")
-    if frames // TRACK_POOL**3 < 1:
-        raise ValueError(
-            f"patch of {frames} frames is too short for the pooling pyramid "
-            f"(needs >= {TRACK_POOL**3})"
-        )
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    check_scale(scale)
+    check_patch_frames(frames)
     filters = [math.ceil(scale * f) for f in TRACK_FILTERS]
     trunk: list[LayerSpec] = []
     for layer_idx, f in enumerate(filters):

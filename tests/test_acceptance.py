@@ -246,17 +246,14 @@ def test_enrichment_beats_plain_documents():
     uidx = {u: i for i, u in enumerate(train_a.user_ids)}
     uf = model.user_factors[[uidx[u] for u in test_a.user_ids]]
 
-    enriched = []
-    for doc in data.documents:
-        ents = textfeat.filter_entities(data.annotations.get(doc.artist_id, []), data.kb)
-        enriched.append(textfeat.enrich_document(doc, ents, data.kb))
+    enriched = {artist: textfeat.enrich_document(text, data.annotations.get(artist, []), data.kb)
+                for artist, text in data.documents.items()}
 
     def evaluate(docs):
-        by_id = {d.artist_id: d for d in docs}
         vocab = textfeat.build_vocab(
-            [d for d in docs if assignment.get(d.artist_id) == "train"],
+            [text for artist, text in docs.items() if assignment.get(artist) == "train"],
             10000)
-        x_train = textfeat.tfidf_matrix([by_id[a] for a in train_a.item_ids], vocab)
+        x_train = textfeat.tfidf_matrix([docs[a] for a in train_a.item_ids], vocab)
         perm = np.random.default_rng(11).permutation(x_train.shape[0])
         n_val = max(1, len(perm) // 5)
         val, fit = np.sort(perm[:n_val]), np.sort(perm[n_val:])
@@ -268,7 +265,7 @@ def test_enrichment_beats_plain_documents():
                              lr=0.0005)
         params, _ = zoo.train_mapping(net, x_train[fit], model.item_factors[fit],
                                       x_train[val], model.item_factors[val], tc)
-        x_test = textfeat.tfidf_matrix([by_id[a] for a in test_a.item_ids], vocab)
+        x_test = textfeat.tfidf_matrix([docs[a] for a in test_a.item_ids], vocab)
         pred = zoo.predict_factors(net, params, x_test)
         return ev.map_at_k(uf, pred, test_a, k=500)
 

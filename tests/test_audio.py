@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coldrec.audio import (Spectrogram, load_spectrogram, sample_patch,
-                           save_spectrogram, synth_spectrogram)
+from coldrec.audio import (DEFAULT_HOP, DEFAULT_SAMPLE_RATE, Spectrogram, load_spectrogram,
+                           sample_patch, save_spectrogram, synth_spectrogram)
 from coldrec.data import DataError
 
 
@@ -91,8 +93,16 @@ class TestSpectrogramFile:
         save_spectrogram(s, path)
         loaded = load_spectrogram(path)
         assert np.array_equal(loaded.data, s.data)
-        assert loaded.sample_rate == s.sample_rate
-        assert loaded.hop == s.hop
+        # the header carries the default sample rate and hop
+        assert path.read_bytes()[:24] == b"CQTS" + struct.pack(
+            "<IIIII", 1, 96, 37, DEFAULT_SAMPLE_RATE, DEFAULT_HOP)
+
+    def test_header_rate_and_hop_are_not_read(self, tmp_path):
+        s = make_spec(4, 9, seed=2)
+        path = tmp_path / "x.cqts"
+        path.write_bytes(b"CQTS" + struct.pack("<IIIII", 1, 4, 9, 44100, 512)
+                         + s.data.astype("<f4").tobytes())
+        assert np.array_equal(load_spectrogram(path).data, s.data)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cqts"

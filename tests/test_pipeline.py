@@ -132,7 +132,7 @@ class TestSynth:
         data = synth.generate(tiny_spec())
         for sid in data.feedback.item_ids:
             assert sid in data.spectrograms
-            assert data.artist_map[sid] in {d.artist_id for d in data.documents}
+            assert data.artist_map[sid] in data.documents
 
     def test_every_user_has_a_play(self):
         data = synth.generate(tiny_spec())
@@ -150,8 +150,8 @@ class TestSynth:
     def test_kb_contains_off_topic_entity(self):
         data = synth.generate(tiny_spec())
         assert "e_offtopic" in data.kb
-        assert all("e_offtopic" in data.annotations.get(d.artist_id, [])
-                   for d in data.documents)
+        assert all("e_offtopic" in data.annotations.get(artist, [])
+                   for artist in data.documents)
 
     def test_odd_latent_dim_rejected(self):
         with pytest.raises(ValueError):
@@ -208,11 +208,15 @@ class TestConfig:
         assert cfg.out_dir == str(tmp_path / "out")
 
     def test_overrides_win(self, tmp_path):
+        """`--out` and `--seed` replace the file's values in the config a stage runs with."""
         cfg_path = write_config(tmp_path / "p.cfg", "data", "out")
-        cfg = load_pipeline_config(cfg_path, out_override="/elsewhere", seed_override=99)
-        assert cfg.out_dir == "/elsewhere"
-        assert cfg.seed == 99
-        assert cfg.wmf_songs.seed == 99
+        with mock.patch("coldrec.cli.run_stage") as run:
+            assert main(["split", "--config", str(cfg_path),
+                         "--out", "/elsewhere", "--seed", "99"]) == EXIT_OK
+        (cfg, stage), = [c.args for c in run.call_args_list]
+        assert stage == "split"
+        assert cfg == dataclasses.replace(load_pipeline_config(cfg_path),
+                                          out_dir="/elsewhere", seed=99)
 
     def test_typed_values(self, tmp_path):
         cfg_path = write_config(tmp_path / "p.cfg", "data", "out")
@@ -264,11 +268,18 @@ class TestConfig:
         ("train.artist.patience", "train.artist.*: patience must be >= 1"),
         ("train.track.lr", "train.track.*: learning rate must be > 0, got 0.0"),
         ("train.fusion.batch", "train.fusion.*: batch size must be >= 1"),
+        ("scale", "scale: scale must be in (0, 1], got 2"),
+        ("audio.patch_frames", "audio.patch_frames: patch of 63 frames is too short for the "
+                               "pooling pyramid (needs >= 64)"),
+        ("text.vocab_cap", "text.vocab_cap: vocabulary cap must be >= 1, got 0"),
+        ("split.val", "split.*: split ratio for 'val' must be >= 0, got -0.1"),
+        ("split.train", "split.*: split ratios must sum to 1, got (0.0, 0.15, 0.15)"),
     ])
     def test_out_of_range_value_stops_config_load(self, tmp_path, capsys, key, problem):
         """A value out of its range stops every stage at config load, with one
         error line naming the file and the key or key group, not stages later."""
-        path = write_config(tmp_path / "p.cfg", "data", "out", **{key: 0})
+        value = {"scale": 2, "audio.patch_frames": 63, "split.val": -0.1}.get(key, 0)
+        path = write_config(tmp_path / "p.cfg", "data", "out", **{key: value})
         assert main(["split", "--config", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
 
@@ -277,6 +288,24 @@ class TestConfig:
         write_kv_file(path, {"users": 10, "artists": 4, "latent_dim": 6, "seed": 5})
         spec = load_synthetic_spec(path)
         assert (spec.n_users, spec.n_artists, spec.latent_dim, spec.seed) == (10, 4, 6, 5)
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("users", 0, "must be >= 1, got 0"),
+        ("latent_dim", 7, "must be even (split across modalities), got 7"),
+        ("density", -1, "must be in (0, 1], got -1.0"),
+        ("text_noise", 2, "must be in [0, 1], got 2.0"),
+        ("mean_extra_plays", -1, "must be >= 0, got -1.0"),
+        ("seed", -1, "must be >= 0, got -1"),
+    ])
+    def test_out_of_range_spec_value_is_data_exit(self, tmp_path, capsys, key, value, problem):
+        """A spec value out of its range stops `coldrec synth` with one error
+        line naming the spec file and the key, and writes no dataset."""
+        path = tmp_path / "s.cfg"
+        write_kv_file(path, {"users": 10, "artists": 4, "latent_dim": 6, key: value})
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: {key}: {problem}\n"
+        assert not out.exists()
 
     def test_empty_synthetic_spec_is_the_default(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -300,10 +329,10 @@ class TestConfig:
         assert load_pipeline_config(tmp_path / "run.cfg") == PipelineConfig(
             **dataset_paths(tmp_path / "data"), out_dir=str(tmp_path / "out") + "/",
             seed=3, channel_scale=0.125, split_ratios=(0.8, 0.1, 0.1),
-            wmf_songs=WmfConfig(k=16, seed=3), wmf_artists=WmfConfig(k=16, seed=3),
+            wmf_songs=WmfConfig(k=16), wmf_artists=WmfConfig(k=16),
             vocab_cap=10000, patch_frames=96,
-            train_artist=TrainConfig(max_epochs=40, seed=3),
-            train_track=TrainConfig(max_epochs=25, seed=3), train_fusion=TrainConfig(seed=3),
+            train_artist=TrainConfig(max_epochs=40),
+            train_track=TrainConfig(max_epochs=25), train_fusion=TrainConfig(),
             eval_k=500)
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coldrec.data import DataError
-from coldrec.textfeat import (Document, KbEntity,
-                              build_vocab, enrich_document, filter_entities,
+from coldrec.textfeat import (KbEntity,
+                              build_vocab, enrich_document,
                               load_annotations, load_documents,
                               load_kb_snapshot, save_annotations,
                               save_documents, save_kb_snapshot, tfidf_transform,
@@ -50,72 +50,70 @@ def make_kb():
 
 
 class TestFilterEntities:
+    """`enrich_document` keeps each music-domain link once, in link order."""
+
     def test_music_class_kept(self):
-        assert filter_entities(["e_artist"], make_kb()) == ["e_artist"]
+        assert enrich_document("bio", ["e_artist"], make_kb()) == "bio Rock English_rock_groups"
 
     def test_off_domain_dropped(self):
-        assert filter_entities(["e_player"], make_kb()) == []
+        assert enrich_document("bio", ["e_player"], make_kb()) == "bio"
 
     def test_missing_entity_dropped(self):
-        assert filter_entities(["e_nosuch"], make_kb()) == []
+        assert enrich_document("bio", ["e_nosuch"], make_kb()) == "bio"
 
     def test_order_preserved_and_deduplicated(self):
-        out = filter_entities(["e_studio", "e_artist", "e_studio"], make_kb())
-        assert out == ["e_studio", "e_artist"]
+        out = enrich_document("bio", ["e_studio", "e_artist", "e_studio"], make_kb())
+        assert out == "bio Abbey_Road_Studios Rock English_rock_groups"
 
     def test_idempotent(self):
         kb = make_kb()
-        entities = ["e_artist", "e_player", "e_studio", "e_artist"]
-        once = filter_entities(entities, kb)
-        assert filter_entities(once, kb) == once
+        entities = ["e_artist", "e_player", "e_studio", "e_nosuch"]
+        assert (enrich_document("bio", entities + entities[::-1], kb)
+                == enrich_document("bio", entities, kb)
+                == enrich_document("bio", ["e_artist", "e_studio"], kb))
 
 
 class TestEnrich:
     def test_appends_properties_and_categories(self):
-        doc = Document("a1", "Born in Liverpool")
-        out = enrich_document(doc, ["e_artist"], make_kb())
-        assert out.text == "Born in Liverpool Rock English_rock_groups"
+        out = enrich_document("Born in Liverpool", ["e_artist"], make_kb())
+        assert out == "Born in Liverpool Rock English_rock_groups"
 
     def test_empty_entities_identity(self):
-        doc = Document("a1", "Born in Liverpool")
-        out = enrich_document(doc, [], make_kb())
-        assert out.text == doc.text
+        assert enrich_document("Born in Liverpool", [], make_kb()) == "Born in Liverpool"
 
     def test_multiword_value_underscored(self):
-        doc = Document("a1", "recorded here")
-        out = enrich_document(doc, ["e_studio"], make_kb())
-        assert out.text.endswith("Abbey_Road_Studios")
+        out = enrich_document("recorded here", ["e_studio"], make_kb())
+        assert out.endswith("Abbey_Road_Studios")
 
     def test_token_multiset_superset(self):
         from collections import Counter
 
-        doc = Document("a1", "some biography text about rock")
-        out = enrich_document(doc, ["e_artist", "e_studio"], make_kb())
-        before = Counter(tokenize(doc.text))
-        after = Counter(tokenize(out.text))
+        text = "some biography text about rock"
+        out = enrich_document(text, ["e_artist", "e_studio"], make_kb())
+        before = Counter(tokenize(text))
+        after = Counter(tokenize(out))
         assert all(after[t] >= c for t, c in before.items())
 
     def test_custom_property_map(self):
         kb = {"e": KbEntity({"MusicGenre"}, {"stylisticOrigin": ["Blues"]}, [])}
-        out = enrich_document(Document("a", "text here"), ["e"], kb)
-        assert "Blues" in out.text
+        assert "Blues" in enrich_document("text here", ["e"], kb)
 
 
 class TestVocab:
     def test_df_ranking_with_ties(self):
-        corpus = [Document("a", "aa bb"), Document("b", "bb cc")]
+        corpus = ["aa bb", "bb cc"]
         vocab = build_vocab(corpus, cap=2)
         assert vocab.terms == ["bb", "aa"]
         assert vocab.doc_freq.tolist() == [2, 1]
         assert vocab.n_docs == 2
 
     def test_cap_slack_keeps_all(self):
-        corpus = [Document("a", "aa bb cc")]
+        corpus = ["aa bb cc"]
         vocab = build_vocab(corpus, cap=100)
         assert sorted(vocab.terms) == ["aa", "bb", "cc"]
 
     def test_deterministic(self):
-        corpus = [Document("a", "xx yy zz yy"), Document("b", "zz ww")]
+        corpus = ["xx yy zz yy", "zz ww"]
         v1 = build_vocab(corpus, cap=3)
         v2 = build_vocab(corpus, cap=3)
         assert v1.terms == v2.terms
@@ -125,14 +123,14 @@ class TestVocab:
             build_vocab([], cap=5)
 
     def test_df_counts_documents_not_occurrences(self):
-        corpus = [Document("a", "aa aa aa"), Document("b", "bb")]
+        corpus = ["aa aa aa", "bb"]
         vocab = build_vocab(corpus, cap=10)
         assert vocab.doc_freq[vocab.index["aa"]] == 1
 
 
 class TestTfidf:
     def test_hand_computed_example(self):
-        corpus = [Document("d1", "aa bb aa"), Document("d2", "bb cc")]
+        corpus = ["aa bb aa", "bb cc"]
         vocab = build_vocab(corpus, cap=10)
         vec = tfidf_transform(corpus[0], vocab)
         idf_aa = math.log(3 / 2) + 1
@@ -146,20 +144,20 @@ class TestTfidf:
         assert vec[vocab.index["bb"]] == pytest.approx(0.3351750, abs=1e-6)
 
     def test_out_of_vocabulary_is_zero(self):
-        vocab = build_vocab([Document("d1", "aa bb")], cap=10)
-        vec = tfidf_transform(Document("x", "zz qq"), vocab)
+        vocab = build_vocab(["aa bb"], cap=10)
+        vec = tfidf_transform("zz qq", vocab)
         assert np.array_equal(vec, np.zeros(vocab.size))
 
     def test_single_term_unit_weight(self):
-        vocab = build_vocab([Document("d1", "aa bb")], cap=10)
-        vec = tfidf_transform(Document("x", "aa"), vocab)
+        vocab = build_vocab(["aa bb"], cap=10)
+        vec = tfidf_transform("aa", vocab)
         assert vec[vocab.index["aa"]] == pytest.approx(1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=0, max_size=20))
     def test_norm_is_one_unless_empty(self, tokens):
-        vocab = build_vocab([Document("d1", "aa bb"), Document("d2", "cc dd")], cap=10)
-        vec = tfidf_transform(Document("x", " ".join(tokens)), vocab)
+        vocab = build_vocab(["aa bb", "cc dd"], cap=10)
+        vec = tfidf_transform(" ".join(tokens), vocab)
         norm = np.linalg.norm(vec)
         if tokens:
             assert norm == pytest.approx(1.0, abs=1e-9)
@@ -169,7 +167,7 @@ class TestTfidf:
 
 class TestCodecs:
     def test_documents_round_trip(self, tmp_path):
-        docs = [Document("a1", "hello world"), Document("a2", "unicode ünïcode")]
+        docs = {"a1": "hello world", "a2": "unicode ünïcode"}
         save_documents(docs, tmp_path / "docs.jsonl")
         assert load_documents(tmp_path / "docs.jsonl") == docs
 

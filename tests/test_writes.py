@@ -12,7 +12,7 @@ import pytest
 
 from coldrec.data import replacing, save_split, save_triples
 from coldrec.evaluate import EvalReport
-from coldrec.textfeat import Document, save_documents
+from coldrec.textfeat import save_documents
 from coldrec.zoo import TrainLog
 from feedback_oracle import feedback
 
@@ -48,9 +48,8 @@ WRITERS = {
                           lambda path: save_split(_split(_FailsWhenFormatted("test")),
                                                   os.path.dirname(path))),
     "documents": ("enriched_docs.jsonl",
-                  lambda path: save_documents([Document("a1", "x"), Document("a2", "y")], path),
-                  lambda path: save_documents([Document("a1", "x"), Document("a2", object())],
-                                              path)),
+                  lambda path: save_documents({"a1": "x", "a2": "y"}, path),
+                  lambda path: save_documents({"a1": "x", "a2": object()}, path)),
     "train_log": ("log.tsv",
                   lambda path: TrainLog([(0, 1.0, 2.0), (1, 0.5, 1.5)]).write_tsv(path),
                   lambda path: TrainLog([(0, 1.0, 2.0),

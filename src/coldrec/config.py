@@ -153,8 +153,11 @@ def _in_range(path, key: str, check, *args) -> None:
 def load_pipeline_config(path) -> PipelineConfig:
     r = _Reader(parse_kv_file(path), path)
     base = os.path.dirname(os.path.abspath(path))
-    paths = {name: os.path.join(base, value) if value else value
-             for name, value in r.fields(PipelineConfig, _PATH_KEYS).items()}
+    paths = r.fields(PipelineConfig, _PATH_KEYS)
+    for key, name in _PATH_KEYS.items():
+        if not paths[name]:
+            raise DataError(f"{path}: {key}: empty path")
+        paths[name] = os.path.join(base, paths[name])
     settings = r.fields(PipelineConfig, _PIPELINE_KEYS)
     split_ratios = tuple(r.get(key, default, float) for key, default
                          in zip(_SPLIT_KEYS, PipelineConfig.split_ratios))

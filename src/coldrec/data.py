@@ -106,6 +106,24 @@ def artist_of(mapping: dict[str, str], item: str) -> str:
 PARTS = ("train", "val", "test")
 
 
+def _tsv_lines(path, ids: tuple[str, ...], width: int):
+    """The (line number, fields) of each non-blank line of a TSV of `width`
+    fields, the first of which are the named ids; a line of another width or
+    with an empty id is a DataError naming the line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != width:
+                raise DataError(f"{path}:{lineno}: expected {width} tab-separated fields")
+            for name, value in zip(ids, parts):
+                if not value:
+                    raise DataError(f"{path}:{lineno}: empty {name} id")
+            yield lineno, parts
+
+
 def load_triples(path) -> FeedbackMatrix:
     """Read a `user<TAB>item<TAB>count` TSV into a FeedbackMatrix.
 
@@ -117,26 +135,16 @@ def load_triples(path) -> FeedbackMatrix:
     rows: list[int] = []
     cols: list[int] = []
     counts: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            user, item, count_s = parts
-            if not user or not item:
-                raise DataError(f"{path}:{lineno}: empty {'user' if not user else 'item'} id")
-            try:
-                count = int(count_s)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: count {count_s!r} is not an integer") from None
-            if count < 1:
-                raise DataError(f"{path}:{lineno}: count must be >= 1, got {count}")
-            rows.append(user_index.setdefault(user, len(user_index)))
-            cols.append(item_index.setdefault(item, len(item_index)))
-            counts.append(count)
+    for lineno, (user, item, count_s) in _tsv_lines(path, ("user", "item"), 3):
+        try:
+            count = int(count_s)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: count {count_s!r} is not an integer") from None
+        if count < 1:
+            raise DataError(f"{path}:{lineno}: count must be >= 1, got {count}")
+        rows.append(user_index.setdefault(user, len(user_index)))
+        cols.append(item_index.setdefault(item, len(item_index)))
+        counts.append(count)
     if not counts:
         raise DataError(f"{path}: empty triples file")
     return FeedbackMatrix(list(user_index), list(item_index), rows, cols, counts)
@@ -156,19 +164,12 @@ def save_triples(m: FeedbackMatrix, path) -> None:
 
 
 def load_artist_map(path) -> dict[str, str]:
-    """Read an `item<TAB>artist` TSV; an item listed twice is a DataError."""
+    """Read an `item<TAB>artist` TSV; an empty id or an item listed twice is a DataError."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            if parts[0] in mapping:
-                raise DataError(f"{path}:{lineno}: duplicate item {parts[0]!r}")
-            mapping[parts[0]] = parts[1]
+    for lineno, (item, artist) in _tsv_lines(path, ("item", "artist"), 2):
+        if item in mapping:
+            raise DataError(f"{path}:{lineno}: duplicate item {item!r}")
+        mapping[item] = artist
     return mapping
 
 
@@ -258,13 +259,8 @@ def save_split(split: tuple[dict[str, FeedbackMatrix], dict[str, str]], out_dir)
 
 def load_assignment(path) -> dict[str, str]:
     assignment: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            artist, _, part = line.partition("\t")
-            if part not in PARTS:
-                raise DataError(f"{path}:{lineno}: unknown partition {part!r}")
-            assignment[artist] = part
+    for lineno, (artist, part) in _tsv_lines(path, ("artist",), 2):
+        if part not in PARTS:
+            raise DataError(f"{path}:{lineno}: unknown partition {part!r}")
+        assignment[artist] = part
     return assignment

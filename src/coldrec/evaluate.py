@@ -131,7 +131,7 @@ def random_factors(n_items: int, k: int, seed: int) -> np.ndarray:
     return f
 
 
-def make_baseline_factors(test: FeedbackMatrix, cfg: WmfConfig):
+def make_baseline_factors(test: FeedbackMatrix, cfg: WmfConfig, seed: int):
     """The upper bound's (item_factors, user_factors): WMF fit on the test feedback itself."""
-    model = factorize_wmf(test, cfg)
+    model = factorize_wmf(test, cfg, seed)
     return model.item_factors, model.user_factors

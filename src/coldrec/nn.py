@@ -474,11 +474,11 @@ class AdamState:
 
     m: dict[str, dict[str, np.ndarray]]
     v: dict[str, dict[str, np.ndarray]]
+    lr: float
     t: int = 0
-    lr: float = 0.001
 
     @staticmethod
-    def for_params(params, lr: float = 0.001) -> "AdamState":
+    def for_params(params, lr: float) -> "AdamState":
         zeros = lambda: {
             layer: {k: np.zeros_like(v) for k, v in tensors.items() if k in TRAINABLE}
             for layer, tensors in params.items()

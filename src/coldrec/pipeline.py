@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
@@ -150,8 +149,7 @@ def _load_split(cfg: PipelineConfig, part: str) -> FeedbackMatrix:
 
 def _stage_factorize_songs(cfg: PipelineConfig) -> None:
     train = _load_split(cfg, "train")
-    wmf_cfg = dataclasses.replace(cfg.wmf_songs, seed=stage_seed(cfg.seed, "factorize-songs"))
-    model = factorize_wmf(train, wmf_cfg)
+    model = factorize_wmf(train, cfg.wmf_songs, stage_seed(cfg.seed, "factorize-songs"))
     _save_rows(cfg, "factors_songs.users", model.user_factors, train.user_ids)
     _save_rows(cfg, "factors_songs.items", model.item_factors, train.item_ids)
 
@@ -160,8 +158,7 @@ def _stage_factorize_artists(cfg: PipelineConfig) -> None:
     train = _load_split(cfg, "train")
     am = load_artist_map(cfg.artist_map)
     r = aggregate_to_artist(train, am)
-    wmf_cfg = dataclasses.replace(cfg.wmf_artists, seed=stage_seed(cfg.seed, "factorize-artists"))
-    model = factorize_wmf(r, wmf_cfg)
+    model = factorize_wmf(r, cfg.wmf_artists, stage_seed(cfg.seed, "factorize-artists"))
     _save_rows(cfg, "factors_artists.users", model.user_factors, r.user_ids)
     _save_rows(cfg, "factors_artists.items", model.item_factors, r.item_ids)
 
@@ -208,8 +205,7 @@ def _stage_train_artist(cfg: PipelineConfig) -> None:
     seed = stage_seed(cfg.seed, "train-artist")
     fit, val = _fit_val_split(len(artists), seed)
     net = zoo.build_artist_net(x.shape[1], y.shape[1])
-    tc = dataclasses.replace(cfg.train_artist, seed=seed)
-    params, log = zoo.train_mapping(net, x[fit], y[fit], x[val], y[val], tc)
+    params, log = zoo.train_mapping(net, x[fit], y[fit], x[val], y[val], cfg.train_artist, seed)
     matrixio.save_params(cfg.out("params_artist.csmx"), params)
     log.write_tsv(cfg.out("log_artist.tsv"))
 
@@ -255,10 +251,9 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
     # training patches are drawn afresh each epoch
     val_x = _read_patches(cfg.spectrogram_dir, [song_ids[i] for i in val], patch_len, seed)
     net = _track_net(cfg, val_x.shape[1], song_factors.shape[1])
-    tc = dataclasses.replace(cfg.train_track, seed=seed)
     params, log = zoo.train_mapping(
         net, lambda epoch: _read_patches(cfg.spectrogram_dir, fit_ids, patch_len, seed + epoch),
-        song_factors[fit], val_x, song_factors[val], tc)
+        song_factors[fit], val_x, song_factors[val], cfg.train_track, seed)
     matrixio.save_params(cfg.out("params_track.csmx"), params)
     log.write_tsv(cfg.out("log_track.tsv"))
 
@@ -339,10 +334,10 @@ def _stage_train_fusion(cfg: PipelineConfig) -> None:
     fit, val = _fit_val_split(len(song_ids), seed)
     fit_x, val_x = _fusion_inputs(cfg, song_ids, fit, val)
     for head in HEADS.values():
-        tc = dataclasses.replace(cfg.train_fusion, seed=seed + head.seed_offset)
         params, log = zoo.train_mapping(head.net(fit_x, song_factors.shape[1]),
                                         head.features(fit_x), song_factors[fit],
-                                        head.features(val_x), song_factors[val], tc)
+                                        head.features(val_x), song_factors[val],
+                                        cfg.train_fusion, seed + head.seed_offset)
         matrixio.save_params(cfg.out(head.params), params)
         log.write_tsv(cfg.out(head.log))
 
@@ -370,8 +365,8 @@ def _stage_evaluate(cfg: PipelineConfig) -> None:
     predictions["random"] = ev.random_factors(test.n_items, k,
                                               stage_seed(cfg.seed, "baseline-random"))
 
-    ub_cfg = dataclasses.replace(cfg.wmf_songs, seed=stage_seed(cfg.seed, "baseline-upper"))
-    ub_items, ub_users = ev.make_baseline_factors(test, ub_cfg)
+    ub_items, ub_users = ev.make_baseline_factors(test, cfg.wmf_songs,
+                                                  stage_seed(cfg.seed, "baseline-upper"))
 
     runs = [(a, user_factors, f) for a, f in predictions.items()]
     runs.append(("upper-bound", ub_users, ub_items))

@@ -128,16 +128,24 @@ def tfidf_matrix(texts: list[str], vocab: Vocabulary) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON-lines codecs
 
-def load_documents(path) -> dict[str, str]:
-    """Each artist's biography text by artist id, in file order; an artist with
-    two documents is a DataError."""
-    docs: dict[str, str] = {}
+def _load_by_artist(path, field: str, listed: bool = False) -> dict:
+    """Each record's `field` by its `artist_id`, in file order. The id labels one line of
+    a row table's ids: empty, holding a line break or given twice, it is a DataError."""
+    by_artist: dict = {}
     for lineno, rec in _iter_jsonl(path):
         artist_id = _checked(path, lineno, "artist_id", rec.get("artist_id"))
-        if artist_id in docs:
+        if not artist_id or "\n" in artist_id or "\r" in artist_id:
+            raise DataError(f"{path}:{lineno}: field 'artist_id' must be a non-empty id "
+                            f"without line breaks, got {artist_id!r}")
+        if artist_id in by_artist:
             raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
-        docs[artist_id] = _checked(path, lineno, "text", rec.get("text"))
-    return docs
+        by_artist[artist_id] = _checked(path, lineno, field, rec.get(field), listed)
+    return by_artist
+
+
+def load_documents(path) -> dict[str, str]:
+    """Each artist's biography text by artist id."""
+    return _load_by_artist(path, "text")
 
 
 def save_documents(docs: dict[str, str], path) -> None:
@@ -147,14 +155,8 @@ def save_documents(docs: dict[str, str], path) -> None:
 
 
 def load_annotations(path) -> AnnotationSet:
-    """One entity list per artist; an artist listed twice is a DataError."""
-    by_artist: dict[str, list[str]] = {}
-    for lineno, rec in _iter_jsonl(path):
-        artist_id = _checked(path, lineno, "artist_id", rec.get("artist_id"))
-        if artist_id in by_artist:
-            raise DataError(f"{path}:{lineno}: duplicate artist_id {artist_id!r}")
-        by_artist[artist_id] = _checked(path, lineno, "entities", rec.get("entities"), listed=True)
-    return by_artist
+    """Each artist's linked entity ids by artist id."""
+    return _load_by_artist(path, "entities", listed=True)
 
 
 def save_annotations(ann: AnnotationSet, path) -> None:

@@ -23,7 +23,6 @@ class WmfConfig:
     alpha: float = 40.0
     lam: float = 0.01
     iterations: int = 15
-    seed: int = 0
     # stop early once a sweep improves the objective by less than this
     # relative amount; None disables the check (and the per-sweep objective)
     early_stop_tol: float | None = 1e-6
@@ -95,7 +94,7 @@ def als_objective(model: FactorModel, m: FeedbackMatrix, alpha: float, lam: floa
 
 # overflow surfaces as non-finite factors, which are reported as divergence
 @np.errstate(over="ignore", invalid="ignore")
-def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
+def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig, seed: int) -> FactorModel:
     """Alternating least squares on the binarized-preference WMF objective.
 
     Once per factorization: the initial factors and the item-major copy of
@@ -108,7 +107,7 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig) -> FactorModel:
     cfg.validate()
     if m.n_users == 0 or m.n_items == 0:
         raise ValueError("cannot factorize an empty matrix")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
     item_rows = m.transpose()

@@ -29,7 +29,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
-    seed: int = 0
     lr: float = 0.001
 
     def validate(self):
@@ -181,11 +180,12 @@ def _load_params(params, fh) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
                   val_features, val_targets: np.ndarray,
-                  cfg: TrainConfig) -> tuple[dict, TrainLog]:
+                  cfg: TrainConfig, seed: int) -> tuple[dict, TrainLog]:
     """Train a content-to-factor mapping with Adam and cosine loss.
 
     ``features`` is a (n, ...) matrix, a dict of branch matrices, or a
     callable epoch -> features for per-epoch resampling (audio patches).
+    ``seed`` draws the initial parameters, the batch order and the dropout masks.
     Returns the parameters of the best validation epoch and the loss log.
     A non-finite training or validation loss (a learning rate too high) is
     a ValueError that names the epoch and the learning rate.
@@ -194,9 +194,9 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
     n = targets.shape[0]
     if len(val_targets) == 0:
         raise ValueError("early stopping needs at least one validation row")
-    params = nn.init_params(net, cfg.seed)
+    params = nn.init_params(net, seed)
     state = nn.AdamState.for_params(params, lr=cfg.lr)
-    shuffle_rng = np.random.default_rng([cfg.seed, 1])
+    shuffle_rng = np.random.default_rng([seed, 1])
     log = TrainLog()
     # the best epoch lives in an unlinked file under TMPDIR, not in a resident copy:
     # it is written on each improving epoch but the last and read back once, at
@@ -217,7 +217,7 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
                 # and faulted it back in (desk-train on a 2-CPU VM: 3x the page
                 # faults, train-track about 15% slower)
                 out, caches, _ = nn.net_forward(net, params, _take(feats, idx),
-                                                mode="train", seed=_batch_seed(cfg.seed, epoch, start))
+                                                mode="train", seed=_batch_seed(seed, epoch, start))
                 loss, dpred = nn.cosine_loss(out, targets[idx])
                 if not math.isfinite(loss):
                     raise ValueError(f"training diverged: non-finite loss at epoch {epoch}, "
@@ -257,29 +257,27 @@ def eval_loss(net: NetworkSpec, params, features, targets: np.ndarray) -> float:
     return nn.cosine_loss(predict_factors(net, params, features), targets)[0]
 
 
-def extract_embeddings(net: NetworkSpec, params, features,
-                       batch_size: int = EVAL_BATCH) -> tuple[np.ndarray, np.ndarray]:
+def extract_embeddings(net: NetworkSpec, params, features) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode activations at the network's embedding tap, and its outputs.
 
     One forward per batch yields both: rows are flattened embeddings and
     unit-norm predicted factors. ``features`` holds at least one row.
     """
     embeddings, outputs = [], []
-    for rows in _batches(features, batch_size):
+    for rows in _batches(features):
         out, _, emb = nn.net_forward(net, params, _take(features, rows), mode="eval")
         embeddings.append(emb.reshape(emb.shape[0], -1))
         outputs.append(out)
     return np.concatenate(embeddings), np.concatenate(outputs)
 
 
-def predict_factors(net: NetworkSpec, params, features,
-                    batch_size: int = EVAL_BATCH) -> np.ndarray:
+def predict_factors(net: NetworkSpec, params, features) -> np.ndarray:
     """Eval-mode full forward; rows are unit-norm predicted factors."""
-    return extract_embeddings(net, params, features, batch_size)[1]
+    return extract_embeddings(net, params, features)[1]
 
 
-def _batches(features, batch_size: int):
-    """Slices of at most ``batch_size`` rows, so a batch is a view of ``features``."""
+def _batches(features):
+    """Slices of at most `EVAL_BATCH` rows, so a batch is a view of ``features``."""
     n = next(iter(features.values())).shape[0] if isinstance(features, dict) else features.shape[0]
-    for start in range(0, n, batch_size):
-        yield slice(start, start + batch_size)
+    for start in range(0, n, EVAL_BATCH):
+        yield slice(start, start + EVAL_BATCH)

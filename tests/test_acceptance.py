@@ -96,9 +96,8 @@ def _paired_gap(cfg, better, worse):
 def test_als_matches_gradient_descent_oracle():
     started = time.monotonic()
     m = random_matrix(8, 10, seed=29, density=0.5)
-    cfg = WmfConfig(k=3, alpha=10.0, lam=0.1, iterations=2000, seed=17,
-                    early_stop_tol=None)
-    model = factorize_wmf(m, cfg)
+    cfg = WmfConfig(k=3, alpha=10.0, lam=0.1, iterations=2000, early_stop_tol=None)
+    model = factorize_wmf(m, cfg, 17)
     als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
     _, _, gd_obj = gradient_descent_oracle(
         model.user_factors, model.item_factors,
@@ -242,7 +241,7 @@ def test_enrichment_beats_plain_documents():
     parts, assignment = split_by_artist(data.feedback, data.artist_map, (0.7, 0.1, 0.2), seed=7)
     train_a = aggregate_to_artist(parts["train"], data.artist_map)
     test_a = aggregate_to_artist(parts["test"], data.artist_map)
-    model = factorize_wmf(train_a, WmfConfig(k=8, iterations=15, seed=1))
+    model = factorize_wmf(train_a, WmfConfig(k=8, iterations=15), 1)
     uidx = {u: i for i, u in enumerate(train_a.user_ids)}
     uf = model.user_factors[[uidx[u] for u in test_a.user_ids]]
 
@@ -261,10 +260,9 @@ def test_enrichment_beats_plain_documents():
         # input dropout on the tf-idf vector, ahead of the pipeline's artist net
         net = NetworkSpec(trunk=[LayerSpec("dropout", rate=0.5)] + plain.trunk,
                           input_shapes=plain.input_shapes, embed_tap=plain.embed_tap + 1)
-        tc = zoo.TrainConfig(batch_size=32, max_epochs=80, patience=15, seed=2,
-                             lr=0.0005)
+        tc = zoo.TrainConfig(batch_size=32, max_epochs=80, patience=15, lr=0.0005)
         params, _ = zoo.train_mapping(net, x_train[fit], model.item_factors[fit],
-                                      x_train[val], model.item_factors[val], tc)
+                                      x_train[val], model.item_factors[val], tc, 2)
         x_test = textfeat.tfidf_matrix([docs[a] for a in test_a.item_ids], vocab)
         pred = zoo.predict_factors(net, params, x_test)
         return ev.map_at_k(uf, pred, test_a, k=500)

@@ -97,7 +97,7 @@ def test_bench_tracer_counts_adam_updates_and_pruned_backward():
     tracer = tracing.Tracer("t")
     try:
         tracing.install(tracer)
-        zoo.train_mapping(net, x, y, x[:2], y[:2], cfg)
+        zoo.train_mapping(net, x, y, x[:2], y[:2], cfg, 0)
     finally:
         tracer.uninstall()
     names = [s.name for s in tracer.finished()]

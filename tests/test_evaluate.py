@@ -236,8 +236,7 @@ class TestBaselines:
     def test_upper_bound_beats_random(self):
         from coldrec.wmf import WmfConfig
         test = self._test_matrix()
-        cfg = WmfConfig(k=8, iterations=10, seed=0)
-        itf, uf = make_baseline_factors(test, cfg)
+        itf, uf = make_baseline_factors(test, WmfConfig(k=8, iterations=10), 0)
         assert itf.shape == (test.n_items, 8) and uf.shape == (test.n_users, 8)
         upper = map_at_k(uf, itf, test, k=40).map_score
         rf = random_factors(test.n_items, k=8, seed=3)

@@ -409,20 +409,20 @@ class TestAdam:
 
     def test_zero_gradient_no_change(self):
         params = self._scalar_params(1.5)
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, lr=0.001)
         adam_step(params, {"trunk/0": {"W": np.zeros((1, 1))}}, state)
         assert params["trunk/0"]["W"][0, 0] == 1.5
 
     def test_first_step_hand_value(self):
         params = self._scalar_params(0.0)
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, lr=0.001)
         adam_step(params, {"trunk/0": {"W": np.ones((1, 1))}}, state)
         # m_hat = 1, v_hat = 1 -> step = -lr / (1 + eps)
         assert params["trunk/0"]["W"][0, 0] == pytest.approx(-0.000999999990, abs=1e-12)
 
     def test_matches_scalar_oracle_two_steps(self):
         params = self._scalar_params(0.0)
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, lr=0.001)
         # independent scalar re-derivation of the update rule
         theta, m, v = 0.0, 0.0, 0.0
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
@@ -540,7 +540,7 @@ class TestAdam:
                                  LayerSpec("dense", units=1024), LayerSpec("l2norm")],
                           input_shapes={"": (64,)})
         params = init_params(net, 0)
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, lr=0.001)
         rng = np.random.default_rng(1)
         out, caches, _ = net_forward(net, params, rng.normal(size=(32, 64)), seed=2)
         _, dy = cosine_loss(out, rng.normal(size=out.shape))
@@ -554,7 +554,7 @@ class TestAdam:
 
     def test_non_contiguous_parameter_rejected(self):
         params = {"trunk/0": {"W": np.zeros((4, 3))}}
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, lr=0.001)
         params["trunk/0"]["W"] = np.zeros((3, 4)).T
         with pytest.raises(ValueError, match="trunk/0/W"):
             adam_step(params, {"trunk/0": {"W": np.ones((4, 3))}}, state)

@@ -274,14 +274,26 @@ class TestConfig:
         ("text.vocab_cap", "text.vocab_cap: vocabulary cap must be >= 1, got 0"),
         ("split.val", "split.*: split ratio for 'val' must be >= 0, got -0.1"),
         ("split.train", "split.*: split ratios must sum to 1, got (0.0, 0.15, 0.15)"),
+        ("paths.kb", "paths.kb: empty path"),
+        ("paths.out", "paths.out: empty path"),
     ])
     def test_out_of_range_value_stops_config_load(self, tmp_path, capsys, key, problem):
         """A value out of its range stops every stage at config load, with one
         error line naming the file and the key or key group, not stages later."""
-        value = {"scale": 2, "audio.patch_frames": 63, "split.val": -0.1}.get(key, 0)
+        value = {"scale": 2, "audio.patch_frames": 63, "split.val": -0.1,
+                 "paths.kb": "", "paths.out": ""}.get(key, 0)
         path = write_config(tmp_path / "p.cfg", "data", "out", **{key: value})
         assert main(["split", "--config", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+
+    def test_every_nested_config_field_is_a_key(self):
+        """A nested config holds only what a config file sets; `early_stop_tol`
+        stays settable in code alone, for the ALS oracles."""
+        from coldrec.config import _TRAIN_KEYS, _WMF_KEYS
+        for cls, keys, code_only in ((WmfConfig, _WMF_KEYS, {"early_stop_tol"}),
+                                     (TrainConfig, _TRAIN_KEYS, set())):
+            fields = {f.name for f in dataclasses.fields(cls)}
+            assert fields - code_only == set(keys.values()), cls.__name__
 
     def test_synthetic_spec_file(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -320,8 +332,8 @@ class TestConfig:
         cfg = load_pipeline_config(path)
         assert cfg == PipelineConfig(**dataset_paths(tmp_path / "data"),
                                      out_dir=str(tmp_path / "out"))
-        assert cfg.wmf_songs == cfg.wmf_artists == WmfConfig(seed=0)
-        assert cfg.train_artist == cfg.train_track == cfg.train_fusion == TrainConfig(seed=0)
+        assert cfg.wmf_songs == cfg.wmf_artists == WmfConfig()
+        assert cfg.train_artist == cfg.train_track == cfg.train_fusion == TrainConfig()
 
     def test_readme_config_loads_as_shown(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -824,6 +836,42 @@ class TestCli:
         name = ("user", "item")[field]
         assert err == f"error: {triples}:7: empty {name} id\n"
         assert not os.path.exists(tmp_path / "out" / "splits")
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["item", "artist"])
+    def test_empty_id_in_artist_map_is_data_exit(self, staged_run, tmp_path, capsys, field):
+        """An artist map line with an empty item or artist id ends `split` in one
+        error line naming the file and the line, before any artifact is written."""
+        lines = Path(staged_run.cfg.artist_map).read_text(encoding="utf-8").splitlines(True)
+        parts = lines[6].rstrip("\n").split("\t")
+        parts[field] = ""
+        lines[6] = "\t".join(parts) + "\n"
+        artist_map = tmp_path / "artist_map.tsv"
+        artist_map.write_text("".join(lines), encoding="utf-8")
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(tmp_path / "out"), **{"paths.artist_map": str(artist_map)})
+        assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
+        name = ("item", "artist")[field]
+        assert capsys.readouterr().err == f"error: {artist_map}:7: empty {name} id\n"
+        assert not os.path.exists(tmp_path / "out" / "splits")
+
+    @pytest.mark.parametrize("artist_id", ["", "zz\rq", "zz\nq"], ids=["empty", "cr", "lf"])
+    @pytest.mark.parametrize("key, record", [
+        ("paths.documents", {"text": "bio"}), ("paths.annotations", {"entities": []}),
+    ], ids=["documents", "annotations"])
+    def test_artist_id_that_cannot_label_a_row_is_data_exit(self, staged_run, tmp_path, capsys,
+                                                             key, record, artist_id):
+        """An artist id that no row table line can hold, empty or with a line
+        break, ends `enrich` in one error line naming the file, line and field."""
+        path = tmp_path / "input.jsonl"
+        path.write_text("".join(json.dumps({"artist_id": a, **record}) + "\n"
+                                for a in ("a_ok", artist_id)), encoding="utf-8")
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(tmp_path / "out"), **{key: str(path)})
+        assert main(["enrich", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: field 'artist_id' must be a non-empty id without line breaks, "
+            f"got {artist_id!r}\n")
+        assert not os.path.exists(tmp_path / "out" / "enriched_docs.jsonl")
 
     def test_stages_run_without_scipy(self, staged_run, tmp_path):
         """A fresh process that imports the CLI and runs every stage of a tiny

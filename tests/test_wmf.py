@@ -47,12 +47,12 @@ def spd_stack(rng, n, k):
     return m @ m.transpose(0, 2, 1) + 0.1 * np.eye(k), rng.normal(size=(n, k))
 
 
-def reference_factorize(m, cfg):
+def reference_factorize(m, cfg, seed):
     """Reference ALS with all work per row: every row gathers its factors, casts its
     counts, rebuilds Y^T Y and lam*I, forms its own system and solves it alone, the
     item rows are rebuilt from the dense counts on every sweep, and the objective
     comes from the dense X Y^T. Returns the factors and the sweeps run."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
 
@@ -79,9 +79,9 @@ def reference_factorize(m, cfg):
     return x, y, sweep
 
 
-def assert_matches_reference(m, cfg):
-    model = factorize_wmf(m, cfg)
-    x, y, sweeps = reference_factorize(m, cfg)
+def assert_matches_reference(m, cfg, seed):
+    model = factorize_wmf(m, cfg, seed)
+    x, y, sweeps = reference_factorize(m, cfg, seed)
     assert np.array_equal(model.user_factors, x)
     assert np.array_equal(model.item_factors, y)
     return sweeps
@@ -185,16 +185,16 @@ class TestHalfSweep:
 
     def test_matrix_without_plays_gives_zero_factors(self):
         m = feedback(np.zeros((3, 4), dtype=np.int64))
-        model = factorize_wmf(m, WmfConfig(k=2, alpha=40.0, lam=0.1, iterations=3, seed=0))
+        model = factorize_wmf(m, WmfConfig(k=2, alpha=40.0, lam=0.1, iterations=3), 0)
         assert not model.user_factors.any() and not model.item_factors.any()
 
     def test_one_solve_per_nonempty_row(self):
         m = feedback(empty_rows(np.random.default_rng(3)))
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, seed=0, early_stop_tol=None)
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, early_stop_tol=None)
         dense = to_dense(m)
         nonempty = sum(np.count_nonzero(dense.any(axis=axis)) for axis in (0, 1))
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
-            factorize_wmf(m, cfg)
+            factorize_wmf(m, cfg, 0)
         assert sum(len(call.args[1]) for call in spy.call_args_list) == cfg.iterations * nonempty
 
     def test_not_positive_definite_names_row(self):
@@ -203,7 +203,7 @@ class TestHalfSweep:
         with pytest.raises(ValueError, match=r"^ALS system of user row 1 is not positive definite "
                                              r"in sweep 1 \(alpha 40, lambda 1e-20\); "
                                              r"raise lambda or lower k$"):
-            factorize_wmf(m, WmfConfig(k=16, alpha=40.0, lam=1e-20, seed=0))
+            factorize_wmf(m, WmfConfig(k=16, alpha=40.0, lam=1e-20), 0)
 
     def test_not_positive_definite_row_inside_a_chunk_is_named(self, monkeypatch):
         # chunks of 3 rows over 7 one-nonzero rows; with alpha < 0 only row 4,
@@ -220,11 +220,11 @@ class TestHalfSweep:
     @pytest.mark.parametrize("rows_per_chunk", [1, 3, 10])
     def test_chunks_leave_the_bits(self, monkeypatch, rows_per_chunk):
         m = feedback(long_rows(np.random.default_rng(2)))
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, seed=1, early_stop_tol=None)
-        whole = factorize_wmf(m, cfg)
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, early_stop_tol=None)
+        whole = factorize_wmf(m, cfg, 1)
         monkeypatch.setattr("coldrec.wmf.SOLVE_CHUNK_BYTES", rows_per_chunk * 8 * 4 * 5)
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
-            chunked = factorize_wmf(m, cfg)
+            chunked = factorize_wmf(m, cfg, 1)
         assert max(len(call.args[1]) for call in spy.call_args_list) == rows_per_chunk
         assert np.array_equal(chunked.user_factors, whole.user_factors)
         assert np.array_equal(chunked.item_factors, whole.item_factors)
@@ -289,9 +289,8 @@ class TestObjective:
         m = random_matrix(n_users, n_items, seed=seed, density=density)
         alpha, lam = 40.0, 0.1
         if fitted:
-            cfg = WmfConfig(k=4, alpha=alpha, lam=lam, iterations=3, seed=seed,
-                            early_stop_tol=None)
-            model = factorize_wmf(m, cfg)
+            cfg = WmfConfig(k=4, alpha=alpha, lam=lam, iterations=3, early_stop_tol=None)
+            model = factorize_wmf(m, cfg, seed)
         else:
             rng = np.random.default_rng(seed)
             model = FactorModel(rng.normal(size=(n_users, 4)), rng.normal(size=(n_items, 4)))
@@ -316,15 +315,15 @@ class TestObjective:
 class TestFactorize:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
-            factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, iterations=0))
+            factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, iterations=0), 0)
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda must be > 0"):
-            factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, lam=0.0))
+            factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, lam=0.0), 0)
 
     def test_alpha_overflow_is_one_value_error(self, recwarn):
         with pytest.raises(ValueError, match=r"sweep \d+ \(alpha 1e\+308, lambda 0\.01\)"):
-            factorize_wmf(random_matrix(6, 8, seed=2), WmfConfig(k=3, alpha=1e308, seed=1))
+            factorize_wmf(random_matrix(6, 8, seed=2), WmfConfig(k=3, alpha=1e308), 1)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("n_users, n_items, density, seed", [
@@ -338,9 +337,9 @@ class TestFactorize:
         dense[:, -1] = 0  # an empty item column
         m = unsorted_feedback(dense) if unsorted else feedback(dense)
         for k in (4, 16):
-            cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4, seed=seed, early_stop_tol=None)
-            assert_matches_reference(m, cfg)
-        model = factorize_wmf(m, cfg)
+            cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4, early_stop_tol=None)
+            assert_matches_reference(m, cfg, seed)
+        model = factorize_wmf(m, cfg, seed)
         assert np.array_equal(model.user_factors[-1], np.zeros(16))
         assert np.array_equal(model.item_factors[-1], np.zeros(16))
 
@@ -352,35 +351,35 @@ class TestFactorize:
         groups of one long row, and empty rows in both halves."""
         dense = make(np.random.default_rng(7))
         m = unsorted_feedback(dense) if unsorted else feedback(dense)
-        cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3, seed=5, early_stop_tol=None)
-        assert_matches_reference(m, cfg)
+        cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3, early_stop_tol=None)
+        assert_matches_reference(m, cfg, 5)
 
     def test_bit_identical_with_early_stopping(self):
         m = random_matrix(30, 20, seed=4, density=0.3)
-        settings = dict(k=16, alpha=40.0, lam=10.0, seed=4)
+        settings = dict(k=16, alpha=40.0, lam=10.0)
         cfg = WmfConfig(iterations=60, early_stop_tol=1e-4, **settings)
-        sweeps = assert_matches_reference(m, cfg)
+        sweeps = assert_matches_reference(m, cfg, 4)
         assert 1 < sweeps < cfg.iterations
         # one sweep more or fewer gives other factors
-        stopped = factorize_wmf(m, cfg).user_factors
+        stopped = factorize_wmf(m, cfg, 4).user_factors
         for other in (sweeps - 1, sweeps + 1):
             x, _, _ = reference_factorize(m, WmfConfig(iterations=other, early_stop_tol=None,
-                                                       **settings))
+                                                       **settings), 4)
             assert not np.array_equal(stopped, x)
 
     @pytest.mark.parametrize("make", [equal_nnz_rows, single_nonzero_rows, long_rows, empty_rows],
                              ids=["equal-nnz", "single-nonzero", "over-100-nonzeros", "empty"])
     def test_early_stopping_sweep_matches_reference_on_row_groups(self, make):
         m = feedback(make(np.random.default_rng(7)))
-        cfg = WmfConfig(k=16, alpha=40.0, lam=10.0, iterations=60, seed=5, early_stop_tol=1e-2)
-        sweeps = assert_matches_reference(m, cfg)
+        cfg = WmfConfig(k=16, alpha=40.0, lam=10.0, iterations=60, early_stop_tol=1e-2)
+        sweeps = assert_matches_reference(m, cfg, 5)
         assert 1 < sweeps < cfg.iterations
 
     def test_objective_read_off_the_solves_matches_als_objective(self):
         """After each item half-sweep, sum over nonzeros of (1 + alpha*count)
         - sum_r b_r . y_r + lam*|X|^2, read off the solves, is the objective."""
         m = random_matrix(30, 20, seed=4, density=0.3)
-        cfg = WmfConfig(k=8, alpha=40.0, lam=0.5, iterations=6, seed=2, early_stop_tol=None)
+        cfg = WmfConfig(k=8, alpha=40.0, lam=0.5, iterations=6, early_stop_tol=None)
         seen = []
 
         def spy(target, other, rows, alpha, lam, sweep, side):
@@ -392,42 +391,41 @@ class TestFactorize:
             return fit
 
         with mock.patch("coldrec.wmf._half_sweep", side_effect=spy):
-            factorize_wmf(m, cfg)
+            factorize_wmf(m, cfg, 2)
         assert len(seen) == cfg.iterations
         for read_off, exact in seen:
             assert read_off == pytest.approx(exact, rel=1e-12)
 
     def test_objective_monotone_over_sweeps(self):
         m = random_matrix(6, 8, seed=2)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=1, seed=3,
-                        early_stop_tol=None)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=1, early_stop_tol=None)
         values = []
         for iters in range(1, 8):
             cfg.iterations = iters
-            model = factorize_wmf(m, cfg)
+            model = factorize_wmf(m, cfg, 3)
             values.append(als_objective(model, m, cfg.alpha, cfg.lam))
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-9
 
     def test_deterministic(self):
         m = random_matrix(5, 7, seed=4)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=5, seed=9)
-        m1 = factorize_wmf(m, cfg)
-        m2 = factorize_wmf(m, cfg)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=5)
+        m1 = factorize_wmf(m, cfg, 9)
+        m2 = factorize_wmf(m, cfg, 9)
         assert np.array_equal(m1.user_factors, m2.user_factors)
         assert np.array_equal(m1.item_factors, m2.item_factors)
 
     def test_zero_interaction_user_gets_zero_row(self):
         dense = np.array([[2, 3], [0, 0]])
         m = feedback(dense)
-        model = factorize_wmf(m, WmfConfig(k=2, alpha=10, lam=0.1, iterations=3, seed=0))
+        model = factorize_wmf(m, WmfConfig(k=2, alpha=10, lam=0.1, iterations=3), 0)
         assert np.array_equal(model.user_factors[1], np.zeros(2))
 
     def test_row_solve_optimality(self):
         # a freshly solved row is a minimizer of its partial objective
         m = random_matrix(5, 7, seed=6)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=10, seed=1)
-        model = factorize_wmf(m, cfg)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=10)
+        model = factorize_wmf(m, cfg, 1)
         dense = to_dense(m)
         u = 0
         lo, hi = m.indptr[u], m.indptr[u + 1]
@@ -448,7 +446,7 @@ class TestFactorize:
 
     def test_ranking_invariant_under_item_scaling(self):
         m = random_matrix(5, 7, seed=8)
-        model = factorize_wmf(m, WmfConfig(k=3, alpha=10, lam=0.1, iterations=5, seed=2))
+        model = factorize_wmf(m, WmfConfig(k=3, alpha=10, lam=0.1, iterations=5), 2)
         for u in range(5):
             assert np.array_equal(rank_items(model.user_factors[u], model.item_factors, 7),
                                   rank_items(model.user_factors[u], 3.7 * model.item_factors, 7))
@@ -498,9 +496,8 @@ class TestGradientDescentOracle:
 
     def test_als_solution_is_gd_optimal(self):
         m = random_matrix(5, 7, seed=21, density=0.5)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000, seed=13,
-                        early_stop_tol=None)
-        model = factorize_wmf(m, cfg)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000, early_stop_tol=None)
+        model = factorize_wmf(m, cfg, 13)
         als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
         _, _, gd_obj = gradient_descent_oracle(
             model.user_factors, model.item_factors,
@@ -509,9 +506,8 @@ class TestGradientDescentOracle:
 
     def test_oracle_detects_suboptimal_factors(self):
         m = random_matrix(5, 7, seed=21, density=0.5)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000, seed=13,
-                        early_stop_tol=None)
-        model = factorize_wmf(m, cfg)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000, early_stop_tol=None)
+        model = factorize_wmf(m, cfg, 13)
         bad_users = model.user_factors * 1.2
         bad_obj = als_objective(
             FactorModel(bad_users, model.item_factors), m, cfg.alpha, cfg.lam)

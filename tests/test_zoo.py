@@ -133,15 +133,15 @@ class TestTrainMapping:
     def test_two_batches_per_epoch(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=32, max_epochs=2, patience=10, seed=0)
-        _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+        cfg = TrainConfig(batch_size=32, max_epochs=2, patience=10)
+        _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
         assert len(log.epochs) == 2
 
     def test_learns_realizable_mapping(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=32, max_epochs=1500, patience=1500, seed=0, lr=0.01)
-        params, _ = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+        cfg = TrainConfig(batch_size=32, max_epochs=1500, patience=1500, lr=0.01)
+        params, _ = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
         pred = predict_factors(net, params, feats)
         cos = np.sum(pred * targets, axis=1)
         assert cos.mean() > 0.99
@@ -149,9 +149,9 @@ class TestTrainMapping:
     def test_bitwise_determinism(self):
         feats, targets = _toy(seed=4)
         net = build_single_branch_net(dim=12, k=6)
-        cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5, seed=7)
-        p1, l1 = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
-        p2, l2 = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5)
+        p1, l1 = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 7)
+        p2, l2 = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 7)
         for layer in p1:
             for key in p1[layer]:
                 assert np.array_equal(p1[layer][key], p2[layer][key])
@@ -160,8 +160,8 @@ class TestTrainMapping:
     def test_returns_best_validation_params(self):
         feats, targets = _toy(seed=5)
         net = build_single_branch_net(dim=12, k=6)
-        cfg = TrainConfig(batch_size=16, max_epochs=30, patience=30, seed=1)
-        params, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=30, patience=30)
+        params, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 1)
         assert log.best_val == pytest.approx(min(row[2] for row in log.epochs))
         # the returned params really achieve the best recorded validation loss
         assert eval_loss(net, params, feats[48:], targets[48:]) == pytest.approx(log.best_val)
@@ -169,24 +169,24 @@ class TestTrainMapping:
     def test_patience_stops_early(self):
         feats, targets = _toy(seed=6)
         net = build_single_branch_net(dim=12, k=6)
-        cfg = TrainConfig(batch_size=16, max_epochs=500, patience=3, seed=2)
-        _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=500, patience=3)
+        _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 2)
         assert len(log.epochs) < 500
         assert log.epochs[-1][0] - log.best_epoch == 3
 
     def test_epoch_indexing(self):
         feats, targets = _toy(seed=7)
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=10, seed=0)
-        _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=10)
+        _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
         assert [row[0] for row in log.epochs] == list(range(len(log.epochs)))
 
     def test_feature_row_mismatch_rejected(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
         with pytest.raises(ValueError):
-            train_mapping(net, feats[:40], targets[:48], feats[48:], targets[48:], cfg)
+            train_mapping(net, feats[:40], targets[:48], feats[48:], targets[48:], cfg, 0)
 
     def test_branched_inputs(self):
         rng = np.random.default_rng(8)
@@ -194,26 +194,26 @@ class TestTrainMapping:
         targets = rng.normal(size=(40, 4))
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         net = build_fusion_net("lin", dim_a=10, dim_t=8, k=4)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10)
         fit = {k: v[:32] for k, v in feats.items()}
         val = {k: v[32:] for k, v in feats.items()}
-        params, _ = train_mapping(net, fit, targets[:32], val, targets[32:], cfg)
+        params, _ = train_mapping(net, fit, targets[:32], val, targets[32:], cfg, 0)
         pred = predict_factors(net, params, feats)
         assert pred.shape == (40, 4)
 
     def test_nonpositive_learning_rate_rejected(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0, lr=0.0)
+        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, lr=0.0)
         with pytest.raises(ValueError, match="learning rate"):
-            train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg)
+            train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
 
     def test_empty_validation_set_rejected(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
         with pytest.raises(ValueError, match="at least one validation row"):
-            train_mapping(net, feats[:48], targets[:48], feats[:0], targets[:0], cfg)
+            train_mapping(net, feats[:48], targets[:48], feats[:0], targets[:0], cfg, 0)
 
     def test_callable_features_resampled_per_epoch(self):
         rng = np.random.default_rng(9)
@@ -227,8 +227,8 @@ class TestTrainMapping:
             return base + 0.01 * epoch
 
         net = _linear_net(6, 3)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10, seed=0)
-        train_mapping(net, provider, targets, base[:8], targets[:8], cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10)
+        train_mapping(net, provider, targets, base[:8], targets[:8], cfg, 0)
         assert seen == [0, 1, 2]
 
     def test_provider_builds_each_epoch_after_the_last_is_released(self):
@@ -246,8 +246,8 @@ class TestTrainMapping:
             return feats
 
         net = _linear_net(6, 3)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10, seed=0)
-        train_mapping(net, provider, targets, base[:8], targets[:8], cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10)
+        train_mapping(net, provider, targets, base[:8], targets[:8], cfg, 0)
         assert len(built) == 3
 
     def test_same_log_as_textbook_adam(self, monkeypatch):
@@ -271,10 +271,10 @@ class TestTrainMapping:
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         monkeypatch.setattr(zoo, "ARTIST_HIDDEN", 96)
         net = build_artist_net(vocab_size=40, k=8)
-        cfg = TrainConfig(batch_size=16, max_epochs=60, patience=3, seed=3, lr=0.01)
-        _, log = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg)
+        cfg = TrainConfig(batch_size=16, max_epochs=60, patience=3, lr=0.01)
+        _, log = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg, 3)
         monkeypatch.setattr(nn, "adam_step", textbook_adam)
-        _, book = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg)
+        _, book = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg, 3)
         assert 0 < log.best_epoch < log.epochs[-1][0] < cfg.max_epochs - 1  # stopped early
         assert (log.best_epoch, len(log.epochs)) == (book.best_epoch, len(book.epochs))
         assert np.allclose(log.epochs, book.epochs, rtol=0, atol=1e-12)
@@ -282,10 +282,10 @@ class TestTrainMapping:
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_nonpositive_epoch_cap_rejected(self, epochs):
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=epochs, patience=1, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=epochs, patience=1)
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
-                          targets[48:], cfg)
+                          targets[48:], cfg, 0)
 
 
     def test_peak_memory_holds_no_resident_best_copy(self):
@@ -300,10 +300,10 @@ class TestTrainMapping:
         y, _, _ = net_forward(net, init_params(net, 99), x, mode="eval")
         param_bytes = sum(t.nbytes for ts in init_params(net, 0).values() for t in ts.values())
         assert param_bytes >= 8 * 1_000_000
-        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3, seed=0)
+        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3)
         tracemalloc.start()
         try:
-            _, log = train_mapping(net, x[:64], y[:64], x[64:], y[64:], cfg)
+            _, log = train_mapping(net, x[:64], y[:64], x[64:], y[64:], cfg, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,11 +321,11 @@ class TestTrainMapping:
         fit = {k: v[:32] for k, v in feats.items()}
         val = {k: v[32:] for k, v in feats.items()}
         net = build_fusion_net("h1", dim_a=10, dim_t=8, k=4)
-        cfg = TrainConfig(batch_size=8, max_epochs=30, patience=3, seed=5, lr=0.01)
-        params, log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg)
+        cfg = TrainConfig(batch_size=8, max_epochs=30, patience=3, lr=0.01)
+        params, log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg, 5)
         assert 0 < log.best_epoch < log.epochs[-1][0]  # stopped early, past a better epoch
         cfg.max_epochs = log.best_epoch + 1
-        cut, cut_log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg)
+        cut, cut_log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg, 5)
         assert cut_log.epochs == log.epochs[:log.best_epoch + 1]
         assert "running_mean" in params["artist/0"]
         assert params.keys() == cut.keys()
@@ -341,10 +341,10 @@ class TestTrainMapping:
     def test_checkpoint_leaves_nothing_in_tmpdir(self, lr, outcome, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=3, seed=0, lr=lr)
+        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=3, lr=lr)
         with outcome:
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
-                          targets[48:], cfg)
+                          targets[48:], cfg, 0)
         assert list(tmp_path.iterdir()) == []
 
     def test_short_checkpoint_names_the_tensor(self, monkeypatch):
@@ -353,10 +353,10 @@ class TestTrainMapping:
         losses = iter([1.0, 2.0])
         monkeypatch.setattr(zoo, "eval_loss", lambda *a: next(losses))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
         with pytest.raises(OSError, match="short at trunk/0/W"):
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
-                          targets[48:], cfg)
+                          targets[48:], cfg, 0)
 
     @pytest.mark.parametrize("val_losses, saves, loads", [
         ([3.0, 2.0, 1.0], 2, 0),        # the capped last epoch is the best: no write, no read
@@ -387,9 +387,9 @@ class TestTrainMapping:
         monkeypatch.setattr(zoo, "_save_params", counted("save", zoo._save_params))
         monkeypatch.setattr(zoo, "_load_params", counted("load", zoo._load_params))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=len(val_losses), patience=2, seed=0)
+        cfg = TrainConfig(batch_size=16, max_epochs=len(val_losses), patience=2)
         params, log = train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
-                                    targets[48:], cfg)
+                                    targets[48:], cfg, 0)
         assert len(log.epochs) == len(val_losses)
         assert calls == {"save": saves, "load": loads}
         best = snapshots[log.best_epoch]
@@ -414,10 +414,11 @@ class TestExtraction:
          {"artist": np.random.default_rng(6).normal(size=(11, 6)),
           "track": np.random.default_rng(7).normal(size=(11, 7))}),
     ], ids=["track", "fusion-h1"])
-    def test_outputs_equal_predict_factors(self, net, x):
+    def test_outputs_equal_predict_factors(self, net, x, monkeypatch):
+        monkeypatch.setattr(zoo, "EVAL_BATCH", 4)
         params = init_params(net, 4)
-        _, out = extract_embeddings(net, params, x, batch_size=4)
-        assert np.array_equal(out, predict_factors(net, params, x, batch_size=4))
+        _, out = extract_embeddings(net, params, x)
+        assert np.array_equal(out, predict_factors(net, params, x))
 
     def test_predictions_unit_norm(self):
         net = build_single_branch_net(dim=20, k=6)
@@ -426,20 +427,22 @@ class TestExtraction:
         pred = predict_factors(net, params, x)
         assert np.allclose(np.linalg.norm(pred, axis=1), 1.0, atol=1e-6)
 
-    def test_prediction_batch_composition_independence(self):
+    def test_prediction_batch_composition_independence(self, monkeypatch):
         net = build_single_branch_net(dim=9, k=5)
         params = init_params(net, 1)
         x = np.random.default_rng(2).normal(size=(23, 9))
-        whole = predict_factors(net, params, x, batch_size=23)
-        chunked = predict_factors(net, params, x, batch_size=4)
+        whole = predict_factors(net, params, x)  # one batch
+        monkeypatch.setattr(zoo, "EVAL_BATCH", 4)
+        chunked = predict_factors(net, params, x)
         assert np.max(np.abs(whole - chunked)) <= 1e-12
 
-    def test_embedding_batch_composition_independence(self):
+    def test_embedding_batch_composition_independence(self, monkeypatch):
         net = build_artist_net(vocab_size=11, k=4)
         params = init_params(net, 3)
         x = np.abs(np.random.default_rng(4).normal(size=(17, 11)))
-        whole, _ = extract_embeddings(net, params, x, batch_size=17)
-        chunked, _ = extract_embeddings(net, params, x, batch_size=5)
+        whole, _ = extract_embeddings(net, params, x)  # one batch
+        monkeypatch.setattr(zoo, "EVAL_BATCH", 5)
+        chunked, _ = extract_embeddings(net, params, x)
         assert np.max(np.abs(whole - chunked)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["artist", "track", "fusion-lin", "fusion-h1", "sememb"])

@@ -206,8 +206,8 @@ def check_ratios(ratios: tuple[float, float, float]) -> None:
 def split_by_artist(
     m: FeedbackMatrix,
     am: dict[str, str],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
+    ratios: tuple[float, float, float],
+    seed: int,
 ) -> tuple[dict[str, FeedbackMatrix], dict[str, str]]:
     """Partition a feedback matrix by artist into train/val/test.
 

@@ -48,8 +48,7 @@ class TTestResult:
 
 def rank_items(user_factor: np.ndarray, item_factors: np.ndarray, k: int) -> np.ndarray:
     """Indices of the top-k dot-product scores, ties broken by item index."""
-    if k < 1:
-        raise ValueError("cutoff must be >= 1")
+    check_cutoff(k)
     if user_factor.shape[-1] != item_factors.shape[1]:
         raise ValueError("factor dimension mismatch")
     scores = item_factors @ user_factor

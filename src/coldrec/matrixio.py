@@ -99,9 +99,18 @@ def save_params(path, params: dict[str, dict[str, np.ndarray]]) -> None:
 
 
 def load_params(path) -> dict[str, dict[str, np.ndarray]]:
+    """A ParamSet written by `save_params`; a section not named
+    `layer:key:ndim:shape`, or whose payload does not fit that shape, is a
+    DataError naming the file and the section."""
     params: dict[str, dict[str, np.ndarray]] = {}
     for name, mat in load_matrix(path).items():
-        layer, key, ndim, shape_s = name.rsplit(":", 3)
-        shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
-        params.setdefault(layer, {})[key] = mat.reshape(shape)
+        try:
+            layer, key, ndim, shape_s = name.rsplit(":", 3)
+            shape = tuple(int(s) for s in shape_s.split(",")) if shape_s else ()
+            if len(shape) != int(ndim):
+                raise ValueError
+            params.setdefault(layer, {})[key] = mat.reshape(shape)
+        except ValueError:
+            raise DataError(f"{path}: section {name!r} does not name a layer:key:ndim:shape "
+                            f"tensor of its {mat.shape[0]}x{mat.shape[1]} payload") from None
     return params

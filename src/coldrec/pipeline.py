@@ -261,8 +261,12 @@ def _stage_train_track(cfg: PipelineConfig) -> None:
 def _checked_params(cfg: PipelineConfig, rel: str, net: NetworkSpec):
     """A trained net's parameters, each tensor of the shape `net` gives it; a
     mismatch (parameters trained on other inputs, or by an older build) is a
-    StageError naming the artifact, the tensor, both shapes and the stage to rerun."""
-    params = matrixio.load_params(_require(cfg, rel))
+    StageError naming the artifact, the tensor, both shapes and the stage to
+    rerun; so is a file that holds no parameters, named with its section."""
+    try:
+        params = matrixio.load_params(_require(cfg, rel))
+    except DataError as exc:
+        raise StageError(f"{exc}; rerun stage {_producer(rel)!r}") from None
     want = {f"{layer}/{key}": shape for layer, tensors in param_shapes(net).items()
             for key, shape in tensors.items()}
     got = {f"{layer}/{key}": t.shape for layer, tensors in params.items()

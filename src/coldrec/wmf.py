@@ -23,9 +23,6 @@ class WmfConfig:
     alpha: float = 40.0
     lam: float = 0.01
     iterations: int = 15
-    # stop early once a sweep improves the objective by less than this
-    # relative amount; None disables the check (and the per-sweep objective)
-    early_stop_tol: float | None = 1e-6
 
     def validate(self) -> None:
         if self.k < 1:
@@ -98,11 +95,8 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig, seed: int) -> FactorModel:
     """Alternating least squares on the binarized-preference WMF objective.
 
     Once per factorization: the initial factors and the item-major copy of
-    the counts. Once per sweep: a user and an item half-sweep (see
-    ``_half_sweep``). With early stopping on, the objective is read off the
-    item half-sweep's solves: with every item row at its optimum,
-    f = sum over nonzeros of (1 + alpha*count) - sum_r b_r . y_r + lam*|X|^2,
-    which equals ``als_objective`` without another pass over the nonzeros.
+    the counts. Then exactly ``cfg.iterations`` sweeps, each a user and an
+    item half-sweep (see ``_half_sweep``).
     """
     cfg.validate()
     if m.n_users == 0 or m.n_items == 0:
@@ -111,23 +105,15 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig, seed: int) -> FactorModel:
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
     item_rows = m.transpose()
-    conf_total = float(np.sum(1.0 + cfg.alpha * m.counts.astype(np.float64)))
-    prev_obj = None
     for sweep in range(1, cfg.iterations + 1):
         _half_sweep(x, y, m, cfg.alpha, cfg.lam, sweep, "user")
-        fit = _half_sweep(y, x, item_rows, cfg.alpha, cfg.lam, sweep, "item")
-        if cfg.early_stop_tol is not None:
-            obj = conf_total - fit + cfg.lam * float(np.sum(x * x))
-            if prev_obj is not None and prev_obj - obj < cfg.early_stop_tol * abs(prev_obj):
-                break
-            prev_obj = obj
+        _half_sweep(y, x, item_rows, cfg.alpha, cfg.lam, sweep, "item")
     return FactorModel(x, y)
 
 
 def _half_sweep(target: np.ndarray, other: np.ndarray, rows: FeedbackMatrix,
-                alpha: float, lam: float, sweep: int, side: str) -> float:
-    """Solve every row of ``target`` in place against the finite ``other``;
-    returns sum_r b_r . x_r over the solved rows.
+                alpha: float, lam: float, sweep: int, side: str) -> None:
+    """Solve every row of ``target`` in place against the finite ``other``.
 
     Row r solves (gram + Y_r^T diag(c_r - 1) Y_r + lam*I) x = Y_r^T c_r = b_r,
     with gram = Y^T Y, Y_r the rows of ``other`` at row r's nonzeros and
@@ -153,7 +139,6 @@ def _half_sweep(target: np.ndarray, other: np.ndarray, rows: FeedbackMatrix,
     lam_eye = lam * np.eye(k)
     conf = 1.0 + alpha * rows.counts.astype(np.float64)
     bound = conf.max(initial=1.0) * gram.diagonal().max() + lam
-    fit = 0.0
     if np.isfinite(2.0 * bound):
         indptr, indices = rows.indptr, rows.indices
         nnz = np.diff(indptr)
@@ -175,7 +160,7 @@ def _half_sweep(target: np.ndarray, other: np.ndarray, rows: FeedbackMatrix,
                 a[lo:hi] = gram + y_t @ ((c - 1.0)[..., None] * y_nz) + lam_eye
                 b[lo:hi] = (y_t @ c[..., None])[..., 0]
             try:
-                solved = solve_row(a, b)
+                target[chunk_rows] = solve_row(a, b)
             except np.linalg.LinAlgError:
                 # only here is the failing system looked for, one row at a time
                 for r, a_r in zip(chunk_rows, a):
@@ -186,10 +171,8 @@ def _half_sweep(target: np.ndarray, other: np.ndarray, rows: FeedbackMatrix,
                 raise ValueError(f"ALS system of {side} row {r} is not positive definite in "
                                  f"sweep {sweep} (alpha {alpha:g}, lambda {lam:g}); "
                                  f"raise lambda or lower k") from None
-            target[chunk_rows] = solved
-            fit += float(np.sum(b * solved))
         if np.isfinite(target).all():
-            return fit
+            return
     raise ValueError(f"ALS diverged: non-finite factors in sweep {sweep} "
                      f"(alpha {alpha:g}, lambda {lam:g}); lower alpha or raise lambda")
 

@@ -96,7 +96,7 @@ def _paired_gap(cfg, better, worse):
 def test_als_matches_gradient_descent_oracle():
     started = time.monotonic()
     m = random_matrix(8, 10, seed=29, density=0.5)
-    cfg = WmfConfig(k=3, alpha=10.0, lam=0.1, iterations=2000, early_stop_tol=None)
+    cfg = WmfConfig(k=3, alpha=10.0, lam=0.1, iterations=2000)
     model = factorize_wmf(m, cfg, 17)
     als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
     _, _, gd_obj = gradient_descent_oracle(

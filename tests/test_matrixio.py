@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -158,3 +159,14 @@ class TestParams:
             for key in params[layer]:
                 assert np.array_equal(out[layer][key], params[layer][key])
                 assert out[layer][key].shape == params[layer][key].shape
+
+    @pytest.mark.parametrize("name", ["rows", "trunk/0:W:2:x,3", "trunk/0:W:3:2,3",
+                                      "trunk/0:W:2:4,3"],
+                             ids=["foreign", "bad-shape", "bad-ndim", "short-payload"])
+    def test_section_that_is_not_a_tensor_names_file_and_section(self, tmp_path, name):
+        path = tmp_path / "p.csmx"
+        save_matrix(path, {name: np.ones((2, 3))})
+        with pytest.raises(DataError, match=re.escape(f"{path}: section {name!r} does not name "
+                                                      f"a layer:key:ndim:shape tensor of its "
+                                                      f"2x3 payload")):
+            load_params(path)

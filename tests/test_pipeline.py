@@ -287,13 +287,10 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
 
     def test_every_nested_config_field_is_a_key(self):
-        """A nested config holds only what a config file sets; `early_stop_tol`
-        stays settable in code alone, for the ALS oracles."""
         from coldrec.config import _TRAIN_KEYS, _WMF_KEYS
-        for cls, keys, code_only in ((WmfConfig, _WMF_KEYS, {"early_stop_tol"}),
-                                     (TrainConfig, _TRAIN_KEYS, set())):
+        for cls, keys in ((WmfConfig, _WMF_KEYS), (TrainConfig, _TRAIN_KEYS)):
             fields = {f.name for f in dataclasses.fields(cls)}
-            assert fields - code_only == set(keys.values()), cls.__name__
+            assert fields == set(keys.values()), cls.__name__
 
     def test_synthetic_spec_file(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -430,6 +427,20 @@ class TestStages:
         assert capsys.readouterr().err == (
             f"error: {rel} holds tensor {layer}/W as {(4 * rows, k)}, but the net built from "
             f"the current inputs needs {(rows, k)}; rerun stage {producer!r}\n")
+
+    def test_foreign_file_as_params_stops_extract(self, staged_run, tmp_path, capsys):
+        """Another CSMX file in place of the artist net's parameters ends in one
+        error line naming the file, its section and `train-artist`, not in an
+        unpacking error."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        shutil.copyfile(out / "features_text.csmx", out / "params_artist.csmx")
+        rows, cols = matrixio.load_matrix(str(out / "features_text.csmx"))["rows"].shape
+        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {out / 'params_artist.csmx'}: section 'rows' does not name a "
+            f"layer:key:ndim:shape tensor of its {rows}x{cols} payload; "
+            f"rerun stage 'train-artist'\n")
 
     def test_heads_on_stale_track_embeddings_stop_evaluate(self, staged_run, tmp_path, capsys):
         """Fusion heads trained on an older build's track embeddings (each column

@@ -49,9 +49,8 @@ def spd_stack(rng, n, k):
 
 def reference_factorize(m, cfg, seed):
     """Reference ALS with all work per row: every row gathers its factors, casts its
-    counts, rebuilds Y^T Y and lam*I, forms its own system and solves it alone, the
-    item rows are rebuilt from the dense counts on every sweep, and the objective
-    comes from the dense X Y^T. Returns the factors and the sweeps run."""
+    counts, rebuilds Y^T Y and lam*I, forms its own system and solves it alone, and
+    the item rows are rebuilt from the dense counts on every sweep."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
@@ -65,26 +64,17 @@ def reference_factorize(m, cfg, seed):
             target[r] = solve(other, rows.indices[lo:hi], rows.counts[lo:hi], cfg.alpha, cfg.lam)
 
     dense = to_dense(m)
-    prev_obj = None
-    for sweep in range(1, cfg.iterations + 1):
+    for _ in range(cfg.iterations):
         half_sweep(x, y, m)
         half_sweep(y, x, feedback(dense.T))
-        if cfg.early_stop_tol is not None:
-            pred = x @ y.T
-            obj = (float(np.sum((1.0 + cfg.alpha * dense) * ((dense > 0) - pred) ** 2))
-                   + cfg.lam * (float(np.sum(x * x)) + float(np.sum(y * y))))
-            if prev_obj is not None and prev_obj - obj < cfg.early_stop_tol * abs(prev_obj):
-                break
-            prev_obj = obj
-    return x, y, sweep
+    return x, y
 
 
 def assert_matches_reference(m, cfg, seed):
     model = factorize_wmf(m, cfg, seed)
-    x, y, sweeps = reference_factorize(m, cfg, seed)
+    x, y = reference_factorize(m, cfg, seed)
     assert np.array_equal(model.user_factors, x)
     assert np.array_equal(model.item_factors, y)
-    return sweeps
 
 
 def unsorted_feedback(dense):
@@ -190,7 +180,7 @@ class TestHalfSweep:
 
     def test_one_solve_per_nonempty_row(self):
         m = feedback(empty_rows(np.random.default_rng(3)))
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, early_stop_tol=None)
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3)
         dense = to_dense(m)
         nonempty = sum(np.count_nonzero(dense.any(axis=axis)) for axis in (0, 1))
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
@@ -220,7 +210,7 @@ class TestHalfSweep:
     @pytest.mark.parametrize("rows_per_chunk", [1, 3, 10])
     def test_chunks_leave_the_bits(self, monkeypatch, rows_per_chunk):
         m = feedback(long_rows(np.random.default_rng(2)))
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3, early_stop_tol=None)
+        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3)
         whole = factorize_wmf(m, cfg, 1)
         monkeypatch.setattr("coldrec.wmf.SOLVE_CHUNK_BYTES", rows_per_chunk * 8 * 4 * 5)
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
@@ -289,7 +279,7 @@ class TestObjective:
         m = random_matrix(n_users, n_items, seed=seed, density=density)
         alpha, lam = 40.0, 0.1
         if fitted:
-            cfg = WmfConfig(k=4, alpha=alpha, lam=lam, iterations=3, early_stop_tol=None)
+            cfg = WmfConfig(k=4, alpha=alpha, lam=lam, iterations=3)
             model = factorize_wmf(m, cfg, seed)
         else:
             rng = np.random.default_rng(seed)
@@ -337,7 +327,7 @@ class TestFactorize:
         dense[:, -1] = 0  # an empty item column
         m = unsorted_feedback(dense) if unsorted else feedback(dense)
         for k in (4, 16):
-            cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4, early_stop_tol=None)
+            cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4)
             assert_matches_reference(m, cfg, seed)
         model = factorize_wmf(m, cfg, seed)
         assert np.array_equal(model.user_factors[-1], np.zeros(16))
@@ -351,54 +341,24 @@ class TestFactorize:
         groups of one long row, and empty rows in both halves."""
         dense = make(np.random.default_rng(7))
         m = unsorted_feedback(dense) if unsorted else feedback(dense)
-        cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3, early_stop_tol=None)
+        cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3)
         assert_matches_reference(m, cfg, 5)
 
-    def test_bit_identical_with_early_stopping(self):
+    def test_runs_every_sweep(self):
+        """Each factorization runs all its sweeps, even long after the
+        objective has stopped improving by more than 1e-6 per sweep."""
         m = random_matrix(30, 20, seed=4, density=0.3)
-        settings = dict(k=16, alpha=40.0, lam=10.0)
-        cfg = WmfConfig(iterations=60, early_stop_tol=1e-4, **settings)
-        sweeps = assert_matches_reference(m, cfg, 4)
-        assert 1 < sweeps < cfg.iterations
-        # one sweep more or fewer gives other factors
-        stopped = factorize_wmf(m, cfg, 4).user_factors
-        for other in (sweeps - 1, sweeps + 1):
-            x, _, _ = reference_factorize(m, WmfConfig(iterations=other, early_stop_tol=None,
-                                                       **settings), 4)
-            assert not np.array_equal(stopped, x)
-
-    @pytest.mark.parametrize("make", [equal_nnz_rows, single_nonzero_rows, long_rows, empty_rows],
-                             ids=["equal-nnz", "single-nonzero", "over-100-nonzeros", "empty"])
-    def test_early_stopping_sweep_matches_reference_on_row_groups(self, make):
-        m = feedback(make(np.random.default_rng(7)))
-        cfg = WmfConfig(k=16, alpha=40.0, lam=10.0, iterations=60, early_stop_tol=1e-2)
-        sweeps = assert_matches_reference(m, cfg, 5)
-        assert 1 < sweeps < cfg.iterations
-
-    def test_objective_read_off_the_solves_matches_als_objective(self):
-        """After each item half-sweep, sum over nonzeros of (1 + alpha*count)
-        - sum_r b_r . y_r + lam*|X|^2, read off the solves, is the objective."""
-        m = random_matrix(30, 20, seed=4, density=0.3)
-        cfg = WmfConfig(k=8, alpha=40.0, lam=0.5, iterations=6, early_stop_tol=None)
-        seen = []
-
-        def spy(target, other, rows, alpha, lam, sweep, side):
-            fit = _half_sweep(target, other, rows, alpha, lam, sweep, side)
-            if side == "item":
-                read_off = (float(np.sum(1.0 + alpha * to_dense(m)[to_dense(m) > 0])) - fit
-                            + lam * float(np.sum(other * other)))
-                seen.append((read_off, als_objective(FactorModel(other, target), m, alpha, lam)))
-            return fit
-
-        with mock.patch("coldrec.wmf._half_sweep", side_effect=spy):
-            factorize_wmf(m, cfg, 2)
-        assert len(seen) == cfg.iterations
-        for read_off, exact in seen:
-            assert read_off == pytest.approx(exact, rel=1e-12)
+        cfg = WmfConfig(k=16, alpha=40.0, lam=10.0, iterations=60)
+        with mock.patch("coldrec.wmf._half_sweep", wraps=_half_sweep) as spy:
+            model = factorize_wmf(m, cfg, 4)
+        assert spy.call_count == 2 * cfg.iterations
+        x, y = reference_factorize(m, cfg, 4)
+        assert np.array_equal(model.user_factors, x)
+        assert np.array_equal(model.item_factors, y)
 
     def test_objective_monotone_over_sweeps(self):
         m = random_matrix(6, 8, seed=2)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=1, early_stop_tol=None)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=1)
         values = []
         for iters in range(1, 8):
             cfg.iterations = iters
@@ -496,7 +456,7 @@ class TestGradientDescentOracle:
 
     def test_als_solution_is_gd_optimal(self):
         m = random_matrix(5, 7, seed=21, density=0.5)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000, early_stop_tol=None)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000)
         model = factorize_wmf(m, cfg, 13)
         als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
         _, _, gd_obj = gradient_descent_oracle(
@@ -506,7 +466,7 @@ class TestGradientDescentOracle:
 
     def test_oracle_detects_suboptimal_factors(self):
         m = random_matrix(5, 7, seed=21, density=0.5)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000, early_stop_tol=None)
+        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000)
         model = factorize_wmf(m, cfg, 13)
         bad_users = model.user_factors * 1.2
         bad_obj = als_objective(

@@ -108,4 +108,7 @@ def load_spectrogram(path) -> Spectrogram:
     if len(payload) != expected:
         raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(bins, frames)
-    return Spectrogram(data.copy())
+    try:
+        return Spectrogram(data.copy())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

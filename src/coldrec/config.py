@@ -9,7 +9,6 @@ from dataclasses import MISSING, dataclass, field
 
 from .data import PARTS, DataError, check_ratios
 from .evaluate import check_cutoff
-from .textfeat import check_vocab_cap
 from .wmf import WmfConfig
 from .zoo import TrainConfig, check_patch_frames, check_scale
 
@@ -108,7 +107,6 @@ class PipelineConfig:
     split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
     eval_k: int = 500
     channel_scale: float = 0.125
-    vocab_cap: int = 10000
     patch_frames: int = 96
 
     wmf_songs: WmfConfig = field(default_factory=WmfConfig)
@@ -129,10 +127,10 @@ _PATH_KEYS = {"paths.triples": "triples", "paths.artist_map": "artist_map",
               "paths.documents": "documents", "paths.annotations": "annotations",
               "paths.kb": "kb", "paths.spectrograms": "spectrogram_dir", "paths.out": "out_dir"}
 _PIPELINE_KEYS = {"seed": "seed", "eval.k": "eval_k", "scale": "channel_scale",
-                  "text.vocab_cap": "vocab_cap", "audio.patch_frames": "patch_frames"}
+                  "audio.patch_frames": "patch_frames"}
 _SPLIT_KEYS = tuple(f"split.{part}" for part in PARTS)
-_WMF_KEYS = {"k": "k", "alpha": "alpha", "lambda": "lam", "iterations": "iterations"}
-_TRAIN_KEYS = {"batch": "batch_size", "epochs": "max_epochs", "patience": "patience", "lr": "lr"}
+_WMF_KEYS = {"k": "k", "iterations": "iterations"}
+_TRAIN_KEYS = {"epochs": "max_epochs", "patience": "patience", "lr": "lr"}
 _SYNTH_KEYS = {"users": "n_users", "artists": "n_artists", "songs_per_artist": "songs_per_artist",
                "latent_dim": "latent_dim", "text_noise": "text_noise",
                "audio_noise": "audio_noise", "density": "density",
@@ -164,7 +162,6 @@ def load_pipeline_config(path) -> PipelineConfig:
     _in_range(path, "eval.k", check_cutoff, settings["eval_k"])
     _in_range(path, "scale", check_scale, settings["channel_scale"])
     _in_range(path, "audio.patch_frames", check_patch_frames, settings["patch_frames"])
-    _in_range(path, "text.vocab_cap", check_vocab_cap, settings["vocab_cap"])
     _in_range(path, "split.*", check_ratios, split_ratios)
 
     def nested(cls, table, prefix):

@@ -124,11 +124,16 @@ def _tsv_lines(path, ids: tuple[str, ...], width: int):
             yield lineno, parts
 
 
+# most plays one triples line may count: a sum of fewer than 2**32 lines, as
+# duplicate lines and artist aggregation make, stays below 2**63
+MAX_COUNT = 2**31 - 1
+
+
 def load_triples(path) -> FeedbackMatrix:
     """Read a `user<TAB>item<TAB>count` TSV into a FeedbackMatrix.
 
-    Duplicate (user, item) lines sum their counts. Identifier order is
-    first-appearance order.
+    Each count is in [1, `MAX_COUNT`]. Duplicate (user, item) lines sum their
+    counts. Identifier order is first-appearance order.
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -140,8 +145,8 @@ def load_triples(path) -> FeedbackMatrix:
             count = int(count_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: count {count_s!r} is not an integer") from None
-        if count < 1:
-            raise DataError(f"{path}:{lineno}: count must be >= 1, got {count}")
+        if not 1 <= count <= MAX_COUNT:
+            raise DataError(f"{path}:{lineno}: count must be in [1, {MAX_COUNT}], got {count}")
         rows.append(user_index.setdefault(user, len(user_index)))
         cols.append(item_index.setdefault(item, len(item_index)))
         counts.append(count)
@@ -174,7 +179,7 @@ def load_artist_map(path) -> dict[str, str]:
 
 
 def save_artist_map(am: dict[str, str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for item, artist in am.items():
             fh.write(f"{item}\t{artist}\n")
 

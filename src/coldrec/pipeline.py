@@ -178,7 +178,7 @@ def _stage_vectorize(cfg: PipelineConfig) -> None:
     train_docs = [text for artist, text in docs.items() if assignment.get(artist) == "train"]
     if not train_docs:
         raise StageError("no training-artist documents to build a vocabulary from")
-    vocab = textfeat.build_vocab(train_docs, cfg.vocab_cap)
+    vocab = textfeat.build_vocab(train_docs)
     with replacing(cfg.out("vocab.json")) as fh:
         json.dump({"terms": vocab.terms, "df": vocab.doc_freq.tolist(),
                    "n_docs": vocab.n_docs}, fh)

@@ -14,6 +14,9 @@ from .data import DataError, replacing
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
+# most terms a vocabulary keeps, and so the width of a tf-idf row
+VOCAB_CAP = 10000
+
 # Ontology classes considered music-relevant; entities outside these are dropped.
 MUSIC_CLASSES = frozenset({
     "MusicalArtist", "Band", "MusicGenre", "MusicalWork",
@@ -82,20 +85,14 @@ def enrich_document(text: str, entities: list[str], kb: KbSnapshot) -> str:
     return " ".join([text, *appended])
 
 
-def check_vocab_cap(cap: int) -> None:
-    if cap < 1:
-        raise ValueError(f"vocabulary cap must be >= 1, got {cap}")
-
-
-def build_vocab(corpus: list[str], cap: int) -> Vocabulary:
-    """Top-``cap`` terms by document frequency, ties broken lexicographically."""
-    check_vocab_cap(cap)
+def build_vocab(corpus: list[str]) -> Vocabulary:
+    """The top `VOCAB_CAP` terms by document frequency, ties broken lexicographically."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
     df: Counter[str] = Counter()
     for text in corpus:
         df.update(set(tokenize(text)))
-    ranked = sorted(df, key=lambda t: (-df[t], t))[:cap]
+    ranked = sorted(df, key=lambda t: (-df[t], t))[:VOCAB_CAP]
     return Vocabulary(
         terms=ranked,
         index={t: i for i, t in enumerate(ranked)},
@@ -160,7 +157,7 @@ def load_annotations(path) -> AnnotationSet:
 
 
 def save_annotations(ann: AnnotationSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for artist_id, entities in ann.items():
             fh.write(json.dumps({"artist_id": artist_id, "entities": entities}) + "\n")
 
@@ -186,7 +183,7 @@ def load_kb_snapshot(path) -> KbSnapshot:
 
 
 def save_kb_snapshot(kb: KbSnapshot, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for eid, ent in kb.items():
             fh.write(json.dumps({
                 "entity_id": eid,

@@ -11,6 +11,10 @@ from .data import FeedbackMatrix
 
 # standard deviation of the random initial factors
 INIT_SCALE = 0.01
+# confidence of a play count c: 1 + ALPHA*c (Hu, Koren & Volinsky 2008)
+ALPHA = 40.0
+# L2 weight on both factor matrices
+LAMBDA = 0.01
 # bytes of row systems (k x k and a right-hand side each) solved as one stack, so
 # that a large k never holds every row's system at once; at k = 16, budgets from
 # 0.5 to 16 MiB timed alike, and at k = 200 a larger chunk was faster
@@ -20,17 +24,11 @@ SOLVE_CHUNK_BYTES = 8 << 20
 @dataclass
 class WmfConfig:
     k: int = 200
-    alpha: float = 40.0
-    lam: float = 0.01
     iterations: int = 15
 
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
@@ -96,7 +94,7 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig, seed: int) -> FactorModel:
 
     Once per factorization: the initial factors and the item-major copy of
     the counts. Then exactly ``cfg.iterations`` sweeps, each a user and an
-    item half-sweep (see ``_half_sweep``).
+    item half-sweep (see ``_half_sweep``) at `ALPHA` and `LAMBDA`.
     """
     cfg.validate()
     if m.n_users == 0 or m.n_items == 0:
@@ -106,8 +104,8 @@ def factorize_wmf(m: FeedbackMatrix, cfg: WmfConfig, seed: int) -> FactorModel:
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
     item_rows = m.transpose()
     for sweep in range(1, cfg.iterations + 1):
-        _half_sweep(x, y, m, cfg.alpha, cfg.lam, sweep, "user")
-        _half_sweep(y, x, item_rows, cfg.alpha, cfg.lam, sweep, "item")
+        _half_sweep(x, y, m, ALPHA, LAMBDA, sweep, "user")
+        _half_sweep(y, x, item_rows, ALPHA, LAMBDA, sweep, "item")
     return FactorModel(x, y)
 
 
@@ -168,11 +166,10 @@ def _half_sweep(target: np.ndarray, other: np.ndarray, rows: FeedbackMatrix,
                         np.linalg.cholesky(a_r)
                     except np.linalg.LinAlgError:
                         break
-                raise ValueError(f"ALS system of {side} row {r} is not positive definite in "
-                                 f"sweep {sweep} (alpha {alpha:g}, lambda {lam:g}); "
-                                 f"raise lambda or lower k") from None
+                raise ValueError(f"ALS system of {side} row {r} is not positive definite in sweep "
+                                 f"{sweep} (alpha {alpha:g}, lambda {lam:g}); lower k") from None
         if np.isfinite(target).all():
             return
     raise ValueError(f"ALS diverged: non-finite factors in sweep {sweep} "
-                     f"(alpha {alpha:g}, lambda {lam:g}); lower alpha or raise lambda")
+                     f"(alpha {alpha:g}, lambda {lam:g})")
 

@@ -19,6 +19,8 @@ FUSION_DROPOUT = 0.7
 TRACK_DROPOUT = 0.5
 TRACK_WIDTH = 4  # conv kernel width in frames
 TRACK_POOL = 4
+# rows per training step (one Adam update)
+BATCH_SIZE = 32
 # rows per eval-mode forward (validation, extraction and prediction); `pipeline`
 # reads extract's patches in chunks of this size
 EVAL_BATCH = 256
@@ -26,14 +28,11 @@ EVAL_BATCH = 256
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
     lr: float = 0.001
 
     def validate(self):
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError(f"max epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -210,8 +209,8 @@ def train_mapping(net: NetworkSpec, features, targets: np.ndarray,
                 raise ValueError(f"{n_feat} feature rows vs {n} target rows")
             order = shuffle_rng.permutation(n)
             train_loss = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
+            for start in range(0, n, BATCH_SIZE):
+                idx = order[start:start + BATCH_SIZE]
                 # a step's caches stay bound until the next step's forward replaces
                 # them: freed at the end of each step instead, glibc trimmed the heap
                 # and faulted it back in (desk-train on a 2-CPU VM: 3x the page

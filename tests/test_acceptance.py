@@ -18,7 +18,7 @@ import pytest
 from scipy import integrate, special
 
 from coldrec import evaluate as ev
-from coldrec import matrixio, synth, textfeat, zoo
+from coldrec import matrixio, synth, textfeat, wmf, zoo
 from coldrec.config import load_pipeline_config, write_kv_file
 from coldrec.data import PARTS, aggregate_to_artist, split_by_artist
 from coldrec.nn import LayerSpec, NetworkSpec, infer_shapes, init_params
@@ -93,15 +93,17 @@ def _paired_gap(cfg, better, worse):
 # ---------------------------------------------------------------------------
 # 1. ALS oracle equivalence
 
-def test_als_matches_gradient_descent_oracle():
+def test_als_matches_gradient_descent_oracle(monkeypatch):
     started = time.monotonic()
+    alpha, lam = 10.0, 0.1
+    monkeypatch.setattr(wmf, "ALPHA", alpha)
+    monkeypatch.setattr(wmf, "LAMBDA", lam)
     m = random_matrix(8, 10, seed=29, density=0.5)
-    cfg = WmfConfig(k=3, alpha=10.0, lam=0.1, iterations=2000)
-    model = factorize_wmf(m, cfg, 17)
-    als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
+    model = factorize_wmf(m, WmfConfig(k=3, iterations=2000), 17)
+    als_obj = als_objective(model, m, alpha, lam)
     _, _, gd_obj = gradient_descent_oracle(
         model.user_factors, model.item_factors,
-        to_dense(m).astype(float), cfg.alpha, cfg.lam)
+        to_dense(m).astype(float), alpha, lam)
     assert als_obj == pytest.approx(gd_obj, rel=1e-5)
     assert time.monotonic() - started < 5.0
 
@@ -250,8 +252,7 @@ def test_enrichment_beats_plain_documents():
 
     def evaluate(docs):
         vocab = textfeat.build_vocab(
-            [text for artist, text in docs.items() if assignment.get(artist) == "train"],
-            10000)
+            [text for artist, text in docs.items() if assignment.get(artist) == "train"])
         x_train = textfeat.tfidf_matrix([docs[a] for a in train_a.item_ids], vocab)
         perm = np.random.default_rng(11).permutation(x_train.shape[0])
         n_val = max(1, len(perm) // 5)
@@ -260,7 +261,7 @@ def test_enrichment_beats_plain_documents():
         # input dropout on the tf-idf vector, ahead of the pipeline's artist net
         net = NetworkSpec(trunk=[LayerSpec("dropout", rate=0.5)] + plain.trunk,
                           input_shapes=plain.input_shapes, embed_tap=plain.embed_tap + 1)
-        tc = zoo.TrainConfig(batch_size=32, max_epochs=80, patience=15, lr=0.0005)
+        tc = zoo.TrainConfig(max_epochs=80, patience=15, lr=0.0005)
         params, _ = zoo.train_mapping(net, x_train[fit], model.item_factors[fit],
                                       x_train[val], model.item_factors[val], tc, 2)
         x_test = textfeat.tfidf_matrix([docs[a] for a in test_a.item_ids], vocab)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -116,6 +117,17 @@ class TestSpectrogramFile:
         save_spectrogram(s, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="payload"):
+            load_spectrogram(path)
+
+    @pytest.mark.parametrize("bins, frames, payload, problem", [
+        (2, 3, [1.0, 2.0, np.nan, 4.0, 5.0, 6.0], "spectrogram contains non-finite values"),
+        (0, 100, [], "spectrogram must be a bins x frames matrix, got shape (0, 100)"),
+    ], ids=["nan", "zero-bins"])
+    def test_bad_values_name_the_file(self, tmp_path, bins, frames, payload, problem):
+        path = tmp_path / "x.cqts"
+        path.write_bytes(b"CQTS" + struct.pack("<IIIII", 1, bins, frames, 22050, 1024)
+                         + np.array(payload, dtype="<f4").tobytes())
+        with pytest.raises(DataError, match=re.escape(f"{path}: {problem}")):
             load_spectrogram(path)
 
     @settings(max_examples=20, deadline=None)

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 from test_pipeline import staged_run  # noqa: F401  (a fixture: one tiny pipeline run)
 
@@ -50,6 +51,40 @@ def test_desk_config_is_the_same_in_script_acceptance_suite_and_bench(tmp_path):
     assert len(values["bench"]) == len(workloads.DESK_CONFIG) - 7  # the seven paths
 
 
+# pipeline config keys that neither the experiment script nor a bench workload
+# writes, each with the reason it stays a key
+UNWRITTEN_KEYS = {
+    **dict.fromkeys(("split.train", "split.val", "split.test"),
+                    "whether the val part stays is ROADMAP item 6's decision"),
+    **dict.fromkeys(("train.artist.lr", "train.track.lr"),
+                    "one TrainConfig serves all three nets, and the bench sets train.fusion.lr"),
+}
+
+
+def test_every_config_key_is_written_by_the_script_or_a_workload(tmp_path):
+    """A setting that no program writes takes one value in every run, so it
+    is a constant in the code (`wmf.ALPHA`, `zoo.BATCH_SIZE`, ...), not a
+    config key. The keys are those `load_pipeline_config` asks for; the
+    exceptions are `UNWRITTEN_KEYS`."""
+    from coldrec import config
+
+    workloads = load_file(ROOT / "bench" / "workloads.py", "bench_workloads")
+    script = load_file(ROOT / "scripts" / "run_synthetic_experiment.py", "desk_script")
+    script_cfg = script.build_config(str(tmp_path), seed=3)
+    asked = []
+    real_get = config._Reader.get
+
+    def recording_get(self, key, *args):
+        asked.append(key)
+        return real_get(self, key, *args)
+
+    with mock.patch.object(config._Reader, "get", recording_get):
+        config.load_pipeline_config(script_cfg)
+    written = set(config.parse_kv_file(script_cfg)).union(
+        *(w.config for w in workloads.WORKLOADS.values()))
+    assert set(asked) - written == set(UNWRITTEN_KEYS)
+
+
 def test_bench_stage_and_layer_names_match_coldrec():
     from coldrec import nn, pipeline
 
@@ -79,7 +114,7 @@ def test_bench_tracer_patches_existing_names_and_restores_them():
         assert dict(vars(m)) == before[m], m.__name__
 
 
-def test_bench_tracer_counts_adam_updates_and_pruned_backward():
+def test_bench_tracer_counts_adam_updates_and_pruned_backward(monkeypatch):
     """A 2-step training run under the tracer: the Adam counter reads every
     updated element, and backward spans stop at the lowest trained layer."""
     import numpy as np
@@ -93,7 +128,8 @@ def test_bench_tracer_counts_adam_updates_and_pruned_backward():
                       input_shapes={"": (5,)})
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(8, 5)), rng.normal(size=(8, 3))
-    cfg = zoo.TrainConfig(batch_size=4, max_epochs=1, patience=1)
+    monkeypatch.setattr(zoo, "BATCH_SIZE", 4)
+    cfg = zoo.TrainConfig(max_epochs=1, patience=1)
     tracer = tracing.Tracer("t")
     try:
         tracing.install(tracer)

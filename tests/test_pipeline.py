@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import coldrec
-from coldrec import audio, matrixio, nn, pipeline, synth
+from coldrec import audio, matrixio, nn, pipeline, synth, wmf
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (PipelineConfig, load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
@@ -264,14 +265,11 @@ class TestConfig:
     @pytest.mark.parametrize("key, problem", [
         ("eval.k", "eval.k: cutoff must be >= 1, got 0"),
         ("wmf.songs.k", "wmf.songs.*: k must be >= 1"),
-        ("wmf.artists.lambda", "wmf.artists.*: lambda must be > 0"),
         ("train.artist.patience", "train.artist.*: patience must be >= 1"),
         ("train.track.lr", "train.track.*: learning rate must be > 0, got 0.0"),
-        ("train.fusion.batch", "train.fusion.*: batch size must be >= 1"),
         ("scale", "scale: scale must be in (0, 1], got 2"),
         ("audio.patch_frames", "audio.patch_frames: patch of 63 frames is too short for the "
                                "pooling pyramid (needs >= 64)"),
-        ("text.vocab_cap", "text.vocab_cap: vocabulary cap must be >= 1, got 0"),
         ("split.val", "split.*: split ratio for 'val' must be >= 0, got -0.1"),
         ("split.train", "split.*: split ratios must sum to 1, got (0.0, 0.15, 0.15)"),
         ("paths.kb", "paths.kb: empty path"),
@@ -285,6 +283,21 @@ class TestConfig:
         path = write_config(tmp_path / "p.cfg", "data", "out", **{key: value})
         assert main(["split", "--config", str(path)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("wmf.songs.alpha", 40), ("wmf.artists.alpha", 40),
+        ("wmf.songs.lambda", 0.01), ("wmf.artists.lambda", 0.01),
+        ("train.artist.batch", 32), ("train.track.batch", 32), ("train.fusion.batch", 32),
+        ("text.vocab_cap", 10000),
+    ])
+    def test_setting_fixed_by_the_code_stops_config_load(self, tmp_path, capsys, key, value):
+        """The ALS weights, the training batch and the vocabulary cap are the
+        constants `wmf.ALPHA`, `wmf.LAMBDA`, `zoo.BATCH_SIZE` and
+        `textfeat.VOCAB_CAP`: a config that sets one, even to its value, stops
+        every stage at load with one error line naming the file and the key."""
+        path = write_config(tmp_path / "p.cfg", "data", "out", **{key: value})
+        assert main(["split", "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: unknown key(s) {key!r}\n"
 
     def test_every_nested_config_field_is_a_key(self):
         from coldrec.config import _TRAIN_KEYS, _WMF_KEYS
@@ -339,7 +352,7 @@ class TestConfig:
             **dataset_paths(tmp_path / "data"), out_dir=str(tmp_path / "out") + "/",
             seed=3, channel_scale=0.125, split_ratios=(0.8, 0.1, 0.1),
             wmf_songs=WmfConfig(k=16), wmf_artists=WmfConfig(k=16),
-            vocab_cap=10000, patch_frames=96,
+            patch_frames=96,
             train_artist=TrainConfig(max_epochs=40),
             train_track=TrainConfig(max_epochs=25), train_fusion=TrainConfig(),
             eval_k=500)
@@ -630,6 +643,23 @@ class TestStages:
                 f"no spectrogram file for song {song!r} at {specs / song}.cqts")):
             run_stage(cfg, stage)
 
+    def test_non_finite_spectrogram_names_its_file(self, staged_run, tmp_path, capsys):
+        """One NaN in a training song's spectrogram ends `train-track` in one
+        error line naming that song's file, one of the thousands a run reads."""
+        song = matrixio.load_ids(staged_run.cfg.out("factors_songs.items.ids"))[3]
+        specs = tmp_path / "spectrograms"
+        shutil.copytree(staged_run.cfg.spectrogram_dir, specs)
+        path = specs / f"{song}.cqts"
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = struct.pack("<f", float("nan"))  # the last frame of the last bin
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(out), **{"paths.spectrograms": str(specs)})
+        assert main(["train-track", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}: spectrogram contains non-finite values\n"
+
     def test_one_training_song_is_value_error(self, staged_run, tmp_path):
         """A single training song leaves no validation patch to read the width
         from: `train-track` stops with early stopping's ValueError."""
@@ -848,6 +878,24 @@ class TestCli:
         assert err == f"error: {triples}:7: empty {name} id\n"
         assert not os.path.exists(tmp_path / "out" / "splits")
 
+    @pytest.mark.parametrize("counts", [[10**29], [2**63 - 1, 5]],
+                             ids=["beyond-int64", "duplicates-wrap-int64"])
+    def test_oversized_count_in_triples_is_data_exit(self, staged_run, tmp_path, capsys, counts):
+        """A play count above `data.MAX_COUNT` ends `split` in one error line
+        naming the file and the line, before any artifact is written: one count
+        beyond int64, or duplicate lines whose int64 sum would wrap."""
+        lines = Path(staged_run.cfg.triples).read_text(encoding="utf-8").splitlines(True)
+        user, item, _ = lines[6].split("\t")
+        lines[6:7] = [f"{user}\t{item}\t{count}\n" for count in counts]
+        triples = tmp_path / "triples.tsv"
+        triples.write_text("".join(lines), encoding="utf-8")
+        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
+                                str(tmp_path / "out"), **{"paths.triples": str(triples)})
+        assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {triples}:7: count must be in "
+                                           f"[1, 2147483647], got {counts[0]}\n")
+        assert not os.path.exists(tmp_path / "out" / "splits")
+
     @pytest.mark.parametrize("field", [0, 1], ids=["item", "artist"])
     def test_empty_id_in_artist_map_is_data_exit(self, staged_run, tmp_path, capsys, field):
         """An artist map line with an empty item or artist id ends `split` in one
@@ -996,29 +1044,32 @@ class TestCli:
         assert re.fullmatch(r"error: [^\n]*epochs[^\n]*\n", err), err
         assert not os.path.exists(out / "params_artist.csmx")
 
-    def test_diverging_als_is_data_exit(self, staged_run, tmp_path, capsys, recwarn):
+    def test_diverging_als_is_data_exit(self, staged_run, tmp_path, capsys, recwarn,
+                                        monkeypatch):
         """An alpha so high that ALS overflows ends in one error line that names
         the sweep, alpha and lambda, with no numpy warnings before it."""
+        monkeypatch.setattr(wmf, "ALPHA", 1e308)
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
-        cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
-                                str(out), **{"wmf.songs.alpha": 1e308})
-        assert main(["factorize-songs", "--config", str(cfg_path)]) == EXIT_DATA
+        assert main(["factorize-songs", "--config", str(staged_run.cfg_path),
+                     "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: ALS diverged: non-finite factors in sweep \d+ "
-                            r"\(alpha 1e\+308, lambda [0-9.e+-]+\); .*\n", err), err
+                            r"\(alpha 1e\+308, lambda 0\.01\)\n", err), err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
-    def test_singular_als_system_is_data_exit(self, staged_run, tmp_path, capsys):
+    def test_singular_als_system_is_data_exit(self, staged_run, tmp_path, capsys, recwarn,
+                                              monkeypatch):
         """k above the number of training artists with a vanishing lambda leaves
         an artist-factor row system singular: one error line that names the
-        sweep, the row, alpha and lambda."""
+        sweep, the row, alpha and lambda, with no numpy warnings before it."""
+        monkeypatch.setattr(wmf, "LAMBDA", 1e-20)
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
         cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
-                                str(out), **{"wmf.artists.k": 64, "wmf.artists.lambda": 1e-20})
+                                str(out), **{"wmf.artists.k": 64})
         assert main(["factorize-artists", "--config", str(cfg_path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: ALS system of (user|item) row \d+ is not positive definite "
-                            r"in sweep 1 \(alpha [0-9.e+-]+, lambda 1e-20\); "
-                            r"raise lambda or lower k\n", err), err
+                            r"in sweep 1 \(alpha 40, lambda 1e-20\); lower k\n", err), err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

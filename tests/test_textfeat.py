@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coldrec import textfeat
 from coldrec.data import DataError
 from coldrec.textfeat import (KbEntity,
                               build_vocab, enrich_document,
@@ -100,38 +101,40 @@ class TestEnrich:
 
 
 class TestVocab:
-    def test_df_ranking_with_ties(self):
+    def test_df_ranking_with_ties(self, monkeypatch):
+        monkeypatch.setattr(textfeat, "VOCAB_CAP", 2)
         corpus = ["aa bb", "bb cc"]
-        vocab = build_vocab(corpus, cap=2)
+        vocab = build_vocab(corpus)
         assert vocab.terms == ["bb", "aa"]
         assert vocab.doc_freq.tolist() == [2, 1]
         assert vocab.n_docs == 2
 
     def test_cap_slack_keeps_all(self):
         corpus = ["aa bb cc"]
-        vocab = build_vocab(corpus, cap=100)
+        vocab = build_vocab(corpus)
         assert sorted(vocab.terms) == ["aa", "bb", "cc"]
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(textfeat, "VOCAB_CAP", 3)
         corpus = ["xx yy zz yy", "zz ww"]
-        v1 = build_vocab(corpus, cap=3)
-        v2 = build_vocab(corpus, cap=3)
+        v1 = build_vocab(corpus)
+        v2 = build_vocab(corpus)
         assert v1.terms == v2.terms
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            build_vocab([], cap=5)
+            build_vocab([])
 
     def test_df_counts_documents_not_occurrences(self):
         corpus = ["aa aa aa", "bb"]
-        vocab = build_vocab(corpus, cap=10)
+        vocab = build_vocab(corpus)
         assert vocab.doc_freq[vocab.index["aa"]] == 1
 
 
 class TestTfidf:
     def test_hand_computed_example(self):
         corpus = ["aa bb aa", "bb cc"]
-        vocab = build_vocab(corpus, cap=10)
+        vocab = build_vocab(corpus)
         vec = tfidf_transform(corpus[0], vocab)
         idf_aa = math.log(3 / 2) + 1
         raw = np.zeros(vocab.size)
@@ -144,19 +147,19 @@ class TestTfidf:
         assert vec[vocab.index["bb"]] == pytest.approx(0.3351750, abs=1e-6)
 
     def test_out_of_vocabulary_is_zero(self):
-        vocab = build_vocab(["aa bb"], cap=10)
+        vocab = build_vocab(["aa bb"])
         vec = tfidf_transform("zz qq", vocab)
         assert np.array_equal(vec, np.zeros(vocab.size))
 
     def test_single_term_unit_weight(self):
-        vocab = build_vocab(["aa bb"], cap=10)
+        vocab = build_vocab(["aa bb"])
         vec = tfidf_transform("aa", vocab)
         assert vec[vocab.index["aa"]] == pytest.approx(1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), min_size=0, max_size=20))
     def test_norm_is_one_unless_empty(self, tokens):
-        vocab = build_vocab(["aa bb", "cc dd"], cap=10)
+        vocab = build_vocab(["aa bb", "cc dd"])
         vec = tfidf_transform(" ".join(tokens), vocab)
         norm = np.linalg.norm(vec)
         if tokens:

@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+from coldrec import wmf
 from coldrec.data import FeedbackMatrix
 from coldrec.evaluate import rank_items
 from coldrec.wmf import (INIT_SCALE, FactorModel, WmfConfig, _half_sweep, als_objective,
                          factorize_wmf, solve_row)
 from feedback_oracle import feedback, to_dense
+
+
+@pytest.fixture
+def weights(monkeypatch):
+    """Sets the confidence scale and L2 weight that `factorize_wmf` runs with;
+    `weights(alpha, lam)` returns them."""
+    def set_weights(alpha, lam):
+        monkeypatch.setattr(wmf, "ALPHA", alpha)
+        monkeypatch.setattr(wmf, "LAMBDA", lam)
+        return alpha, lam
+    return set_weights
 
 
 def random_matrix(n_users, n_items, seed=0, density=0.5):
@@ -50,7 +62,8 @@ def spd_stack(rng, n, k):
 def reference_factorize(m, cfg, seed):
     """Reference ALS with all work per row: every row gathers its factors, casts its
     counts, rebuilds Y^T Y and lam*I, forms its own system and solves it alone, and
-    the item rows are rebuilt from the dense counts on every sweep."""
+    the item rows are rebuilt from the dense counts on every sweep. It reads the
+    same `wmf.ALPHA` and `wmf.LAMBDA` as `factorize_wmf`."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, INIT_SCALE, size=(m.n_users, cfg.k))
     y = rng.normal(0.0, INIT_SCALE, size=(m.n_items, cfg.k))
@@ -61,7 +74,8 @@ def reference_factorize(m, cfg, seed):
             if lo == hi:
                 target[r] = np.zeros(cfg.k)
                 continue
-            target[r] = solve(other, rows.indices[lo:hi], rows.counts[lo:hi], cfg.alpha, cfg.lam)
+            target[r] = solve(other, rows.indices[lo:hi], rows.counts[lo:hi],
+                              wmf.ALPHA, wmf.LAMBDA)
 
     dense = to_dense(m)
     for _ in range(cfg.iterations):
@@ -173,27 +187,29 @@ class TestHalfSweep:
         assert np.array_equal(target[0], solve(y, [1, 4], [2, 1], 10.0, 0.1))
         assert np.array_equal(target[2], solve(y, [0], [3], 10.0, 0.1))
 
-    def test_matrix_without_plays_gives_zero_factors(self):
+    def test_matrix_without_plays_gives_zero_factors(self, weights):
+        weights(40.0, 0.1)
         m = feedback(np.zeros((3, 4), dtype=np.int64))
-        model = factorize_wmf(m, WmfConfig(k=2, alpha=40.0, lam=0.1, iterations=3), 0)
+        model = factorize_wmf(m, WmfConfig(k=2, iterations=3), 0)
         assert not model.user_factors.any() and not model.item_factors.any()
 
-    def test_one_solve_per_nonempty_row(self):
+    def test_one_solve_per_nonempty_row(self, weights):
+        weights(40.0, 0.1)
         m = feedback(empty_rows(np.random.default_rng(3)))
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3)
+        cfg = WmfConfig(k=4, iterations=3)
         dense = to_dense(m)
         nonempty = sum(np.count_nonzero(dense.any(axis=axis)) for axis in (0, 1))
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
             factorize_wmf(m, cfg, 0)
         assert sum(len(call.args[1]) for call in spy.call_args_list) == cfg.iterations * nonempty
 
-    def test_not_positive_definite_names_row(self):
+    def test_not_positive_definite_names_row(self, weights):
         # k = 16 over two items: every user system is lam*I plus rank <= 2
+        weights(40.0, 1e-20)
         m = feedback(np.array([[1, 2], [0, 3], [4, 0]]))
         with pytest.raises(ValueError, match=r"^ALS system of user row 1 is not positive definite "
-                                             r"in sweep 1 \(alpha 40, lambda 1e-20\); "
-                                             r"raise lambda or lower k$"):
-            factorize_wmf(m, WmfConfig(k=16, alpha=40.0, lam=1e-20), 0)
+                                             r"in sweep 1 \(alpha 40, lambda 1e-20\); lower k$"):
+            factorize_wmf(m, WmfConfig(k=16), 0)
 
     def test_not_positive_definite_row_inside_a_chunk_is_named(self, monkeypatch):
         # chunks of 3 rows over 7 one-nonzero rows; with alpha < 0 only row 4,
@@ -208,9 +224,10 @@ class TestHalfSweep:
                         sweep=2, side="user")
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 3, 10])
-    def test_chunks_leave_the_bits(self, monkeypatch, rows_per_chunk):
+    def test_chunks_leave_the_bits(self, monkeypatch, weights, rows_per_chunk):
+        weights(40.0, 0.1)
         m = feedback(long_rows(np.random.default_rng(2)))
-        cfg = WmfConfig(k=4, alpha=40.0, lam=0.1, iterations=3)
+        cfg = WmfConfig(k=4, iterations=3)
         whole = factorize_wmf(m, cfg, 1)
         monkeypatch.setattr("coldrec.wmf.SOLVE_CHUNK_BYTES", rows_per_chunk * 8 * 4 * 5)
         with mock.patch("coldrec.wmf.solve_row", wraps=solve_row) as spy:
@@ -274,13 +291,13 @@ class TestObjective:
         (1, 1, 1.0, 0), (7, 5, 0.0, 1), (12, 30, 0.1, 2), (20, 9, 1.0, 3), (40, 60, 0.3, 4),
     ])
     @pytest.mark.parametrize("fitted", [False, True], ids=["random", "fitted"])
-    def test_matches_dense_prediction_oracle(self, n_users, n_items, density, seed, fitted):
+    def test_matches_dense_prediction_oracle(self, weights, n_users, n_items, density, seed,
+                                             fitted):
         """The Gram-trick objective equals the one from the dense X Y^T matrix."""
         m = random_matrix(n_users, n_items, seed=seed, density=density)
-        alpha, lam = 40.0, 0.1
+        alpha, lam = weights(40.0, 0.1)
         if fitted:
-            cfg = WmfConfig(k=4, alpha=alpha, lam=lam, iterations=3)
-            model = factorize_wmf(m, cfg, seed)
+            model = factorize_wmf(m, WmfConfig(k=4, iterations=3), seed)
         else:
             rng = np.random.default_rng(seed)
             model = FactorModel(rng.normal(size=(n_users, 4)), rng.normal(size=(n_items, 4)))
@@ -307,27 +324,26 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, iterations=0), 0)
 
-    def test_zero_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda must be > 0"):
-            factorize_wmf(random_matrix(2, 2), WmfConfig(k=2, lam=0.0), 0)
-
-    def test_alpha_overflow_is_one_value_error(self, recwarn):
-        with pytest.raises(ValueError, match=r"sweep \d+ \(alpha 1e\+308, lambda 0\.01\)"):
-            factorize_wmf(random_matrix(6, 8, seed=2), WmfConfig(k=3, alpha=1e308), 1)
+    def test_alpha_overflow_is_one_value_error(self, weights, recwarn):
+        weights(1e308, wmf.LAMBDA)
+        with pytest.raises(ValueError, match=r"sweep \d+ \(alpha 1e\+308, lambda 0\.01\)$"):
+            factorize_wmf(random_matrix(6, 8, seed=2), WmfConfig(k=3), 1)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("n_users, n_items, density, seed", [
         (6, 8, 0.5, 0), (30, 20, 0.2, 1), (40, 60, 0.1, 2),
     ])
     @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
-    def test_bit_identical_to_per_row_formula(self, n_users, n_items, density, seed, unsorted):
+    def test_bit_identical_to_per_row_formula(self, weights, n_users, n_items, density, seed,
+                                              unsorted):
+        weights(40.0, 0.1)
         m = random_matrix(n_users, n_items, seed=seed, density=density)
         dense = to_dense(m)
         dense[-1, :] = 0  # an empty user row
         dense[:, -1] = 0  # an empty item column
         m = unsorted_feedback(dense) if unsorted else feedback(dense)
         for k in (4, 16):
-            cfg = WmfConfig(k=k, alpha=40.0, lam=0.1, iterations=4)
+            cfg = WmfConfig(k=k, iterations=4)
             assert_matches_reference(m, cfg, seed)
         model = factorize_wmf(m, cfg, seed)
         assert np.array_equal(model.user_factors[-1], np.zeros(16))
@@ -336,19 +352,21 @@ class TestFactorize:
     @pytest.mark.parametrize("make", [equal_nnz_rows, single_nonzero_rows, long_rows, empty_rows],
                              ids=["equal-nnz", "single-nonzero", "over-100-nonzeros", "empty"])
     @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
-    def test_bit_identical_on_row_groups(self, make, unsorted):
+    def test_bit_identical_on_row_groups(self, weights, make, unsorted):
         """Row shapes that group unusually: one large group, groups of one nonzero,
         groups of one long row, and empty rows in both halves."""
+        weights(40.0, 0.1)
         dense = make(np.random.default_rng(7))
         m = unsorted_feedback(dense) if unsorted else feedback(dense)
-        cfg = WmfConfig(k=16, alpha=40.0, lam=0.1, iterations=3)
+        cfg = WmfConfig(k=16, iterations=3)
         assert_matches_reference(m, cfg, 5)
 
-    def test_runs_every_sweep(self):
+    def test_runs_every_sweep(self, weights):
         """Each factorization runs all its sweeps, even long after the
         objective has stopped improving by more than 1e-6 per sweep."""
+        weights(40.0, 10.0)
         m = random_matrix(30, 20, seed=4, density=0.3)
-        cfg = WmfConfig(k=16, alpha=40.0, lam=10.0, iterations=60)
+        cfg = WmfConfig(k=16, iterations=60)
         with mock.patch("coldrec.wmf._half_sweep", wraps=_half_sweep) as spy:
             model = factorize_wmf(m, cfg, 4)
         assert spy.call_count == 2 * cfg.iterations
@@ -356,46 +374,50 @@ class TestFactorize:
         assert np.array_equal(model.user_factors, x)
         assert np.array_equal(model.item_factors, y)
 
-    def test_objective_monotone_over_sweeps(self):
+    def test_objective_monotone_over_sweeps(self, weights):
+        alpha, lam = weights(10, 0.1)
         m = random_matrix(6, 8, seed=2)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=1)
+        cfg = WmfConfig(k=3, iterations=1)
         values = []
         for iters in range(1, 8):
             cfg.iterations = iters
             model = factorize_wmf(m, cfg, 3)
-            values.append(als_objective(model, m, cfg.alpha, cfg.lam))
+            values.append(als_objective(model, m, alpha, lam))
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-9
 
-    def test_deterministic(self):
+    def test_deterministic(self, weights):
+        weights(10, 0.1)
         m = random_matrix(5, 7, seed=4)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=5)
+        cfg = WmfConfig(k=3, iterations=5)
         m1 = factorize_wmf(m, cfg, 9)
         m2 = factorize_wmf(m, cfg, 9)
         assert np.array_equal(m1.user_factors, m2.user_factors)
         assert np.array_equal(m1.item_factors, m2.item_factors)
 
-    def test_zero_interaction_user_gets_zero_row(self):
+    def test_zero_interaction_user_gets_zero_row(self, weights):
+        weights(10, 0.1)
         dense = np.array([[2, 3], [0, 0]])
         m = feedback(dense)
-        model = factorize_wmf(m, WmfConfig(k=2, alpha=10, lam=0.1, iterations=3), 0)
+        model = factorize_wmf(m, WmfConfig(k=2, iterations=3), 0)
         assert np.array_equal(model.user_factors[1], np.zeros(2))
 
-    def test_row_solve_optimality(self):
+    def test_row_solve_optimality(self, weights):
         # a freshly solved row is a minimizer of its partial objective
+        alpha, lam = weights(10, 0.1)
         m = random_matrix(5, 7, seed=6)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=10)
+        cfg = WmfConfig(k=3, iterations=10)
         model = factorize_wmf(m, cfg, 1)
         dense = to_dense(m)
         u = 0
         lo, hi = m.indptr[u], m.indptr[u + 1]
-        solved = solve(model.item_factors, m.indices[lo:hi], m.counts[lo:hi], cfg.alpha, cfg.lam)
+        solved = solve(model.item_factors, m.indices[lo:hi], m.counts[lo:hi], alpha, lam)
 
         def partial(row):
-            conf = 1.0 + cfg.alpha * dense[u]
+            conf = 1.0 + alpha * dense[u]
             p = (dense[u] > 0).astype(float)
             resid = p - model.item_factors @ row
-            return float(conf @ resid**2) + cfg.lam * float(row @ row)
+            return float(conf @ resid**2) + lam * float(row @ row)
 
         base = partial(solved)
         for j in range(cfg.k):
@@ -404,9 +426,10 @@ class TestFactorize:
                 perturbed[j] += delta
                 assert partial(perturbed) >= base - 1e-12
 
-    def test_ranking_invariant_under_item_scaling(self):
+    def test_ranking_invariant_under_item_scaling(self, weights):
+        weights(10, 0.1)
         m = random_matrix(5, 7, seed=8)
-        model = factorize_wmf(m, WmfConfig(k=3, alpha=10, lam=0.1, iterations=5), 2)
+        model = factorize_wmf(m, WmfConfig(k=3, iterations=5), 2)
         for u in range(5):
             assert np.array_equal(rank_items(model.user_factors[u], model.item_factors, 7),
                                   rank_items(model.user_factors[u], 3.7 * model.item_factors, 7))
@@ -454,24 +477,24 @@ class TestGradientDescentOracle:
     # different basins; the oracle therefore polishes the ALS solution and
     # must find nothing left to gain
 
-    def test_als_solution_is_gd_optimal(self):
+    def test_als_solution_is_gd_optimal(self, weights):
+        alpha, lam = weights(10, 0.1)
         m = random_matrix(5, 7, seed=21, density=0.5)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000)
-        model = factorize_wmf(m, cfg, 13)
-        als_obj = als_objective(model, m, cfg.alpha, cfg.lam)
+        model = factorize_wmf(m, WmfConfig(k=3, iterations=2000), 13)
+        als_obj = als_objective(model, m, alpha, lam)
         _, _, gd_obj = gradient_descent_oracle(
             model.user_factors, model.item_factors,
-            to_dense(m).astype(float), cfg.alpha, cfg.lam)
+            to_dense(m).astype(float), alpha, lam)
         assert als_obj == pytest.approx(gd_obj, rel=1e-5)
 
-    def test_oracle_detects_suboptimal_factors(self):
+    def test_oracle_detects_suboptimal_factors(self, weights):
+        alpha, lam = weights(10, 0.1)
         m = random_matrix(5, 7, seed=21, density=0.5)
-        cfg = WmfConfig(k=3, alpha=10, lam=0.1, iterations=2000)
-        model = factorize_wmf(m, cfg, 13)
+        model = factorize_wmf(m, WmfConfig(k=3, iterations=2000), 13)
         bad_users = model.user_factors * 1.2
         bad_obj = als_objective(
-            FactorModel(bad_users, model.item_factors), m, cfg.alpha, cfg.lam)
+            FactorModel(bad_users, model.item_factors), m, alpha, lam)
         _, _, gd_obj = gradient_descent_oracle(
             bad_users, model.item_factors,
-            to_dense(m).astype(float), cfg.alpha, cfg.lam)
+            to_dense(m).astype(float), alpha, lam)
         assert (bad_obj - gd_obj) / gd_obj > 1e-2

@@ -1,4 +1,5 @@
-"""Every text artifact a stage writes appears whole or not at all.
+"""Every text artifact a stage writes, and every text file of a synthetic
+dataset, appears whole or not at all.
 
 Each writer goes through `data.replacing`: the bytes go to a temp file
 beside the target, and `os.replace` puts it in place only once the write
@@ -10,9 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from coldrec.data import replacing, save_split, save_triples
+from coldrec.data import replacing, save_artist_map, save_split, save_triples
 from coldrec.evaluate import EvalReport
-from coldrec.textfeat import save_documents
+from coldrec.textfeat import KbEntity, save_annotations, save_documents, save_kb_snapshot
 from coldrec.zoo import TrainLog
 from feedback_oracle import feedback
 
@@ -31,6 +32,10 @@ class _FloatFailsWhenFormatted(float):
 
 def _matrix(user_ids):
     return feedback(np.array([[1], [2]]), list(user_ids), ["s1"])
+
+
+def _entity(genre):
+    return KbEntity(classes={"Band"}, properties={"genre": [genre]}, categories=["Rock"])
 
 
 def _split(last_part):
@@ -54,6 +59,16 @@ WRITERS = {
                   lambda path: TrainLog([(0, 1.0, 2.0), (1, 0.5, 1.5)]).write_tsv(path),
                   lambda path: TrainLog([(0, 1.0, 2.0),
                                          (1, _FloatFailsWhenFormatted(0.5), 1.5)]).write_tsv(path)),
+    "artist_map": ("artist_map.tsv",
+                   lambda path: save_artist_map({"s1": "a1", "s2": "a2"}, path),
+                   lambda path: save_artist_map({"s1": "a1", "s2": _FailsWhenFormatted("a2")},
+                                                path)),
+    "annotations": ("annotations.jsonl",
+                    lambda path: save_annotations({"a1": ["e1"], "a2": ["e2"]}, path),
+                    lambda path: save_annotations({"a1": ["e1"], "a2": [object()]}, path)),
+    "kb": ("kb.jsonl",
+           lambda path: save_kb_snapshot({"e1": _entity("rock"), "e2": _entity("jazz")}, path),
+           lambda path: save_kb_snapshot({"e1": _entity("rock"), "e2": _entity(object())}, path)),
     "eval": ("eval.tsv",
              lambda path: EvalReport({"u1": 0.5, "u2": 0.25}, 0.375, 10, 2, 0).write(
                  path, f"{path}.json"),

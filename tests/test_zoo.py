@@ -129,27 +129,33 @@ def _linear_net(d, k):
                        input_shapes={"": (d,)})
 
 
+@pytest.fixture
+def batch_16(monkeypatch):
+    """Train in steps of 16 rows instead of `zoo.BATCH_SIZE`."""
+    monkeypatch.setattr(zoo, "BATCH_SIZE", 16)
+
+
 class TestTrainMapping:
     def test_two_batches_per_epoch(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=32, max_epochs=2, patience=10)
+        cfg = TrainConfig(max_epochs=2, patience=10)
         _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
         assert len(log.epochs) == 2
 
     def test_learns_realizable_mapping(self):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=32, max_epochs=1500, patience=1500, lr=0.01)
+        cfg = TrainConfig(max_epochs=1500, patience=1500, lr=0.01)
         params, _ = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
         pred = predict_factors(net, params, feats)
         cos = np.sum(pred * targets, axis=1)
         assert cos.mean() > 0.99
 
-    def test_bitwise_determinism(self):
+    def test_bitwise_determinism(self, batch_16):
         feats, targets = _toy(seed=4)
         net = build_single_branch_net(dim=12, k=6)
-        cfg = TrainConfig(batch_size=16, max_epochs=5, patience=5)
+        cfg = TrainConfig(max_epochs=5, patience=5)
         p1, l1 = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 7)
         p2, l2 = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 7)
         for layer in p1:
@@ -157,19 +163,19 @@ class TestTrainMapping:
                 assert np.array_equal(p1[layer][key], p2[layer][key])
         assert l1.epochs == l2.epochs
 
-    def test_returns_best_validation_params(self):
+    def test_returns_best_validation_params(self, batch_16):
         feats, targets = _toy(seed=5)
         net = build_single_branch_net(dim=12, k=6)
-        cfg = TrainConfig(batch_size=16, max_epochs=30, patience=30)
+        cfg = TrainConfig(max_epochs=30, patience=30)
         params, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 1)
         assert log.best_val == pytest.approx(min(row[2] for row in log.epochs))
         # the returned params really achieve the best recorded validation loss
         assert eval_loss(net, params, feats[48:], targets[48:]) == pytest.approx(log.best_val)
 
-    def test_patience_stops_early(self):
+    def test_patience_stops_early(self, batch_16):
         feats, targets = _toy(seed=6)
         net = build_single_branch_net(dim=12, k=6)
-        cfg = TrainConfig(batch_size=16, max_epochs=500, patience=3)
+        cfg = TrainConfig(max_epochs=500, patience=3)
         _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 2)
         assert len(log.epochs) < 500
         assert log.epochs[-1][0] - log.best_epoch == 3
@@ -177,45 +183,45 @@ class TestTrainMapping:
     def test_epoch_indexing(self):
         feats, targets = _toy(seed=7)
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=10)
+        cfg = TrainConfig(max_epochs=3, patience=10)
         _, log = train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
         assert [row[0] for row in log.epochs] == list(range(len(log.epochs)))
 
-    def test_feature_row_mismatch_rejected(self):
+    def test_feature_row_mismatch_rejected(self, batch_16):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
+        cfg = TrainConfig(max_epochs=1, patience=1)
         with pytest.raises(ValueError):
             train_mapping(net, feats[:40], targets[:48], feats[48:], targets[48:], cfg, 0)
 
-    def test_branched_inputs(self):
+    def test_branched_inputs(self, batch_16):
         rng = np.random.default_rng(8)
         feats = {"artist": rng.normal(size=(40, 10)), "track": rng.normal(size=(40, 8))}
         targets = rng.normal(size=(40, 4))
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         net = build_fusion_net("lin", dim_a=10, dim_t=8, k=4)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10)
+        cfg = TrainConfig(max_epochs=3, patience=10)
         fit = {k: v[:32] for k, v in feats.items()}
         val = {k: v[32:] for k, v in feats.items()}
         params, _ = train_mapping(net, fit, targets[:32], val, targets[32:], cfg, 0)
         pred = predict_factors(net, params, feats)
         assert pred.shape == (40, 4)
 
-    def test_nonpositive_learning_rate_rejected(self):
+    def test_nonpositive_learning_rate_rejected(self, batch_16):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1, lr=0.0)
+        cfg = TrainConfig(max_epochs=1, patience=1, lr=0.0)
         with pytest.raises(ValueError, match="learning rate"):
             train_mapping(net, feats[:48], targets[:48], feats[48:], targets[48:], cfg, 0)
 
-    def test_empty_validation_set_rejected(self):
+    def test_empty_validation_set_rejected(self, batch_16):
         feats, targets = _toy()
         net = _linear_net(12, 6)
-        cfg = TrainConfig(batch_size=16, max_epochs=1, patience=1)
+        cfg = TrainConfig(max_epochs=1, patience=1)
         with pytest.raises(ValueError, match="at least one validation row"):
             train_mapping(net, feats[:48], targets[:48], feats[:0], targets[:0], cfg, 0)
 
-    def test_callable_features_resampled_per_epoch(self):
+    def test_callable_features_resampled_per_epoch(self, batch_16):
         rng = np.random.default_rng(9)
         base = rng.normal(size=(32, 6))
         targets = rng.normal(size=(32, 3))
@@ -227,11 +233,11 @@ class TestTrainMapping:
             return base + 0.01 * epoch
 
         net = _linear_net(6, 3)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10)
+        cfg = TrainConfig(max_epochs=3, patience=10)
         train_mapping(net, provider, targets, base[:8], targets[:8], cfg, 0)
         assert seen == [0, 1, 2]
 
-    def test_provider_builds_each_epoch_after_the_last_is_released(self):
+    def test_provider_builds_each_epoch_after_the_last_is_released(self, batch_16):
         """Two epochs' features are never alive at once (train-track's patch stacks)."""
         rng = np.random.default_rng(9)
         base = rng.normal(size=(32, 6))
@@ -246,11 +252,11 @@ class TestTrainMapping:
             return feats
 
         net = _linear_net(6, 3)
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=10)
+        cfg = TrainConfig(max_epochs=3, patience=10)
         train_mapping(net, provider, targets, base[:8], targets[:8], cfg, 0)
         assert len(built) == 3
 
-    def test_same_log_as_textbook_adam(self, monkeypatch):
+    def test_same_log_as_textbook_adam(self, batch_16, monkeypatch):
         """A small artist-shaped net trains to the same log with the library's
         Adam as with Kingma & Ba's per-tensor update on unscaled moments."""
         def textbook_adam(params, grads, state):
@@ -271,7 +277,7 @@ class TestTrainMapping:
         targets /= np.linalg.norm(targets, axis=1, keepdims=True)
         monkeypatch.setattr(zoo, "ARTIST_HIDDEN", 96)
         net = build_artist_net(vocab_size=40, k=8)
-        cfg = TrainConfig(batch_size=16, max_epochs=60, patience=3, lr=0.01)
+        cfg = TrainConfig(max_epochs=60, patience=3, lr=0.01)
         _, log = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg, 3)
         monkeypatch.setattr(nn, "adam_step", textbook_adam)
         _, book = train_mapping(net, feats[:64], targets[:64], feats[64:], targets[64:], cfg, 3)
@@ -280,9 +286,9 @@ class TestTrainMapping:
         assert np.allclose(log.epochs, book.epochs, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("epochs", [0, -1])
-    def test_nonpositive_epoch_cap_rejected(self, epochs):
+    def test_nonpositive_epoch_cap_rejected(self, batch_16, epochs):
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=epochs, patience=1)
+        cfg = TrainConfig(max_epochs=epochs, patience=1)
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
                           targets[48:], cfg, 0)
@@ -300,7 +306,7 @@ class TestTrainMapping:
         y, _, _ = net_forward(net, init_params(net, 99), x, mode="eval")
         param_bytes = sum(t.nbytes for ts in init_params(net, 0).values() for t in ts.values())
         assert param_bytes >= 8 * 1_000_000
-        cfg = TrainConfig(batch_size=32, max_epochs=3, patience=3)
+        cfg = TrainConfig(max_epochs=3, patience=3)
         tracemalloc.start()
         try:
             _, log = train_mapping(net, x[:64], y[:64], x[64:], y[64:], cfg, 0)
@@ -311,7 +317,7 @@ class TestTrainMapping:
         assert len(val) == 3 and all(b < a for a, b in zip(val, val[1:]))  # every epoch improves
         assert peak < 3.6 * param_bytes, peak / param_bytes
 
-    def test_early_stopping_restores_best_epoch_bytes(self):
+    def test_early_stopping_restores_best_epoch_bytes(self, monkeypatch):
         """The returned parameters, batchnorm running statistics included, are
         byte for byte those of the same training cut off after its best epoch."""
         rng = np.random.default_rng(5)
@@ -321,7 +327,8 @@ class TestTrainMapping:
         fit = {k: v[:32] for k, v in feats.items()}
         val = {k: v[32:] for k, v in feats.items()}
         net = build_fusion_net("h1", dim_a=10, dim_t=8, k=4)
-        cfg = TrainConfig(batch_size=8, max_epochs=30, patience=3, lr=0.01)
+        monkeypatch.setattr(zoo, "BATCH_SIZE", 8)
+        cfg = TrainConfig(max_epochs=30, patience=3, lr=0.01)
         params, log = train_mapping(net, fit, targets[:32], val, targets[32:], cfg, 5)
         assert 0 < log.best_epoch < log.epochs[-1][0]  # stopped early, past a better epoch
         cfg.max_epochs = log.best_epoch + 1
@@ -338,22 +345,23 @@ class TestTrainMapping:
         (0.001, contextlib.nullcontext()),
         (1e300, pytest.raises(ValueError, match="diverged")),
     ], ids=["finished", "diverged"])
-    def test_checkpoint_leaves_nothing_in_tmpdir(self, lr, outcome, tmp_path, monkeypatch):
+    def test_checkpoint_leaves_nothing_in_tmpdir(self, batch_16, lr, outcome, tmp_path,
+                                                 monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=3, patience=3, lr=lr)
+        cfg = TrainConfig(max_epochs=3, patience=3, lr=lr)
         with outcome:
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
                           targets[48:], cfg, 0)
         assert list(tmp_path.iterdir()) == []
 
-    def test_short_checkpoint_names_the_tensor(self, monkeypatch):
+    def test_short_checkpoint_names_the_tensor(self, batch_16, monkeypatch):
         monkeypatch.setattr(zoo, "_save_params", lambda params, fh: fh.write(b"\0" * 8))
         # epoch 0 is the best and epoch 1 is not, so the checkpoint is read back
         losses = iter([1.0, 2.0])
         monkeypatch.setattr(zoo, "eval_loss", lambda *a: next(losses))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
+        cfg = TrainConfig(max_epochs=2, patience=1)
         with pytest.raises(OSError, match="short at trunk/0/W"):
             train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
                           targets[48:], cfg, 0)
@@ -365,7 +373,7 @@ class TestTrainMapping:
         ([1.0], 0, 0),                  # one epoch
         ([2.0, 1.0, 3.0, 4.0], 2, 1),   # stopped by patience
     ], ids=["last-best", "middle-best", "late-best", "one-epoch", "patience"])
-    def test_checkpoint_io_only_when_read(self, monkeypatch, val_losses, saves, loads):
+    def test_checkpoint_io_only_when_read(self, batch_16, monkeypatch, val_losses, saves, loads):
         """The last epoch's checkpoint is never written, and the checkpoint is read
         back only when a later epoch ran; the returned parameters are always the
         best epoch's bytes."""
@@ -387,7 +395,7 @@ class TestTrainMapping:
         monkeypatch.setattr(zoo, "_save_params", counted("save", zoo._save_params))
         monkeypatch.setattr(zoo, "_load_params", counted("load", zoo._load_params))
         feats, targets = _toy()
-        cfg = TrainConfig(batch_size=16, max_epochs=len(val_losses), patience=2)
+        cfg = TrainConfig(max_epochs=len(val_losses), patience=2)
         params, log = train_mapping(_linear_net(12, 6), feats[:48], targets[:48], feats[48:],
                                     targets[48:], cfg, 0)
         assert len(log.epochs) == len(val_losses)

@@ -25,15 +25,16 @@ from coldrec.pipeline import STAGES, run_stage
 
 
 def build_config(run_dir: str, seed: int) -> str:
-    data = os.path.join(run_dir, "data")
+    """Write `run_dir`/pipeline.cfg; its paths are relative, and the config
+    loader resolves them against the config file's directory, `run_dir`."""
     values = {
-        "paths.triples": os.path.join(data, "triples.tsv"),
-        "paths.artist_map": os.path.join(data, "artist_map.tsv"),
-        "paths.documents": os.path.join(data, "documents.jsonl"),
-        "paths.annotations": os.path.join(data, "annotations.jsonl"),
-        "paths.kb": os.path.join(data, "kb.jsonl"),
-        "paths.spectrograms": os.path.join(data, "spectrograms"),
-        "paths.out": os.path.join(run_dir, "out"),
+        "paths.triples": "data/triples.tsv",
+        "paths.artist_map": "data/artist_map.tsv",
+        "paths.documents": "data/documents.jsonl",
+        "paths.annotations": "data/annotations.jsonl",
+        "paths.kb": "data/kb.jsonl",
+        "paths.spectrograms": "data/spectrograms",
+        "paths.out": "out",
         "seed": seed,
         "scale": 0.125,
         "eval.k": 500,

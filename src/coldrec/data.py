@@ -124,8 +124,9 @@ def _tsv_lines(path, ids: tuple[str, ...], width: int):
             yield lineno, parts
 
 
-# most plays one triples line may count: a sum of fewer than 2**32 lines, as
-# duplicate lines and artist aggregation make, stays below 2**63
+# most plays one (user, item) pair may count, over every line that names it: a
+# sum of fewer than 2**32 such counts, as duplicate lines and artist aggregation
+# make, stays below 2**63
 MAX_COUNT = 2**31 - 1
 
 
@@ -133,7 +134,8 @@ def load_triples(path) -> FeedbackMatrix:
     """Read a `user<TAB>item<TAB>count` TSV into a FeedbackMatrix.
 
     Each count is in [1, `MAX_COUNT`]. Duplicate (user, item) lines sum their
-    counts. Identifier order is first-appearance order.
+    counts, and each sum is in the same range, so `save_triples` writes back
+    only counts this reads. Identifier order is first-appearance order.
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -152,7 +154,13 @@ def load_triples(path) -> FeedbackMatrix:
         counts.append(count)
     if not counts:
         raise DataError(f"{path}: empty triples file")
-    return FeedbackMatrix(list(user_index), list(item_index), rows, cols, counts)
+    m = FeedbackMatrix(list(user_index), list(item_index), rows, cols, counts)
+    over = np.flatnonzero(m.counts > MAX_COUNT)
+    if len(over):
+        r, c, summed = (a[over[0]] for a in m.entries())
+        raise DataError(f"{path}: the lines of user {m.user_ids[r]!r} and item "
+                        f"{m.item_ids[c]!r} sum to {summed} plays, above {MAX_COUNT}")
+    return m
 
 
 def save_triples(m: FeedbackMatrix, path) -> None:

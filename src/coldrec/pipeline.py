@@ -279,13 +279,28 @@ def _checked_params(cfg: PipelineConfig, rel: str, net: NetworkSpec):
     return params
 
 
+def _save_embeddings(cfg: PipelineConfig, name: str, rows: np.ndarray, ids: list[str],
+                     train: np.ndarray | slice, producer: str) -> None:
+    """Save embedding table `name` in only the columns that some training row
+    (`train`) turns on: a column zero for all of them would meet head weights
+    that never trained on it. A net that turns none on is a StageError naming
+    the table and `producer`, the stage that trained it."""
+    live = rows[train].any(axis=0)
+    if not live.any():
+        raise StageError(f"every column of {name!r} is zero over its training rows: "
+                         f"the net embeds nothing; rerun stage {producer!r}")
+    _save_rows(cfg, name, rows[:, live], ids)
+
+
 def _extract_artists(cfg: PipelineConfig) -> None:
-    """Artist embeddings for every artist with a document."""
-    feats, feat_ids, _ = _load_rows(cfg, "features_text")
-    artist_factors, _, _ = _load_rows(cfg, "factors_artists.items")
+    """Artist embeddings for every artist with a document, in the columns some
+    training artist turns on."""
+    feats, feat_ids, feat_index = _load_rows(cfg, "features_text")
+    artist_factors, artist_ids, _ = _load_rows(cfg, "factors_artists.items")
     net = zoo.build_artist_net(feats.shape[1], artist_factors.shape[1])
     emb_a, _ = zoo.extract_embeddings(net, _checked_params(cfg, "params_artist.csmx", net), feats)
-    _save_rows(cfg, "embeddings_artist", emb_a, feat_ids)
+    train = np.array([feat_index[a] for a in artist_ids if a in feat_index], dtype=np.intp)
+    _save_embeddings(cfg, "embeddings_artist", emb_a, feat_ids, train, "train-artist")
 
 
 def _stage_extract(cfg: PipelineConfig) -> None:
@@ -311,7 +326,8 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     del first  # one chunk of patches at a time
     parts += [zoo.extract_embeddings(net, params, patches(lo))
               for lo in range(zoo.EVAL_BATCH, len(song_ids), zoo.EVAL_BATCH)]
-    _save_rows(cfg, "embeddings_track", np.concatenate([e for e, _ in parts]), song_ids)
+    _save_embeddings(cfg, "embeddings_track", np.concatenate([e for e, _ in parts]), song_ids,
+                     slice(len(train_ids)), "train-track")
     _save_rows(cfg, "predictions_audio", np.concatenate([p for _, p in parts]), song_ids)
 
 

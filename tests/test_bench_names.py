@@ -51,6 +51,21 @@ def test_desk_config_is_the_same_in_script_acceptance_suite_and_bench(tmp_path):
     assert len(values["bench"]) == len(workloads.DESK_CONFIG) - 7  # the seven paths
 
 
+def test_script_config_resolves_inside_a_relative_run_directory(tmp_path, monkeypatch):
+    """The experiment script's config, written into a run directory given
+    relative to the working directory (its default `--out runs/demo`), names
+    the dataset and the output directory inside that run directory."""
+    from coldrec.config import load_pipeline_config
+
+    script = load_file(ROOT / "scripts" / "run_synthetic_experiment.py", "desk_script")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs" / "demo").mkdir(parents=True)
+    cfg = load_pipeline_config(script.build_config("runs/demo", seed=3))
+    run_dir = tmp_path / "runs" / "demo"
+    assert cfg.triples == str(run_dir / "data" / "triples.tsv")
+    assert cfg.out_dir == str(run_dir / "out")
+
+
 # pipeline config keys that neither the experiment script nor a bench workload
 # writes, each with the reason it stays a key
 UNWRITTEN_KEYS = {

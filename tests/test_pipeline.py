@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import coldrec
-from coldrec import audio, matrixio, nn, pipeline, synth, wmf
+from coldrec import audio, matrixio, nn, pipeline, synth, wmf, zoo
 from coldrec.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from coldrec.config import (PipelineConfig, load_pipeline_config, load_synthetic_spec,
                             parse_kv_file, write_kv_file)
@@ -455,6 +455,62 @@ class TestStages:
             f"layer:key:ndim:shape tensor of its {rows}x{cols} payload; "
             f"rerun stage 'train-artist'\n")
 
+    @pytest.mark.parametrize("table, train_table, net_input_ndim", [
+        ("embeddings_artist", "factors_artists.items", 2),
+        ("embeddings_track", "factors_songs.items", 3)], ids=["artist", "track"])
+    def test_column_dead_over_training_rows_is_dropped(self, staged_run, tmp_path, monkeypatch,
+                                                        table, train_table, net_input_ndim):
+        """A column that no training row turns on but a test row does is left
+        out of the table, so no head meets it with weights it never trained;
+        every other column, and `predictions_audio`, is written as before."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
+        before = matrixio.load_matrix(cfg.out(f"{table}.csmx"))["rows"]
+        train = set(matrixio.load_ids(cfg.out(f"{train_table}.ids")))
+        is_train = np.array([i in train for i in matrixio.load_ids(cfg.out(f"{table}.ids"))])
+        assert 0 < is_train.sum() < len(is_train)
+        real_extract = zoo.extract_embeddings
+
+        def reviving_extract(net, params, features):
+            emb, predictions = real_extract(net, params, features)
+            if features.ndim == net_input_ndim:
+                assert len(emb) == len(is_train)  # one batch holds every row
+                first_live = np.flatnonzero(emb[is_train].any(axis=0))[0]
+                emb[:, first_live] = np.where(is_train, 0.0, 1.0)
+            return emb, predictions
+
+        monkeypatch.setattr(zoo, "extract_embeddings", reviving_extract)
+        run_stage(cfg, "extract")
+        after = matrixio.load_matrix(cfg.out(f"{table}.csmx"))["rows"]
+        assert np.array_equal(after, before[:, 1:])
+        for rel in STAGE_TABLE["extract"].writes:
+            if not rel.startswith(table):
+                assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
+
+    @pytest.mark.parametrize("rel, table, producer", [
+        ("params_track.csmx", "embeddings_track", "train-track"),
+        ("params_artist.csmx", "embeddings_artist", "train-artist")], ids=["track", "artist"])
+    def test_net_that_embeds_nothing_stops_extract(self, staged_run, tmp_path, capsys,
+                                                   rel, table, producer):
+        """A net whose embedding layer (the last conv of the track net, the
+        second dense of the artist net) has a bias of -1e6 turns no embedding
+        column on for any training row; `extract` ends in one error line
+        naming the table and the stage to rerun, before it writes the table,
+        not in the fusion builder's error on a zero-width table."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        params = matrixio.load_params(str(out / rel))
+        layer = [name for name, tensors in params.items() if "b" in tensors][-2]
+        params[layer]["b"][:] = -1e6
+        matrixio.save_params(str(out / rel), params)
+        stale = (out / f"{table}.csmx").read_bytes()
+        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: every column of {table!r} is zero over its training rows: the net "
+            f"embeds nothing; rerun stage {producer!r}\n")
+        assert (out / f"{table}.csmx").read_bytes() == stale
+
     def test_heads_on_stale_track_embeddings_stop_evaluate(self, staged_run, tmp_path, capsys):
         """Fusion heads trained on an older build's track embeddings (each column
         copied 4 times), evaluated after `extract` reran, end in one error line
@@ -794,17 +850,23 @@ class TestArtifacts:
         for name in ("embeddings_track", "predictions_audio"):
             assert matrixio.load_ids(pipeline_run.out(f"{name}.ids")) == train_ids + test_ids
 
-    def test_track_embedding_is_one_column_per_last_conv_filter(self, pipeline_run):
-        """The track net's final pool takes every frame its pyramid leaves, so
-        `embeddings_track` holds one column per filter of the last conv, none a
-        copy of another. Only filters that no song activates share a column:
-        zero throughout."""
+    def test_embeddings_hold_only_columns_training_turns_on(self, pipeline_run):
+        """`extract` writes only the embedding columns that some training row
+        turns on: `embeddings_track` holds at most one column per filter of the
+        last conv (the final pool takes every frame its pyramid leaves), no
+        column of either table is zero over its training rows, and no column is
+        a copy of another."""
         net = pipeline._track_net(pipeline_run, TINY["bins"], pipeline_run.wmf_songs.k)
         filters = [layer.filters for layer in net.trunk if layer.kind == "conv1d_time"][-1]
-        emb = matrixio.load_matrix(pipeline_run.out("embeddings_track.csmx"))["rows"]
-        assert emb.shape[1] == filters
-        live = emb[:, emb.any(axis=0)]
-        assert np.unique(live, axis=1).shape[1] == live.shape[1]
+        for table, train_table, max_width in [
+                ("embeddings_track", "factors_songs.items", filters),
+                ("embeddings_artist", "factors_artists.items", zoo.ARTIST_HIDDEN)]:
+            emb = matrixio.load_matrix(pipeline_run.out(f"{table}.csmx"))["rows"]
+            ids = matrixio.load_ids(pipeline_run.out(f"{table}.ids"))
+            train = set(matrixio.load_ids(pipeline_run.out(f"{train_table}.ids")))
+            assert emb.shape[1] <= max_width, table
+            assert emb[[i in train for i in ids]].any(axis=0).all(), table
+            assert np.unique(emb, axis=1).shape[1] == emb.shape[1], table
 
     def test_report_covers_all_approaches(self, pipeline_run):
         with open(pipeline_run.out("report.json"), encoding="utf-8") as fh:
@@ -878,12 +940,19 @@ class TestCli:
         assert err == f"error: {triples}:7: empty {name} id\n"
         assert not os.path.exists(tmp_path / "out" / "splits")
 
-    @pytest.mark.parametrize("counts", [[10**29], [2**63 - 1, 5]],
-                             ids=["beyond-int64", "duplicates-wrap-int64"])
-    def test_oversized_count_in_triples_is_data_exit(self, staged_run, tmp_path, capsys, counts):
+    @pytest.mark.parametrize("counts, error", [
+        ([10**29], "{triples}:7: count must be in [1, 2147483647], got {counts[0]}"),
+        ([2**63 - 1, 5], "{triples}:7: count must be in [1, 2147483647], got {counts[0]}"),
+        ([2**31 - 1, 2**31 - 1], "{triples}: the lines of user {user!r} and item {item!r} "
+                                 "sum to 4294967294 plays, above 2147483647"),
+    ], ids=["beyond-int64", "duplicates-wrap-int64", "duplicates-sum-past-max"])
+    def test_oversized_count_in_triples_is_data_exit(self, staged_run, tmp_path, capsys, counts,
+                                                     error):
         """A play count above `data.MAX_COUNT` ends `split` in one error line
         naming the file and the line, before any artifact is written: one count
-        beyond int64, or duplicate lines whose int64 sum would wrap."""
+        beyond int64, or duplicate lines whose int64 sum would wrap. So do
+        duplicate lines each in range whose sum is not, naming the file and the
+        (user, item) pair, so no split file holds a count its reader rejects."""
         lines = Path(staged_run.cfg.triples).read_text(encoding="utf-8").splitlines(True)
         user, item, _ = lines[6].split("\t")
         lines[6:7] = [f"{user}\t{item}\t{count}\n" for count in counts]
@@ -892,8 +961,8 @@ class TestCli:
         cfg_path = write_config(tmp_path / "p.cfg", os.path.dirname(staged_run.cfg.triples),
                                 str(tmp_path / "out"), **{"paths.triples": str(triples)})
         assert main(["split", "--config", str(cfg_path)]) == EXIT_DATA
-        assert capsys.readouterr().err == (f"error: {triples}:7: count must be in "
-                                           f"[1, 2147483647], got {counts[0]}\n")
+        assert capsys.readouterr().err == "error: " + error.format(
+            triples=triples, counts=counts, user=user, item=item) + "\n"
         assert not os.path.exists(tmp_path / "out" / "splits")
 
     @pytest.mark.parametrize("field", [0, 1], ids=["item", "artist"])

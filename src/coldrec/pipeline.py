@@ -196,18 +196,37 @@ def _fit_val_split(n: int, seed: int):
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
+def _live_columns(name: str, rows: np.ndarray, train: np.ndarray | slice,
+                  producer: str) -> np.ndarray:
+    """Embedding table `name` cut to the columns that some training row (`train`)
+    turns on: a column zero for all of them would meet head weights that never
+    trained on it. A net that turns none on is a StageError naming the table and
+    `producer`, the stage that trained it."""
+    live = rows[train].any(axis=0)
+    if not live.any():
+        raise StageError(f"every column of {name!r} is zero over its training rows: "
+                         f"the net embeds nothing; rerun stage {producer!r}")
+    return rows[:, live]
+
+
 def _stage_train_artist(cfg: PipelineConfig) -> None:
-    feats, _, feat_index = _load_rows(cfg, "features_text")
+    feats, feat_ids, feat_index = _load_rows(cfg, "features_text")
     artist_factors, artist_ids, factor_index = _load_rows(cfg, "factors_artists.items")
     artists = [a for a in artist_ids if a in feat_index]  # those with a document
-    x = feats[[feat_index[a] for a in artists]]
+    train = np.array([feat_index[a] for a in artists], dtype=np.intp)
+    x = feats[train]
     y = artist_factors[[factor_index[a] for a in artists]]
     seed = stage_seed(cfg.seed, "train-artist")
     fit, val = _fit_val_split(len(artists), seed)
     net = zoo.build_artist_net(x.shape[1], y.shape[1])
     params, log = zoo.train_mapping(net, x[fit], y[fit], x[val], y[val], cfg.train_artist, seed)
+    # every artist with a document is embedded, not only the training ones; the net's
+    # files are written only once it is known to embed something
+    emb, _ = zoo.extract_embeddings(net, params, feats)
+    emb = _live_columns("embeddings_artist", emb, train, "train-artist")
     matrixio.save_params(cfg.out("params_artist.csmx"), params)
     log.write_tsv(cfg.out("log_artist.tsv"))
+    _save_rows(cfg, "embeddings_artist", emb, feat_ids)
 
 
 def _load_song(spectrogram_dir: str, sid: str) -> audio_mod.Spectrogram:
@@ -279,38 +298,12 @@ def _checked_params(cfg: PipelineConfig, rel: str, net: NetworkSpec):
     return params
 
 
-def _save_embeddings(cfg: PipelineConfig, name: str, rows: np.ndarray, ids: list[str],
-                     train: np.ndarray | slice, producer: str) -> None:
-    """Save embedding table `name` in only the columns that some training row
-    (`train`) turns on: a column zero for all of them would meet head weights
-    that never trained on it. A net that turns none on is a StageError naming
-    the table and `producer`, the stage that trained it."""
-    live = rows[train].any(axis=0)
-    if not live.any():
-        raise StageError(f"every column of {name!r} is zero over its training rows: "
-                         f"the net embeds nothing; rerun stage {producer!r}")
-    _save_rows(cfg, name, rows[:, live], ids)
-
-
-def _extract_artists(cfg: PipelineConfig) -> None:
-    """Artist embeddings for every artist with a document, in the columns some
-    training artist turns on."""
-    feats, feat_ids, feat_index = _load_rows(cfg, "features_text")
-    artist_factors, artist_ids, _ = _load_rows(cfg, "factors_artists.items")
-    net = zoo.build_artist_net(feats.shape[1], artist_factors.shape[1])
-    emb_a, _ = zoo.extract_embeddings(net, _checked_params(cfg, "params_artist.csmx", net), feats)
-    train = np.array([feat_index[a] for a in artist_ids if a in feat_index], dtype=np.intp)
-    _save_embeddings(cfg, "embeddings_artist", emb_a, feat_ids, train, "train-artist")
-
-
 def _stage_extract(cfg: PipelineConfig) -> None:
-    # the artist net's parameters are freed when its pass returns, before the track pass
-    _extract_artists(cfg)
-
     # track embeddings and the track net's own factor predictions (`evaluate`'s
     # audio approach) for the songs later stages read: the training songs
     # `train-fusion` looks up, then the test songs. One fixed eval patch each,
-    # read in chunks of zoo.EVAL_BATCH songs, each one forward batch
+    # read in chunks of zoo.EVAL_BATCH songs, each one forward batch; both
+    # tables are written once every chunk has passed
     song_factors, train_ids, _ = _load_rows(cfg, "factors_songs.items")
     song_ids = train_ids + _load_split(cfg, "test").item_ids
     seed = stage_seed(cfg.seed, "extract")
@@ -326,8 +319,9 @@ def _stage_extract(cfg: PipelineConfig) -> None:
     del first  # one chunk of patches at a time
     parts += [zoo.extract_embeddings(net, params, patches(lo))
               for lo in range(zoo.EVAL_BATCH, len(song_ids), zoo.EVAL_BATCH)]
-    _save_embeddings(cfg, "embeddings_track", np.concatenate([e for e, _ in parts]), song_ids,
-                     slice(len(train_ids)), "train-track")
+    emb = _live_columns("embeddings_track", np.concatenate([e for e, _ in parts]),
+                        slice(len(train_ids)), "train-track")
+    _save_rows(cfg, "embeddings_track", emb, song_ids)
     _save_rows(cfg, "predictions_audio", np.concatenate([p for _, p in parts]), song_ids)
 
 
@@ -422,10 +416,10 @@ STAGE_TABLE = {
                                _table("factors_artists.users", "factors_artists.items")),
     "enrich": Stage(_stage_enrich, ("enriched_docs.jsonl",)),
     "vectorize": Stage(_stage_vectorize, ("vocab.json",) + _table("features_text")),
-    "train-artist": Stage(_stage_train_artist, ("params_artist.csmx", "log_artist.tsv")),
+    "train-artist": Stage(_stage_train_artist, ("params_artist.csmx", "log_artist.tsv")
+                          + _table("embeddings_artist")),
     "train-track": Stage(_stage_train_track, ("params_track.csmx", "log_track.tsv")),
-    "extract": Stage(_stage_extract,
-                     _table("embeddings_artist", "embeddings_track", "predictions_audio")),
+    "extract": Stage(_stage_extract, _table("embeddings_track", "predictions_audio")),
     "train-fusion": Stage(_stage_train_fusion,
                           tuple(f for h in HEADS.values() for f in (h.params, h.log))),
     "evaluate": Stage(_stage_evaluate,

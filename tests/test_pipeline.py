@@ -76,6 +76,23 @@ def files_under(root) -> set[str]:
     return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
 
 
+def _embedding_killed(params):
+    """`params` with the bias of the embedding layer (the layer before the
+    output dense) at -1e6, so the layer turns no unit on."""
+    layer = [name for name, tensors in params.items() if "b" in tensors][-2]
+    params[layer]["b"][:] = -1e6
+    return params
+
+
+def _earlier_run(out, rels) -> dict[str, bytes]:
+    """Overwrite each file `rel` under `out` with bytes that name it as an
+    earlier run's, which no stage would write; returns them by `rel`."""
+    earlier = {rel: f"{rel} of an earlier run".encode() for rel in rels}
+    for rel, content in earlier.items():
+        (out / rel).write_bytes(content)
+    return earlier
+
+
 @pytest.fixture(scope="module")
 def staged_run(tmp_path_factory):
     """One full tiny pipeline run shared by the read-only assertions below.
@@ -422,47 +439,46 @@ class TestStages:
                 "in sections ['tfidf']; rerun stage 'vectorize'")):
             run_stage(cfg, "train-artist")
 
-    @pytest.mark.parametrize("rel, producer", [("params_track.csmx", "train-track"),
-                                               ("params_artist.csmx", "train-artist")])
-    def test_stale_params_stop_extract(self, staged_run, tmp_path, capsys, rel, producer):
+    def test_stale_params_stop_extract(self, staged_run, tmp_path, capsys):
         """Parameters whose last dense layer reads 4x the columns the net built
         today gives it (an older build's track net, whose final pool copied each
         frame 4 times) end in one error line naming the artifact, the tensor,
         both shapes and the stage to rerun, not in a numpy error."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
-        params = matrixio.load_params(str(out / rel))
+        params = matrixio.load_params(str(out / "params_track.csmx"))
         layer = [name for name, tensors in params.items() if "W" in tensors][-1]
         rows, k = params[layer]["W"].shape
         params[layer]["W"] = np.repeat(params[layer]["W"], 4, axis=0)
-        matrixio.save_params(str(out / rel), params)
+        matrixio.save_params(str(out / "params_track.csmx"), params)
         assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"error: {rel} holds tensor {layer}/W as {(4 * rows, k)}, but the net built from "
-            f"the current inputs needs {(rows, k)}; rerun stage {producer!r}\n")
+            f"error: params_track.csmx holds tensor {layer}/W as {(4 * rows, k)}, but the net "
+            f"built from the current inputs needs {(rows, k)}; rerun stage 'train-track'\n")
 
     def test_foreign_file_as_params_stops_extract(self, staged_run, tmp_path, capsys):
-        """Another CSMX file in place of the artist net's parameters ends in one
-        error line naming the file, its section and `train-artist`, not in an
+        """Another CSMX file in place of the track net's parameters ends in one
+        error line naming the file, its section and `train-track`, not in an
         unpacking error."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
-        shutil.copyfile(out / "features_text.csmx", out / "params_artist.csmx")
+        shutil.copyfile(out / "features_text.csmx", out / "params_track.csmx")
         rows, cols = matrixio.load_matrix(str(out / "features_text.csmx"))["rows"].shape
         assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"error: {out / 'params_artist.csmx'}: section 'rows' does not name a "
+            f"error: {out / 'params_track.csmx'}: section 'rows' does not name a "
             f"layer:key:ndim:shape tensor of its {rows}x{cols} payload; "
-            f"rerun stage 'train-artist'\n")
+            f"rerun stage 'train-track'\n")
 
-    @pytest.mark.parametrize("table, train_table, net_input_ndim", [
-        ("embeddings_artist", "factors_artists.items", 2),
-        ("embeddings_track", "factors_songs.items", 3)], ids=["artist", "track"])
+    @pytest.mark.parametrize("table, train_table, stage", [
+        ("embeddings_artist", "factors_artists.items", "train-artist"),
+        ("embeddings_track", "factors_songs.items", "extract")], ids=["artist", "track"])
     def test_column_dead_over_training_rows_is_dropped(self, staged_run, tmp_path, monkeypatch,
-                                                        table, train_table, net_input_ndim):
+                                                        table, train_table, stage):
         """A column that no training row turns on but a test row does is left
         out of the table, so no head meets it with weights it never trained;
-        every other column, and `predictions_audio`, is written as before."""
+        every other column, and every other file the stage writes, is written
+        as before."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
         cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out))
@@ -474,42 +490,89 @@ class TestStages:
 
         def reviving_extract(net, params, features):
             emb, predictions = real_extract(net, params, features)
-            if features.ndim == net_input_ndim:
-                assert len(emb) == len(is_train)  # one batch holds every row
+            # the one batch that holds every row of the table, not a validation pass
+            if len(emb) == len(is_train):
                 first_live = np.flatnonzero(emb[is_train].any(axis=0))[0]
                 emb[:, first_live] = np.where(is_train, 0.0, 1.0)
             return emb, predictions
 
         monkeypatch.setattr(zoo, "extract_embeddings", reviving_extract)
-        run_stage(cfg, "extract")
+        run_stage(cfg, stage)
         after = matrixio.load_matrix(cfg.out(f"{table}.csmx"))["rows"]
         assert np.array_equal(after, before[:, 1:])
-        for rel in STAGE_TABLE["extract"].writes:
+        for rel in STAGE_TABLE[stage].writes:
             if not rel.startswith(table):
                 assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
 
-    @pytest.mark.parametrize("rel, table, producer", [
-        ("params_track.csmx", "embeddings_track", "train-track"),
-        ("params_artist.csmx", "embeddings_artist", "train-artist")], ids=["track", "artist"])
+    @pytest.mark.parametrize("table, stage, producer", [
+        ("embeddings_track", "extract", "train-track"),
+        ("embeddings_artist", "train-artist", "train-artist")], ids=["track", "artist"])
     def test_net_that_embeds_nothing_stops_extract(self, staged_run, tmp_path, capsys,
-                                                   rel, table, producer):
+                                                   monkeypatch, table, stage, producer):
         """A net whose embedding layer (the last conv of the track net, the
         second dense of the artist net) has a bias of -1e6 turns no embedding
-        column on for any training row; `extract` ends in one error line
-        naming the table and the stage to rerun, before it writes the table,
-        not in the fusion builder's error on a zero-width table."""
+        column on for any training row. `extract` on such a track net, and
+        `train-artist` when training yields such an artist net, end in one
+        error line naming the table and the stage to rerun, not in the fusion
+        builder's error on a zero-width table; every file the stage writes is
+        left as an earlier run left it."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
-        params = matrixio.load_params(str(out / rel))
-        layer = [name for name, tensors in params.items() if "b" in tensors][-2]
-        params[layer]["b"][:] = -1e6
-        matrixio.save_params(str(out / rel), params)
-        stale = (out / f"{table}.csmx").read_bytes()
-        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
+        if stage == "extract":
+            params = matrixio.load_params(str(out / "params_track.csmx"))
+            matrixio.save_params(str(out / "params_track.csmx"), _embedding_killed(params))
+        else:
+            real_train = zoo.train_mapping
+
+            def train_dead(*args):
+                params, log = real_train(*args)
+                return _embedding_killed(params), log
+
+            monkeypatch.setattr(zoo, "train_mapping", train_dead)
+        earlier = _earlier_run(out, STAGE_TABLE[stage].writes)
+        assert main([stage, "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == (
             f"error: every column of {table!r} is zero over its training rows: the net "
             f"embeds nothing; rerun stage {producer!r}\n")
-        assert (out / f"{table}.csmx").read_bytes() == stale
+        assert {rel: (out / rel).read_bytes() for rel in earlier} == earlier
+
+    @pytest.mark.parametrize("cause", ["net-embeds-nothing", "spectrogram-missing"])
+    def test_failed_extract_leaves_every_embedding_table(self, staged_run, tmp_path, cause):
+        """An `extract` that stops, on a track net that embeds nothing or on a
+        test song without a spectrogram, leaves the artist and track tables of
+        an earlier run as they were, so `train-fusion` never pairs a new table
+        with an old one."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        specs = tmp_path / "spectrograms"
+        shutil.copytree(staged_run.cfg.spectrogram_dir, specs)
+        cfg = dataclasses.replace(staged_run.cfg, out_dir=str(out), spectrogram_dir=str(specs))
+        if cause == "net-embeds-nothing":
+            params = matrixio.load_params(str(out / "params_track.csmx"))
+            matrixio.save_params(str(out / "params_track.csmx"), _embedding_killed(params))
+            error = StageError
+        else:
+            os.remove(specs / f"{matrixio.load_ids(str(out / 'embeddings_track.ids'))[-1]}.cqts")
+            error = DataError
+        earlier = _earlier_run(out, pipeline._table("embeddings_artist", "embeddings_track",
+                                                    "predictions_audio"))
+        with pytest.raises(error):
+            run_stage(cfg, "extract")
+        assert {rel: (out / rel).read_bytes() for rel in earlier} == earlier
+
+    def test_extract_reads_no_artist_artifact(self, staged_run, tmp_path):
+        """With the artist net's parameters, `features_text` and the artist
+        factors gone, `extract` still writes the staged run's track tables."""
+        out = tmp_path / "out"
+        shutil.copytree(staged_run.cfg.out_dir, out)
+        for rel in ("params_artist.csmx", *pipeline._table("features_text",
+                                                           "factors_artists.items")):
+            os.remove(out / rel)
+        for rel in STAGE_TABLE["extract"].writes:
+            os.remove(out / rel)
+        assert main(["extract", "--config", str(staged_run.cfg_path), "--out", str(out)]) == EXIT_OK
+        for rel in STAGE_TABLE["extract"].writes:
+            assert filecmp.cmp(out / rel, staged_run.cfg.out(rel), shallow=False), rel
 
     def test_heads_on_stale_track_embeddings_stop_evaluate(self, staged_run, tmp_path, capsys):
         """Fusion heads trained on an older build's track embeddings (each column
@@ -540,12 +603,12 @@ class TestStages:
     ])
     def test_extract_builds_each_net_from_its_training_inputs(self, staged_run, tmp_path, capsys,
                                                              case, tensor, trained, needed):
-        """`extract` builds the track and artist nets from the inputs that trained
-        them. Another `scale`, spectrograms with other bins, or song factors refit
+        """`extract` builds the track net from the inputs that trained it.
+        Another `scale`, spectrograms with other bins, or song factors refit
         with another k end in one error line naming the track parameters, the
         tensor, both shapes and `train-track`, and `extract` passes once that
-        stage reruns. `wmf.artists.k` changed without a refit leaves the artifacts
-        agreeing with each other, so `extract` runs and writes the same tables."""
+        stage reruns. `wmf.artists.k` changed without a refit touches nothing
+        `extract` reads, so it runs and writes the same tables."""
         out = tmp_path / "out"
         shutil.copytree(staged_run.cfg.out_dir, out)
         specs = tmp_path / "spectrograms"
@@ -851,11 +914,11 @@ class TestArtifacts:
             assert matrixio.load_ids(pipeline_run.out(f"{name}.ids")) == train_ids + test_ids
 
     def test_embeddings_hold_only_columns_training_turns_on(self, pipeline_run):
-        """`extract` writes only the embedding columns that some training row
-        turns on: `embeddings_track` holds at most one column per filter of the
-        last conv (the final pool takes every frame its pyramid leaves), no
-        column of either table is zero over its training rows, and no column is
-        a copy of another."""
+        """`train-artist` and `extract` write only the embedding columns that
+        some training row turns on: `embeddings_track` holds at most one column
+        per filter of the last conv (the final pool takes every frame its
+        pyramid leaves), no column of either table is zero over its training
+        rows, and no column is a copy of another."""
         net = pipeline._track_net(pipeline_run, TINY["bins"], pipeline_run.wmf_songs.k)
         filters = [layer.filters for layer in net.trunk if layer.kind == "conv1d_time"][-1]
         for table, train_table, max_width in [
@@ -867,6 +930,23 @@ class TestArtifacts:
             assert emb.shape[1] <= max_width, table
             assert emb[[i in train for i in ids]].any(axis=0).all(), table
             assert np.unique(emb, axis=1).shape[1] == emb.shape[1], table
+
+    def test_artist_embeddings_match_the_saved_artist_net(self, pipeline_run, tmp_path):
+        """`embeddings_artist` is, byte for byte, the artist net rebuilt from
+        `params_artist.csmx` run over every `features_text` row and cut to the
+        columns some artist of `factors_artists.items` turns on."""
+        feats = matrixio.load_matrix(pipeline_run.out("features_text.csmx"))["rows"]
+        feat_ids = matrixio.load_ids(pipeline_run.out("features_text.ids"))
+        factors = matrixio.load_matrix(pipeline_run.out("factors_artists.items.csmx"))["rows"]
+        net = zoo.build_artist_net(feats.shape[1], factors.shape[1])
+        emb, _ = zoo.extract_embeddings(
+            net, matrixio.load_params(pipeline_run.out("params_artist.csmx")), feats)
+        trained = set(matrixio.load_ids(pipeline_run.out("factors_artists.items.ids")))
+        live = emb[[a in trained for a in feat_ids]].any(axis=0)
+        matrixio.save_matrix(str(tmp_path / "oracle.csmx"), {"rows": emb[:, live]})
+        assert filecmp.cmp(tmp_path / "oracle.csmx", pipeline_run.out("embeddings_artist.csmx"),
+                           shallow=False)
+        assert matrixio.load_ids(pipeline_run.out("embeddings_artist.ids")) == feat_ids
 
     def test_report_covers_all_approaches(self, pipeline_run):
         with open(pipeline_run.out("report.json"), encoding="utf-8") as fh:
